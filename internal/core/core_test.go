@@ -217,11 +217,11 @@ func TestSingleRequestLatencyNearIdeal(t *testing.T) {
 }
 
 func TestRecomputePreemptionRecovers(t *testing.T) {
-	// Squeeze the pool so decoding triggers preemptions, then verify every
-	// request still completes and the pool drains.
+	// Squeeze the pool to about 2K slots per TP=2 instance so decoding
+	// preempts with scale-up and borrowing on, then verify every request
+	// still completes and the pool drains.
 	m := model.LWM1MText()
-	hw := cluster.A800()
-	hw.ActReserveBytes = 39_000_000_000 // ~1.9K tokens per TP=2 instance
+	hw := squeezedA800(m, 2_000)
 	c, err := cluster.New(m, hw, 1, 8, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -233,6 +233,9 @@ func TestRecomputePreemptionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRecords(t, recs, 60)
+	if eng.Preemptions == 0 {
+		t.Fatal("squeezed pool never preempted; the recompute path went untested")
+	}
 	if err := eng.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
