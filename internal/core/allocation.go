@@ -75,7 +75,7 @@ func (e *Engine) allocateInstances(rp []*serving.Request, idle []kvcache.Instanc
 // future completion event will re-run the scheduler and may free or unlock
 // instances.
 func (e *Engine) busyGroupExists() bool {
-	for _, g := range e.groups {
+	for _, g := range e.groupList {
 		if g.running {
 			return true
 		}
@@ -210,7 +210,7 @@ func (e *Engine) evacuate(id kvcache.InstanceID) (time.Duration, bool) {
 	}
 	// Move each request's slice of id into the target group's instances,
 	// most-free first — token granularity, no locality constraint.
-	for _, r := range g.reqs {
+	for i, r := range g.reqs {
 		n := e.env.Pool.HeldOn(r.ID, id)
 		for n > 0 {
 			dst := e.mostFreeExcept(target.instances, id)
@@ -231,8 +231,8 @@ func (e *Engine) evacuate(id kvcache.InstanceID) (time.Duration, bool) {
 		}
 		// Mastership must stay on an instance that remains in the request's
 		// group.
-		if g.master[r.ID] == id {
-			g.master[r.ID] = recv
+		if g.masters[i] == id {
+			g.setMaster(i, recv)
 		}
 	}
 	mig := e.env.Cluster.MigrationTime(tokens, id, recv)
@@ -241,17 +241,14 @@ func (e *Engine) evacuate(id kvcache.InstanceID) (time.Duration, bool) {
 		// Shrink: drop id from the group.
 		g.instances = subtract(g.instances, []kvcache.InstanceID{id})
 	} else {
-		// Merge the single-instance group into the target.
-		for _, r := range g.reqs {
-			target.reqs = append(target.reqs, r)
-			target.master[r.ID] = g.master[r.ID]
-			if target.master[r.ID] == id {
-				target.master[r.ID] = recv
-			}
+		// Merge the single-instance group into the target; no request is
+		// mastered on id any more.
+		for i, r := range g.reqs {
+			target.addReq(r, g.masters[i])
 		}
 		e.removeGroup(g)
 	}
-	delete(e.byInst, id)
+	e.byInst[id] = nil
 	e.Migrations++
 	e.MigratedTokens += tokens
 	e.tracer.record(e.env.Sim.Now(), TraceEvacuate, target, tokens)

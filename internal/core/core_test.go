@@ -255,6 +255,23 @@ func TestInitRejectsWrongTP(t *testing.T) {
 	}
 }
 
+// The engine indexes per-instance state by InstanceID, so it refuses a
+// cluster whose IDs are not 0..n-1 in order.
+func TestInitRejectsSparseInstanceIDs(t *testing.T) {
+	m := model.LWM1MText()
+	hw := cluster.A800()
+	c, err := cluster.New(m, hw, 1, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Instances[3].ID = 7
+	_, err = serving.Run(New(2, Options{}), c, costmodel.New(m, hw),
+		workload.PoissonTrace(workload.ShareGPT(), 1, 1, 1), serving.DefaultRunConfig())
+	if err == nil {
+		t.Fatal("sparse instance IDs accepted")
+	}
+}
+
 func TestMultiNodeESP8(t *testing.T) {
 	// Fig 11 configuration: 16 GPUs over two nodes, ESP up to 8.
 	m := model.LWM1MText()

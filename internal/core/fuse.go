@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"loongserve/internal/cluster"
 	"loongserve/internal/kvcache"
 )
@@ -81,8 +83,8 @@ func (e *Engine) fuseEligible(g *group, bs, masters int) int {
 	if (bs+threshold-1)/threshold > masters {
 		return 0 // compute scale-up would fire on an interior boundary
 	}
-	if !e.shrinkNoop(g) {
-		return 0
+	if !e.allInUse(g) {
+		return 0 // shrinkDecode would release an instance
 	}
 	kfin := 0
 	for _, r := range g.reqs {
@@ -90,72 +92,20 @@ func (e *Engine) fuseEligible(g *group, bs, masters int) int {
 			kfin = left
 		}
 	}
-	kcap := e.capIterations(g)
-	k := kfin
-	if kcap < k {
-		k = kcap
-	}
+	k := min(kfin, e.capIterations(g))
 	if k < 2 {
 		return 0 // a 1-iteration window is just a normal iteration
 	}
 	return k
 }
 
-// shrinkNoop reports whether shrinkDecode would keep every group instance.
-func (e *Engine) shrinkNoop(g *group) bool {
-	if len(g.instances) <= 1 {
-		return true
-	}
-	e.fuseInUse = e.fuseInUse[:0]
-	if e.fuseVisit == nil {
-		e.fuseVisit = func(id kvcache.InstanceID, n int) {
-			if n > 0 {
-				e.fuseMarkInUse(id)
-			}
-		}
-	}
-	for _, r := range g.reqs {
-		e.fuseMarkInUse(g.master[r.ID])
-		e.env.Pool.EachPlacement(r.ID, e.fuseVisit)
-	}
-	for _, id := range g.instances {
-		if !instIn(e.fuseInUse, id) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *Engine) fuseMarkInUse(id kvcache.InstanceID) {
-	if !instIn(e.fuseInUse, id) {
-		e.fuseInUse = append(e.fuseInUse, id)
-	}
-}
-
 // capIterations returns K_cap: how many iterations every master can absorb
-// its per-iteration token share.
+// its per-iteration token share, read off the group's master counts.
 func (e *Engine) capIterations(g *group) int {
-	assign := e.fuseAssign[:0]
-	for _, r := range g.reqs {
-		m := g.master[r.ID]
-		found := false
-		for i := range assign {
-			if assign[i].id == m {
-				assign[i].n++
-				found = true
-				break
-			}
-		}
-		if !found {
-			assign = append(assign, instCount{id: m, n: 1})
-		}
-	}
-	e.fuseAssign = assign
-	kcap := 0
-	for i := range assign {
-		k := e.env.Pool.Pool(assign[i].id).Free() / assign[i].n
-		if kcap == 0 || k < kcap {
-			kcap = k
+	kcap := math.MaxInt
+	for id, n := range g.mastered {
+		if n > 0 {
+			kcap = min(kcap, e.env.Pool.Pool(kvcache.InstanceID(id)).Free()/n)
 		}
 	}
 	return kcap
@@ -174,7 +124,7 @@ func (e *Engine) launchFused(g *group, k, bs, sumKV, masters int, link cluster.L
 	g.fused = true
 	g.fusedDone = 0
 	g.running = true
-	g.iter = append(g.iter[:0], g.reqs...)
+	g.iterN = bs
 	if g.decodeEv == nil {
 		g.decodeEv = e.env.Sim.NewEvent(func() { e.decodeIterDone(g) })
 	}
@@ -194,9 +144,9 @@ func (e *Engine) applyFused(g *group, upto int) {
 	if delta <= 0 {
 		return
 	}
-	for _, r := range g.iter {
+	for i, r := range g.reqs[:g.iterN] {
 		r.Generated += delta
-		if err := e.env.Pool.AllocAt(r.ID, g.master[r.ID], delta); err != nil {
+		if err := e.env.Pool.AllocAt(r.ID, g.masters[i], delta); err != nil {
 			panic(err)
 		}
 	}

@@ -23,11 +23,18 @@
 //     on their (possibly new) master.
 //   - Multi-master decoding: mastership is a per-request label that moves
 //     freely between group members; the cost model charges dense-layer
-//     time divided by the number of distinct masters.
+//     time divided by the number of distinct masters. The label is dense
+//     group state — a masters slice aligned with the decode batch, a
+//     request count per instance and the distinct-master count, all
+//     written by one method — so the steady decode step reads a request's
+//     master by index and the master count as a field, with no map
+//     operation and no allocation.
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -72,12 +79,12 @@ type Engine struct {
 
 	pending   []*serving.Request
 	recompute map[kvcache.RequestID]int
-	groups    map[int]*group
-	byInst    map[kvcache.InstanceID]*group
+	byInst    []*group // owning group per instance, indexed by InstanceID
 	nextGID   int
 
-	// groupList mirrors groups in ascending-id order, maintained
-	// incrementally on create/retire so the scheduler never re-sorts.
+	// groupList is the registry of live groups, in ascending-id order,
+	// maintained incrementally on create/retire so the scheduler never
+	// re-sorts.
 	groupList []*group
 
 	// Per-SP fitted model tables, built once at Init from the SIB: the
@@ -90,12 +97,14 @@ type Engine struct {
 	spDecodeOK  []bool
 
 	// Hot-path scratch, reused across scheduling rounds.
-	schedScratch []*group             // snapshot for mutation-safe iteration
-	idleScratch  []kvcache.InstanceID // idleInstances result buffer
-	mcScratch    []kvcache.InstanceID // masterCount distinct-set buffer
-	lensScratch  []int                // non-retained length vectors
-	dp           dpScratch            // Eq 5 DP inputs and matrices
-	scheduleFn   func()               // bound e.schedule, for After(0, ...)
+	schedScratch []*group                      // snapshot for mutation-safe iteration
+	mergeScratch []*group                      // considerMerges candidates
+	idleScratch  []kvcache.InstanceID          // idleInstances result buffer
+	orderScratch []kvcache.InstanceID          // rebalanceMasters instance order
+	inUse        []bool                        // allInUse verdicts, indexed by InstanceID
+	markPlaced   func(kvcache.InstanceID, int) // bound EachPlacement visitor for allInUse
+	dp           dpScratch                     // Eq 5 DP inputs and matrices
+	scheduleFn   func()                        // bound e.schedule, for After(0, ...)
 
 	tracer *Tracer // optional execution trace (Fig 6 lifecycle)
 
@@ -104,9 +113,6 @@ type Engine struct {
 	fuseDecode bool
 	fusedGroup *group
 	fusion     DecodeFusionStats
-	fuseInUse  []kvcache.InstanceID       // shrinkNoop scratch
-	fuseAssign []instCount                // capIterations scratch
-	fuseVisit  func(kvcache.InstanceID, int) // bound EachPlacement visitor
 
 	// Running averages for the Eq 2 gain estimate.
 	decodeLatSum   float64 // seconds spent in decode by finished requests
@@ -143,16 +149,22 @@ type group struct {
 	lens   []int
 	retain []kvcache.InstanceID // proactive scale-down targets
 
-	// Decode state.
-	reqs   []*serving.Request
-	master map[kvcache.RequestID]kvcache.InstanceID
+	// Decode state. masters[i] is the instance that receives reqs[i]'s new
+	// KV; mastered counts requests per master, indexed by InstanceID, and
+	// distinct counts the instances with a non-zero entry. setMaster is
+	// their only writer.
+	reqs     []*serving.Request
+	masters  []kvcache.InstanceID
+	mastered []int
+	distinct int
 
-	// Decode-iteration plumbing: iter snapshots the batch for the in-flight
-	// iteration (g.reqs may grow mid-flight when a finished prefill joins
-	// the group — joined requests must not receive this iteration's token),
-	// and decodeEv is the group's reusable completion event, so steady-state
-	// decoding schedules without allocating.
-	iter     []*serving.Request
+	// Decode-iteration plumbing: iterN is the batch size of the in-flight
+	// iteration. A running group's reqs only grow at the tail (a finished
+	// prefill joining mid-flight; removals happen while the group is idle),
+	// so reqs[:iterN] are exactly the requests that receive this
+	// iteration's token. decodeEv is the group's reusable completion event,
+	// so steady-state decoding schedules without allocating.
+	iterN    int
 	decodeEv *simevent.Event
 
 	// Borrowed instances (Eq 1-2): returned to their decoding group after
@@ -167,10 +179,39 @@ type group struct {
 	fusedEnds []simevent.Time
 }
 
-// instCount is a (instance, count) pair used by the fusion capacity check.
-type instCount struct {
-	id kvcache.InstanceID
-	n  int
+// noMaster marks a request slot with no master instance.
+const noMaster kvcache.InstanceID = -1
+
+// setMaster is the single writer of mastership: it makes m the master of
+// reqs[i] (noMaster clears it) and keeps mastered and distinct in step
+// with masters.
+func (g *group) setMaster(i int, m kvcache.InstanceID) {
+	if old := g.masters[i]; old != noMaster {
+		if g.mastered[old]--; g.mastered[old] == 0 {
+			g.distinct--
+		}
+	}
+	g.masters[i] = m
+	if m != noMaster {
+		if g.mastered[m]++; g.mastered[m] == 1 {
+			g.distinct++
+		}
+	}
+}
+
+// addReq appends r to the decode batch, mastered on m.
+func (g *group) addReq(r *serving.Request, m kvcache.InstanceID) {
+	g.reqs = append(g.reqs, r)
+	g.masters = append(g.masters, noMaster)
+	g.setMaster(len(g.masters)-1, m)
+}
+
+// dropReq removes reqs[i] from the decode batch, keeping the order of the
+// rest.
+func (g *group) dropReq(i int) {
+	g.setMaster(i, noMaster)
+	g.reqs = slices.Delete(g.reqs, i, i+1)
+	g.masters = slices.Delete(g.masters, i, i+1)
 }
 
 // New returns a LoongServe engine for instances of the given tensor
@@ -198,15 +239,23 @@ func (e *Engine) Name() string { return e.Label }
 func (e *Engine) Init(env *serving.Env) error {
 	e.env = env
 	e.recompute = make(map[kvcache.RequestID]int)
-	e.groups = make(map[int]*group)
-	e.byInst = make(map[kvcache.InstanceID]*group)
 	n := len(env.Cluster.Instances)
 	if n == 0 {
 		return fmt.Errorf("%s: empty cluster", e.Label)
 	}
-	for _, inst := range env.Cluster.Instances {
+	for i, inst := range env.Cluster.Instances {
 		if inst.TP != e.TP {
 			return fmt.Errorf("%s: instance %d has TP=%d, engine wants %d", e.Label, inst.ID, inst.TP, e.TP)
+		}
+		if inst.ID != kvcache.InstanceID(i) {
+			return fmt.Errorf("%s: instance %d at position %d; instance IDs must be 0..n-1", e.Label, inst.ID, i)
+		}
+	}
+	e.byInst = make([]*group, n)
+	e.inUse = make([]bool, n)
+	e.markPlaced = func(id kvcache.InstanceID, tokens int) {
+		if tokens > 0 {
+			e.inUse[id] = true
 		}
 	}
 	e.sib = costmodel.NewSIB()
@@ -264,8 +313,8 @@ func (e *Engine) CheckDrained() error {
 	if len(e.pending) != 0 {
 		return fmt.Errorf("%s: %d requests still pending", e.Label, len(e.pending))
 	}
-	if len(e.groups) != 0 {
-		return fmt.Errorf("%s: %d groups still live", e.Label, len(e.groups))
+	if len(e.groupList) != 0 {
+		return fmt.Errorf("%s: %d groups still live", e.Label, len(e.groupList))
 	}
 	if used := e.env.Pool.TotalUsed(); used != 0 {
 		return fmt.Errorf("%s: %d KV slots leaked", e.Label, used)
@@ -292,7 +341,7 @@ func (e *Engine) Capability() serving.Capability {
 func (e *Engine) Load() serving.LoadStats {
 	e.syncFused()
 	st := serving.LoadStats{Queued: len(e.pending)}
-	for _, g := range e.groups {
+	for _, g := range e.groupList {
 		for _, r := range g.batch {
 			st.Running++
 			st.KVTokens += r.KVNow()
@@ -325,15 +374,18 @@ func (e *Engine) idleInstances() []kvcache.InstanceID {
 			ids = append(ids, inst.ID)
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		fa, fb := e.env.Pool.Pool(ids[a]).Free(), e.env.Pool.Pool(ids[b]).Free()
-		if fa != fb {
-			return fa > fb
-		}
-		return ids[a] < ids[b]
-	})
+	slices.SortFunc(ids, e.mostFreeFirst)
 	e.idleScratch = ids
 	return ids
+}
+
+// mostFreeFirst orders instances by free KV slots, most first, ties by ID.
+// It is a total order, so every sort that uses it has one result.
+func (e *Engine) mostFreeFirst(a, b kvcache.InstanceID) int {
+	if fa, fb := e.env.Pool.Pool(a).Free(), e.env.Pool.Pool(b).Free(); fa != fb {
+		return cmp.Compare(fb, fa)
+	}
+	return cmp.Compare(a, b)
 }
 
 // prefillLen returns the tokens request r must prefill (full context after
@@ -401,13 +453,11 @@ func (e *Engine) sortedGroups() []*group {
 
 // addGroup registers a newly created group.
 func (e *Engine) addGroup(g *group) {
-	e.groups[g.id] = g
 	e.groupList = append(e.groupList, g)
 }
 
-// removeGroup retires a group from the index and the ordered list.
+// removeGroup retires a group from the ordered list.
 func (e *Engine) removeGroup(g *group) {
-	delete(e.groups, g.id)
 	list := e.groupList
 	i := sort.Search(len(list), func(k int) bool { return list[k].id >= g.id })
 	if i < len(list) && list[i] == g {
@@ -427,7 +477,6 @@ func (e *Engine) launchPrefill(reqs []*serving.Request, lens []int, insts []kvca
 		running:   true,
 		batch:     reqs,
 		lens:      lens,
-		master:    make(map[kvcache.RequestID]kvcache.InstanceID),
 		borrowedFrom: func() *group {
 			if borrowed != nil {
 				e.Borrows++
@@ -485,13 +534,7 @@ func (e *Engine) chooseRetention(reqs []*serving.Request, insts []kvcache.Instan
 		need += e.reserveLen(r)
 	}
 	order := append([]kvcache.InstanceID(nil), insts...)
-	sort.Slice(order, func(a, b int) bool {
-		fa, fb := e.env.Pool.Pool(order[a]).Free(), e.env.Pool.Pool(order[b]).Free()
-		if fa != fb {
-			return fa > fb
-		}
-		return order[a] < order[b]
-	})
+	slices.SortFunc(order, e.mostFreeFirst)
 	have := 0
 	for i, id := range order {
 		have += e.env.Pool.Pool(id).Free()
@@ -531,14 +574,12 @@ func (e *Engine) finishPrefill(g *group) {
 	// Scale down: release non-retained instances.
 	for _, id := range g.instances {
 		if !instIn(g.retain, id) {
-			delete(e.byInst, id)
+			e.byInst[id] = nil
 		}
 	}
 	g.instances = g.retain
 	g.phase = phaseDecode
 	g.running = false
-	g.reqs = g.batch
-	g.batch, g.lens, g.retain = nil, nil, nil
 
 	// Consolidate: if an existing decoding group can absorb this batch
 	// without the union growing past half the cluster, join it. Fewer,
@@ -547,7 +588,6 @@ func (e *Engine) finishPrefill(g *group) {
 	// new requests' KV stays where the retention plan put it, mastership
 	// is only a label).
 	if target := e.consolidationTarget(g); target != nil {
-		g.batch, g.retain = g.reqs, g.instances
 		e.joinGroup(g, target)
 		e.schedule()
 		return
@@ -555,6 +595,13 @@ func (e *Engine) finishPrefill(g *group) {
 
 	// Balanced master assignment: "the number of newly key-value tensors
 	// generated by each master is set to as uniform as possible" (§5.4).
+	g.reqs = make([]*serving.Request, 0, len(g.batch))
+	g.masters = make([]kvcache.InstanceID, 0, len(g.batch))
+	g.mastered = make([]int, len(e.byInst))
+	for _, r := range g.batch {
+		g.addReq(r, noMaster)
+	}
+	g.batch, g.lens, g.retain = nil, nil, nil
 	e.rebalanceMasters(g, e.desiredMasters(g))
 
 	// Requests whose output was a single token are already done.
@@ -579,7 +626,7 @@ func (e *Engine) consolidationTarget(g *group) *group {
 		if cand == g || cand.phase != phaseDecode || len(cand.reqs) == 0 {
 			continue
 		}
-		extra := len(subtract(g.instances, cand.instances))
+		extra := countNotIn(g.instances, cand.instances)
 		if e.Opts.DisableScaleUp && extra > 0 {
 			continue
 		}
@@ -601,7 +648,7 @@ func (e *Engine) consolidationTarget(g *group) *group {
 func (e *Engine) joinGroup(g *group, target *group) {
 	for _, id := range g.instances {
 		if e.byInst[id] == g {
-			delete(e.byInst, id) // idle-origin instance, not retained
+			e.byInst[id] = nil // idle-origin instance, not retained
 		}
 	}
 	for _, id := range g.retain {
@@ -616,8 +663,7 @@ func (e *Engine) joinGroup(g *group, target *group) {
 			e.finishRequest(r)
 			continue
 		}
-		target.reqs = append(target.reqs, r)
-		target.master[r.ID] = g.retain[i%len(g.retain)]
+		target.addReq(r, g.retain[i%len(g.retain)])
 	}
 	e.removeGroup(g)
 	e.tracer.record(e.env.Sim.Now(), TraceJoin, target, 0)
@@ -634,22 +680,21 @@ func (e *Engine) finishRequest(r *serving.Request) {
 }
 
 // retireFinished completes requests that have generated their full output,
-// filtering g.reqs in place (the in-flight snapshot g.iter has its own
-// backing, so compaction here cannot corrupt an iteration).
+// compacting g.reqs and g.masters in place. It runs only on an idle group,
+// so no in-flight iteration indexes the batch.
 func (e *Engine) retireFinished(g *group) {
-	live := g.reqs[:0]
-	for _, r := range g.reqs {
+	live := 0
+	for i, r := range g.reqs {
 		if r.Generated >= r.OutputLen {
-			delete(g.master, r.ID)
+			g.setMaster(i, noMaster)
 			e.finishRequest(r)
 			continue
 		}
-		live = append(live, r)
+		g.reqs[live], g.masters[live] = r, g.masters[i]
+		live++
 	}
-	for i := len(live); i < len(g.reqs); i++ {
-		g.reqs[i] = nil
-	}
-	g.reqs = live
+	clear(g.reqs[live:])
+	g.reqs, g.masters = g.reqs[:live], g.masters[:live]
 }
 
 // dissolve removes an empty group and frees its instances.
@@ -657,7 +702,7 @@ func (e *Engine) dissolve(g *group) {
 	e.tracer.record(e.env.Sim.Now(), TraceDissolve, g, 0)
 	for _, id := range g.instances {
 		if e.byInst[id] == g {
-			delete(e.byInst, id)
+			e.byInst[id] = nil
 		}
 	}
 	e.removeGroup(g)
@@ -670,6 +715,17 @@ func instIn(ids []kvcache.InstanceID, id kvcache.InstanceID) bool {
 		}
 	}
 	return false
+}
+
+// countNotIn returns how many of ids are not in other.
+func countNotIn(ids, other []kvcache.InstanceID) int {
+	n := 0
+	for _, x := range ids {
+		if !instIn(other, x) {
+			n++
+		}
+	}
+	return n
 }
 
 func subtract(ids, remove []kvcache.InstanceID) []kvcache.InstanceID {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -332,22 +334,20 @@ func (e *Engine) dpBatches(rp []*serving.Request, insts []kvcache.InstanceID) ([
 	// Sort requests by prefill length descending.
 	sorted := append(e.dp.sorted[:0], rp...)
 	e.dp.sorted = sorted
-	sort.Slice(sorted, func(a, b int) bool {
-		la, lb := e.prefillLen(sorted[a]), e.prefillLen(sorted[b])
-		if la != lb {
-			return la > lb
+	slices.SortFunc(sorted, func(a, b *serving.Request) int {
+		if la, lb := e.prefillLen(a), e.prefillLen(b); la != lb {
+			return cmp.Compare(lb, la)
 		}
-		return sorted[a].ID < sorted[b].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	// Sort instances by free slots ascending (paper §5.3).
 	order := append(e.dp.order[:0], insts...)
 	e.dp.order = order
-	sort.Slice(order, func(a, b int) bool {
-		fa, fb := e.env.Pool.Pool(order[a]).Free(), e.env.Pool.Pool(order[b]).Free()
-		if fa != fb {
-			return fa < fb
+	slices.SortFunc(order, func(a, b kvcache.InstanceID) int {
+		if fa, fb := e.env.Pool.Pool(a).Free(), e.env.Pool.Pool(b).Free(); fa != fb {
+			return cmp.Compare(fa, fb)
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 
 	m := len(order)
@@ -435,12 +435,13 @@ func (e *Engine) considerMerges() {
 		maxUnion = 1
 	}
 	for guard := 0; guard < 16; guard++ {
-		var idleGroups []*group
+		idleGroups := e.mergeScratch[:0]
 		for _, g := range e.sortedGroups() {
 			if g.phase == phaseDecode && !g.running && len(g.reqs) > 0 {
 				idleGroups = append(idleGroups, g)
 			}
 		}
+		e.mergeScratch = idleGroups
 		if len(idleGroups) < 2 {
 			return
 		}
@@ -449,7 +450,7 @@ func (e *Engine) considerMerges() {
 		for i := 0; i < len(idleGroups); i++ {
 			for j := i + 1; j < len(idleGroups); j++ {
 				a, b := idleGroups[i], idleGroups[j]
-				union := len(a.instances) + len(unionExtra(a, b))
+				union := len(a.instances) + countNotIn(b.instances, a.instances)
 				if union > maxUnion {
 					continue
 				}
@@ -463,10 +464,6 @@ func (e *Engine) considerMerges() {
 		}
 		e.merge(bestA, bestB)
 	}
-}
-
-func unionExtra(a, b *group) []kvcache.InstanceID {
-	return subtract(b.instances, a.instances)
 }
 
 // mergeGain predicts the token-throughput change of merging two decoding
@@ -500,15 +497,14 @@ func (e *Engine) decodePredict(bs, sumKV, sp int) (float64, bool) {
 
 // merge absorbs group b into group a.
 func (e *Engine) merge(a, b *group) {
-	for _, id := range unionExtra(a, b) {
-		a.instances = append(a.instances, id)
-	}
 	for _, id := range b.instances {
+		if !instIn(a.instances, id) {
+			a.instances = append(a.instances, id)
+		}
 		e.byInst[id] = a
 	}
-	a.reqs = append(a.reqs, b.reqs...)
-	for id, m := range b.master {
-		a.master[id] = m
+	for i, r := range b.reqs {
+		a.addReq(r, b.masters[i])
 	}
 	e.removeGroup(b)
 }
@@ -541,14 +537,14 @@ func (e *Engine) launchDecode(g *group) {
 	if bs > e.MaxDecodeBS {
 		e.MaxDecodeBS = bs
 	}
-	if len(e.groups) > e.MaxGroups {
-		e.MaxGroups = len(e.groups)
+	if len(e.groupList) > e.MaxGroups {
+		e.MaxGroups = len(e.groupList)
 	}
 	sumKV := 0
 	for _, r := range g.reqs {
 		sumKV += r.KVNow()
 	}
-	masters := e.masterCount(g)
+	masters := g.distinct
 	link := e.env.Cluster.GroupLink(g.instances)
 	if e.fuseDecode {
 		if k := e.fuseEligible(g, bs, masters); k >= 2 {
@@ -558,9 +554,9 @@ func (e *Engine) launchDecode(g *group) {
 	}
 	d := e.env.CM.DecodeIterTime(bs, sumKV, len(g.instances), e.TP, masters, link)
 	g.running = true
-	// Snapshot the batch (a join can grow g.reqs mid-flight; joined requests
-	// sit out this iteration) and arm the group's reusable event.
-	g.iter = append(g.iter[:0], g.reqs...)
+	// Fix the iteration's batch (a join can grow g.reqs mid-flight; joined
+	// requests sit out this iteration) and arm the group's reusable event.
+	g.iterN = bs
 	if g.decodeEv == nil {
 		g.decodeEv = e.env.Sim.NewEvent(func() { e.decodeIterDone(g) })
 	}
@@ -579,10 +575,10 @@ func (e *Engine) decodeIterDone(g *group) {
 		g.fused = false
 		e.fusedGroup = nil
 	} else {
-		for _, r := range g.iter {
+		for i, r := range g.reqs[:g.iterN] {
 			r.Generated++
-			if err := e.env.Pool.AllocAt(r.ID, g.master[r.ID], 1); err != nil {
-				panic(fmt.Sprintf("%s: decode alloc on instance %d failed: %v", e.Label, g.master[r.ID], err))
+			if err := e.env.Pool.AllocAt(r.ID, g.masters[i], 1); err != nil {
+				panic(fmt.Sprintf("%s: decode alloc on instance %d failed: %v", e.Label, g.masters[i], err))
 			}
 		}
 	}
@@ -595,25 +591,6 @@ func (e *Engine) decodeIterDone(g *group) {
 	e.schedule()
 }
 
-// masterCount returns the number of distinct master instances.
-func (e *Engine) masterCount(g *group) int {
-	seen := e.mcScratch[:0]
-	for _, id := range g.master {
-		dup := false
-		for _, s := range seen {
-			if s == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen = append(seen, id)
-		}
-	}
-	e.mcScratch = seen
-	return len(seen)
-}
-
 // considerComputeScaleUp grows the group / master set when the decode batch
 // crosses the profiled compute-bound threshold (§5.4): FFN work dominates,
 // so spreading dense layers over more masters pays. The target is enough
@@ -624,10 +601,10 @@ func (e *Engine) considerComputeScaleUp(g *group) {
 		threshold = 1
 	}
 	desired := (len(g.reqs) + threshold - 1) / threshold
-	if desired <= e.masterCount(g) {
+	if desired <= g.distinct {
 		return
 	}
-	if e.masterCount(g) < len(g.instances) {
+	if g.distinct < len(g.instances) {
 		e.rebalanceMasters(g, desired)
 		return
 	}
@@ -674,20 +651,16 @@ func (e *Engine) desiredMasters(g *group) int {
 // the youngest request as a last resort.
 func (e *Engine) ensureDecodeCapacity(g *group) {
 	for guard := 0; guard < 64; guard++ {
-		assigned := make(map[kvcache.InstanceID]int)
-		for _, r := range g.reqs {
-			assigned[g.master[r.ID]]++
-		}
 		deficit := 0
 		for _, id := range g.instances {
-			if short := assigned[id] - e.env.Pool.Pool(id).Free(); short > 0 {
+			if short := g.mastered[id] - e.env.Pool.Pool(id).Free(); short > 0 {
 				deficit += short
 			}
 		}
 		if deficit == 0 {
 			return
 		}
-		if e.rebalanceTowardFree(g, assigned) {
+		if e.rebalanceTowardFree(g) {
 			continue
 		}
 		if !e.Opts.DisableScaleUp {
@@ -707,28 +680,24 @@ func (e *Engine) ensureDecodeCapacity(g *group) {
 // instances to group members with spare slots. Mastership moves are free:
 // only future tokens land on the new master (§4.2). Reports whether any
 // move happened.
-func (e *Engine) rebalanceTowardFree(g *group, assigned map[kvcache.InstanceID]int) bool {
-	spare := func(id kvcache.InstanceID) int { return e.env.Pool.Pool(id).Free() - assigned[id] }
+func (e *Engine) rebalanceTowardFree(g *group) bool {
 	moved := false
-	for _, r := range g.reqs {
-		m := g.master[r.ID]
-		if e.env.Pool.Pool(m).Free() >= assigned[m] {
+	for i, m := range g.masters {
+		if e.env.Pool.Pool(m).Free() >= g.mastered[m] {
 			continue
 		}
 		// Find the group instance with the most spare capacity.
 		var best kvcache.InstanceID = -1
 		bestSpare := 0
 		for _, id := range g.instances {
-			if s := spare(id); s > bestSpare {
+			if s := e.env.Pool.Pool(id).Free() - g.mastered[id]; s > bestSpare {
 				best, bestSpare = id, s
 			}
 		}
 		if best < 0 {
 			return moved
 		}
-		assigned[m]--
-		assigned[best]++
-		g.master[r.ID] = best
+		g.setMaster(i, best)
 		moved = true
 	}
 	return moved
@@ -746,16 +715,11 @@ func (e *Engine) rebalanceMasters(g *group, n int) {
 	if n > len(g.instances) {
 		n = len(g.instances)
 	}
-	order := append([]kvcache.InstanceID(nil), g.instances...)
-	sort.Slice(order, func(a, b int) bool {
-		fa, fb := e.env.Pool.Pool(order[a]).Free(), e.env.Pool.Pool(order[b]).Free()
-		if fa != fb {
-			return fa > fb
-		}
-		return order[a] < order[b]
-	})
-	for i, r := range g.reqs {
-		g.master[r.ID] = order[i%n]
+	order := append(e.orderScratch[:0], g.instances...)
+	e.orderScratch = order
+	slices.SortFunc(order, e.mostFreeFirst)
+	for i := range g.masters {
+		g.setMaster(i, order[i%n])
 	}
 }
 
@@ -793,8 +757,7 @@ func (e *Engine) preemptYoungest(g *group) {
 		}
 	}
 	victim := g.reqs[worst]
-	g.reqs = append(g.reqs[:worst], g.reqs[worst+1:]...)
-	delete(g.master, victim.ID)
+	g.dropReq(worst)
 	e.env.Pool.ReleaseRequest(victim.ID)
 	e.recompute[victim.ID] = victim.KVNow()
 	victim.Phase = serving.Pending
@@ -807,34 +770,49 @@ func (e *Engine) preemptYoungest(g *group) {
 // hold any of the group's KV — the optional decode scale-down of §4,
 // freeing resources for the prefill phase.
 func (e *Engine) shrinkDecode(g *group) {
-	if len(g.instances) <= 1 {
+	if e.allInUse(g) {
 		return
 	}
-	inUse := make(map[kvcache.InstanceID]bool)
-	for _, r := range g.reqs {
-		inUse[g.master[r.ID]] = true
-		e.env.Pool.EachPlacement(r.ID, func(id kvcache.InstanceID, n int) {
-			if n > 0 {
-				inUse[id] = true
-			}
-		})
-	}
-	var keep []kvcache.InstanceID
+	keep := g.instances[:0]
 	for _, id := range g.instances {
-		if inUse[id] {
+		if e.inUse[id] {
 			keep = append(keep, id)
 			continue
 		}
-		delete(e.byInst, id)
+		e.byInst[id] = nil
 	}
 	if len(keep) == 0 {
-		keep = g.instances[:1]
+		keep = g.instances[:1] // never overwritten: nothing was kept
 		e.byInst[keep[0]] = g
 	}
-	if len(keep) < len(g.instances) {
-		g.instances = keep
-		e.tracer.record(e.env.Sim.Now(), TraceShrink, g, 0)
-		return
-	}
 	g.instances = keep
+	e.tracer.record(e.env.Sim.Now(), TraceShrink, g, 0)
+}
+
+// allInUse reports whether every instance of g masters one of its requests
+// or holds any of their KV, leaving the verdict per group instance in
+// e.inUse. The master counts settle the common case without walking KV
+// placements. shrinkDecode keeps exactly the in-use instances, and the
+// fusion check asks whether it would keep them all.
+func (e *Engine) allInUse(g *group) bool {
+	if len(g.instances) <= 1 {
+		return true
+	}
+	all := true
+	for _, id := range g.instances {
+		e.inUse[id] = g.mastered[id] > 0
+		all = all && e.inUse[id]
+	}
+	if all {
+		return true
+	}
+	for _, r := range g.reqs {
+		e.env.Pool.EachPlacement(r.ID, e.markPlaced)
+	}
+	for _, id := range g.instances {
+		if !e.inUse[id] {
+			return false
+		}
+	}
+	return true
 }

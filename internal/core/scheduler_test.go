@@ -39,6 +39,20 @@ func req(id int, in, out int) *serving.Request {
 	return &serving.Request{ID: kvcache.RequestID(id), InputLen: in, OutputLen: out}
 }
 
+// decodeGroup builds an idle decoding group over insts whose i-th request
+// is mastered on masters[i] (unmastered past the end of masters).
+func decodeGroup(e *Engine, id int, insts []kvcache.InstanceID, reqs []*serving.Request, masters ...kvcache.InstanceID) *group {
+	g := &group{id: id, phase: phaseDecode, instances: insts, mastered: make([]int, len(e.byInst))}
+	for i, r := range reqs {
+		m := noMaster
+		if i < len(masters) {
+			m = masters[i]
+		}
+		g.addReq(r, m)
+	}
+	return g
+}
+
 func TestDispatchFCFSAndMemoryGate(t *testing.T) {
 	e := newEngineForUnit(t)
 	e.pending = []*serving.Request{req(1, 100, 10), req(2, 1_000_000, 10), req(3, 50, 5)}
@@ -175,26 +189,23 @@ func TestChooseRetentionMinimalSubset(t *testing.T) {
 
 func TestRebalanceMastersConcentratesAndSpreads(t *testing.T) {
 	e := newEngineForUnit(t)
-	g := &group{
-		id: 1, phase: phaseDecode,
-		instances: []kvcache.InstanceID{0, 1, 2},
-		master:    map[kvcache.RequestID]kvcache.InstanceID{},
-	}
+	var reqs []*serving.Request
 	for i := 0; i < 6; i++ {
-		g.reqs = append(g.reqs, req(i+1, 100, 50))
+		reqs = append(reqs, req(i+1, 100, 50))
 	}
+	g := decodeGroup(e, 1, []kvcache.InstanceID{0, 1, 2}, reqs)
 	e.rebalanceMasters(g, 1)
-	if e.masterCount(g) != 1 {
-		t.Fatalf("concentration failed: %d masters", e.masterCount(g))
+	if g.distinct != 1 {
+		t.Fatalf("concentration failed: %d masters", g.distinct)
 	}
 	e.rebalanceMasters(g, 3)
-	if e.masterCount(g) != 3 {
-		t.Fatalf("spread failed: %d masters", e.masterCount(g))
+	if g.distinct != 3 {
+		t.Fatalf("spread failed: %d masters", g.distinct)
 	}
 	// Clamps beyond group size.
 	e.rebalanceMasters(g, 99)
-	if e.masterCount(g) != 3 {
-		t.Fatalf("clamp failed: %d masters", e.masterCount(g))
+	if g.distinct != 3 {
+		t.Fatalf("clamp failed: %d masters", g.distinct)
 	}
 }
 
@@ -210,12 +221,7 @@ func TestEvacuateShrinksGroup(t *testing.T) {
 	if err := e.env.Pool.AllocAt(r.ID, 1, 800); err != nil {
 		t.Fatal(err)
 	}
-	g := &group{
-		id: 1, phase: phaseDecode,
-		instances: []kvcache.InstanceID{0, 1},
-		reqs:      []*serving.Request{r},
-		master:    map[kvcache.RequestID]kvcache.InstanceID{r.ID: 1},
-	}
+	g := decodeGroup(e, 1, []kvcache.InstanceID{0, 1}, []*serving.Request{r}, 1)
 	e.addGroup(g)
 	e.byInst[0] = g
 	e.byInst[1] = g
@@ -233,8 +239,8 @@ func TestEvacuateShrinksGroup(t *testing.T) {
 	if got := e.env.Pool.Placement(r.ID)[0]; got != 2_000 {
 		t.Fatalf("KV on instance 0 = %d, want 2000", got)
 	}
-	if g.master[r.ID] != 0 {
-		t.Fatalf("master still on evacuated instance: %v", g.master[r.ID])
+	if g.masters[0] != 0 || g.mastered[1] != 0 || g.distinct != 1 {
+		t.Fatalf("master still on evacuated instance: %v", g.masters)
 	}
 	if err := e.env.Pool.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -249,12 +255,7 @@ func TestEvacuateSingleInstanceGroupMerges(t *testing.T) {
 		if err := e.env.Pool.AllocAt(r.ID, inst, tokens); err != nil {
 			t.Fatal(err)
 		}
-		g := &group{
-			id: gid, phase: phaseDecode,
-			instances: []kvcache.InstanceID{inst},
-			reqs:      []*serving.Request{r},
-			master:    map[kvcache.RequestID]kvcache.InstanceID{r.ID: inst},
-		}
+		g := decodeGroup(e, gid, []kvcache.InstanceID{inst}, []*serving.Request{r}, inst)
 		e.addGroup(g)
 		e.byInst[inst] = g
 		return g
@@ -265,8 +266,8 @@ func TestEvacuateSingleInstanceGroupMerges(t *testing.T) {
 	if _, ok := e.evacuate(0); !ok {
 		t.Fatal("merge evacuation refused")
 	}
-	if len(e.groups) != 1 {
-		t.Fatalf("groups after merge = %d", len(e.groups))
+	if len(e.groupList) != 1 {
+		t.Fatalf("groups after merge = %d", len(e.groupList))
 	}
 	if len(g2.reqs) != 2 {
 		t.Fatalf("target group has %d requests, want 2", len(g2.reqs))
@@ -282,12 +283,8 @@ func TestEvacuateSingleInstanceGroupMerges(t *testing.T) {
 func TestEvacuateRefusesRunningGroup(t *testing.T) {
 	e := newEngineForUnit(t)
 	r := req(1, 100, 10)
-	g := &group{
-		id: 1, phase: phaseDecode, running: true,
-		instances: []kvcache.InstanceID{0},
-		reqs:      []*serving.Request{r},
-		master:    map[kvcache.RequestID]kvcache.InstanceID{r.ID: 0},
-	}
+	g := decodeGroup(e, 1, []kvcache.InstanceID{0}, []*serving.Request{r}, 0)
+	g.running = true
 	e.addGroup(g)
 	e.byInst[0] = g
 	if _, ok := e.evacuate(0); ok {
@@ -314,14 +311,13 @@ func TestDesiredMastersThresholding(t *testing.T) {
 func TestMergeGainPrefersAmortization(t *testing.T) {
 	e := newEngineForUnit(t)
 	mk := func(gid int, inst kvcache.InstanceID, n int) *group {
-		g := &group{id: gid, phase: phaseDecode, instances: []kvcache.InstanceID{inst},
-			master: map[kvcache.RequestID]kvcache.InstanceID{}}
+		var reqs []*serving.Request
 		for i := 0; i < n; i++ {
 			r := req(gid*1000+i, 200, 100)
 			r.Generated = 5
-			g.reqs = append(g.reqs, r)
+			reqs = append(reqs, r)
 		}
-		return g
+		return decodeGroup(e, gid, []kvcache.InstanceID{inst}, reqs)
 	}
 	a, b := mk(1, 0, 4), mk(2, 1, 4)
 	// The gain computation must at least be finite and symmetric-ish.

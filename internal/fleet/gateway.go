@@ -302,9 +302,9 @@ type Gateway struct {
 	// Hedging state: the distribution of observed TTFT seconds per
 	// prefilled token, and a memoized quantile of it (recomputed only when
 	// the sample count changed).
-	hedgeDist   metrics.Dist
-	hedgeQ      float64
-	hedgeQAtN   int
+	hedgeDist metrics.Dist
+	hedgeQ    float64
+	hedgeQAtN int
 
 	// sessionHome tracks, per session cache key, the replica that currently
 	// owns (or is about to receive) the session's KV — the gateway's routing

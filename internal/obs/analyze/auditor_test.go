@@ -77,9 +77,9 @@ func TestAuditOutOfOrderRoute(t *testing.T) {
 func TestAuditCorruptions(t *testing.T) {
 	base := func() []obs.Event { return chain(1, 7, 0, 0, 0.1, 0.2, 1.0, 2.0) }
 	cases := []struct {
-		name    string
-		mutate  func([]obs.Event) []obs.Event
-		want    ViolationKind
+		name   string
+		mutate func([]obs.Event) []obs.Event
+		want   ViolationKind
 	}{
 		{"duplicate finish", func(ev []obs.Event) []obs.Event {
 			return append(ev, ev[len(ev)-1])

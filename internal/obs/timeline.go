@@ -44,7 +44,7 @@ func detail(e Event) string {
 		return fmt.Sprintf("req=%d session=%d out=%d prefill=%v decode=%v",
 			e.Request, e.Session, e.Tokens,
 			time.Duration(e.A-e.B).Round(time.Microsecond),
-			(time.Duration(e.At)-time.Duration(e.A)).Round(time.Microsecond))
+			(time.Duration(e.At) - time.Duration(e.A)).Round(time.Microsecond))
 	case KindProvision, KindActivate, KindDrain, KindRetire:
 		if e.Label != "" {
 			return fmt.Sprintf("kind=%s", e.Label)
