@@ -23,11 +23,7 @@
 //
 // Usage:
 //
-//	loongserve-bench -exp fig2|fig3|fig10|fig11|fig12|fig13|fig14|fig15|fleet|faults|cachedir|autoscale|ablations|bigfleet|perf|all [-quick] [-serial] [-shards N] [-fuse-decode=false]
-//
-// -exp perf measures the simulator's hot paths against the recorded
-// pre-optimization baseline and writes the perf trajectory to -benchjson
-// (BENCH_SIM.json by default). It is not part of -exp all.
+//	loongserve-bench -exp fig2|fig3|fig10|fig11|fig12|fig13|fig14|fig15|fleet|faults|cachedir|autoscale|ablations|bigfleet|all [-quick] [-serial] [-shards N] [-fuse-decode=false]
 //
 // -exp bigfleet runs one day-long session trace through a 64-replica
 // heterogeneous fleet at every point of a shard ladder (-shards N replaces
@@ -36,11 +32,13 @@
 // verdict — so the ladder can only change wall-clock time. -fuse-decode
 // (default true) controls decode-iteration fusion on the ladder arms; the
 // quick scale additionally runs a fusion-off arm to prove fusion changes
-// event counts and nothing else. Like perf, it is not part of -exp all.
+// event counts and nothing else. It is not part of -exp all.
+//
+// Simulator performance is measured by the benchmark of record
+// (BENCHMARK.json, run by perfbench/run.sh), not by this command.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -50,10 +48,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig2, fig3, fig10, fig11, fig12, fig13, fig14, fig15, fleet, faults, cachedir, autoscale, ablations, perf, all")
+	exp := flag.String("exp", "all", "experiment to run: fig2, fig3, fig10, fig11, fig12, fig13, fig14, fig15, fleet, faults, cachedir, autoscale, ablations, bigfleet, all")
 	quick := flag.Bool("quick", false, "reduced request counts and rate ladders")
 	serial := flag.Bool("serial", false, "run experiment arms single-threaded (results are byte-identical to parallel)")
-	benchJSON := flag.String("benchjson", "BENCH_SIM.json", "output path for -exp perf (empty = stdout table only)")
 	shards := flag.Int("shards", 0, "for -exp bigfleet: replace the shard ladder with {1, N} (0 keeps the scale's ladder)")
 	fuseDecode := flag.Bool("fuse-decode", true, "for -exp bigfleet: run the shard-ladder arms with decode-iteration fusion")
 	flag.Parse()
@@ -142,24 +139,6 @@ func main() {
 	}
 	if strings.EqualFold(*exp, "bigfleet") {
 		bench.BigFleetExperiment(scale).Fprint(out)
-		any = true
-	}
-	if strings.EqualFold(*exp, "perf") {
-		rep := bench.RunPerf(scale)
-		rep.Table().Fprint(out)
-		if *benchJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "marshal perf report: %v\n", err)
-				os.Exit(1)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*benchJSON, data, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "write %s: %v\n", *benchJSON, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(out, "\nwrote %s\n", *benchJSON)
-		}
 		any = true
 	}
 	if !any {

@@ -85,16 +85,17 @@
 // (regression-tested to zero allocations).
 //
 // Performance: -shards N advances the replica engines on N worker
-// goroutines between gateway-event barriers (conservative time-window
+// goroutines in windows between gateway events (conservative time-window
 // synchronization: every gateway interaction is a barrier, replicas run
-// free between them on private event heaps). Output is byte-identical to
-// the serial run at any N — sharding buys wall-clock time on multi-core
-// hosts, never different results. It requires an open-loop workload and a
-// static fleet. -fuse-decode collapses provably identical decode
-// iterations of a stable group into one simulator event on replicas whose
-// engine supports it (the LoongServe core); fusion is observationally
-// exact — records, traces, event streams and audits are unchanged, only
-// the simulator event count drops.
+// free between them on private event heaps; a closed loop's think times
+// bound how far they may run ahead). Output is byte-identical at any N —
+// open- or closed-loop, static, faulty or autoscaled — so sharding buys
+// wall-clock time on multi-core hosts, never different results.
+// -fuse-decode collapses provably identical decode iterations of a stable
+// group into one simulator event on replicas whose engine supports it (the
+// LoongServe core); fusion is observationally exact — records, traces,
+// event streams and audits are unchanged, only the simulator event count
+// drops.
 //
 // Usage:
 //
@@ -192,7 +193,7 @@ func main() {
 		coldTier    = flag.Int("cold-tier", 0, "fleet-shared host-memory cold KV tier capacity in tokens: capacity-evicted radix blocks spill there and are fetched back when the link beats recompute (0 = off; requires -cache radix)")
 		branch      = flag.Int("branch", 0, "branching sessions: family size sharing a conversation trunk (0 = independent sessions)")
 		branchTurns = flag.Int("branch-turns", 2, "trunk turns shared within a branching family")
-		shardsN     = flag.Int("shards", 0, "advance replica engines on N worker goroutines between gateway-event barriers (0 = legacy single-heap runner; 1 = the barrier algorithm inline, the serial reference; output is byte-identical at any N; requires open-loop, static fleet)")
+		shardsN     = flag.Int("shards", 0, "advance replica engines on N worker goroutines in windows between gateway events (0 and 1 run inline; output is byte-identical at any N, open- or closed-loop, static, faulty or autoscaled)")
 		fuseDecode  = flag.Bool("fuse-decode", false, "collapse provably identical decode iterations of a stable group into one simulator event on replicas that support it (observationally exact; only event counts change)")
 		seed        = flag.Int64("seed", 42, "workload and policy seed (runs are deterministic per seed)")
 		verbose     = flag.Bool("v", false, "print per-replica request/hit/cache breakdowns")
@@ -325,14 +326,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loongserve-fleet: -shards must be >= 0")
 		os.Exit(2)
 	}
-	if *shardsN > 0 && *closedLoop {
-		fmt.Fprintln(os.Stderr, "loongserve-fleet: sharded runs need zero-lookahead arrivals; drop -closed-loop or -shards")
-		os.Exit(2)
-	}
-	if *autoScale && *shardsN > 0 {
-		fmt.Fprintln(os.Stderr, "loongserve-fleet: -shards runs against a static fleet; drop -autoscale")
-		os.Exit(2)
-	}
 
 	scripts := workload.SessionScripts(cfg, *seed)
 	trace := workload.OpenLoopTrace(scripts)
@@ -405,7 +398,7 @@ func main() {
 			os.Exit(2)
 		}
 		fcfg := fleet.Config{Policy: policies[0], Cache: *cacheKind, CacheTokens: *cacheTokens, NoAdmission: *noAdmission,
-			Obs: sinkOrNil(collector), Sampler: sampler}
+			Shards: *shardsN, Obs: sinkOrNil(collector), Sampler: sampler}
 		var res *autoscale.Result
 		what := *engine
 		if len(scaleKinds) > 0 {

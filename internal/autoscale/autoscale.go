@@ -24,7 +24,6 @@ import (
 
 	"loongserve/internal/fleet"
 	"loongserve/internal/obs"
-	"loongserve/internal/serving"
 	"loongserve/internal/simevent"
 	"loongserve/internal/workload"
 )
@@ -416,25 +415,15 @@ func RunKinds(scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, 
 }
 
 // run is the shared driver: feed the workload, run the control loop on the
-// simulator, and finalize.
-func run(g *fleet.Gateway, sim *simevent.Sim, scripts []workload.SessionScript, acfg Config, kinds []*fleet.ReplicaKind, closed bool) (res *Result, err error) {
+// gateway's simulator, and finalize.
+func run(g *fleet.Gateway, sim *simevent.Sim, scripts []workload.SessionScript, acfg Config, kinds []*fleet.ReplicaKind, closed bool) (*Result, error) {
 	feed := fleet.FeedSessions(g, scripts, closed)
-	res = &Result{PeakReplicas: acfg.Min}
+	res := &Result{PeakReplicas: acfg.Min}
 	ctl := &controller{g: g, sim: sim, cfg: acfg, feed: feed, res: res, kinds: kinds}
 	sim.After(acfg.Interval, ctl.tick)
-
-	defer func() {
-		if p := recover(); p != nil {
-			if oom, ok := p.(*serving.ErrOOM); ok {
-				err = oom
-				res = nil
-				return
-			}
-			panic(p)
-		}
-	}()
-	sim.Run()
-
+	if err := g.Run(); err != nil {
+		return nil, err
+	}
 	if feed.Completed() != feed.Total() {
 		return nil, fmt.Errorf("autoscale: %d of %d requests completed", feed.Completed(), feed.Total())
 	}

@@ -1,6 +1,7 @@
 package autoscale_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,6 +9,8 @@ import (
 	"loongserve/internal/cluster"
 	"loongserve/internal/fleet"
 	"loongserve/internal/model"
+	"loongserve/internal/obs"
+	"loongserve/internal/obs/analyze"
 	"loongserve/internal/serving"
 	"loongserve/internal/simevent"
 	"loongserve/internal/workload"
@@ -337,6 +340,50 @@ func TestRunKindsDeterminism(t *testing.T) {
 		}
 		if a.CostUnitSeconds != b.CostUnitSeconds {
 			t.Fatalf("seed %d: cost-unit seconds differ", seed)
+		}
+	}
+}
+
+// TestRunKindsShardInvariance: a kind-picking autoscaled closed-loop run,
+// with drains migrating sessions off retiring replicas, is byte-identical
+// at every worker count — including more workers than the peak replica
+// count — and its event stream audits clean.
+func TestRunKindsShardInvariance(t *testing.T) {
+	scripts := mixedScripts(t, 60, 11)
+	run := func(shards int) (*autoscale.Result, []obs.Event) {
+		small := fleet.NewKind("small", kindSpec(1))
+		big := fleet.NewKind("big", kindSpec(4))
+		acfg := testConfig()
+		acfg.Kinds = []*fleet.ReplicaKind{small, big}
+		col := &obs.Collector{}
+		fcfg := fleet.Config{Policy: fleet.NewCapabilityAffinity(), Cache: fleet.CacheRadix,
+			SLOKind: big, SLOScale: 5, Shards: shards, Obs: col}
+		res, err := autoscale.RunKinds(scripts, fcfg, acfg, true)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		return res, col.Events
+	}
+	ref, refEv := run(1)
+	if ref.ScaleUps == 0 || ref.ScaleDowns == 0 || ref.Migrations.Count == 0 {
+		t.Fatalf("run did not scale both ways with migrations (ups %d, downs %d, migrations %d)",
+			ref.ScaleUps, ref.ScaleDowns, ref.Migrations.Count)
+	}
+	if vs := analyze.Audit(refEv); len(vs) != 0 {
+		t.Fatalf("stream failed audit (%d violations), first: %s", len(vs), vs[0])
+	}
+	for _, n := range []int{2, ref.PeakReplicas + 3} {
+		res, ev := run(n)
+		if !reflect.DeepEqual(ref, res) {
+			t.Fatalf("shards=%d: result differs from the 1-shard run", n)
+		}
+		if len(ev) != len(refEv) {
+			t.Fatalf("shards=%d: %d obs events, 1-shard run %d", n, len(ev), len(refEv))
+		}
+		for i := range ev {
+			if ev[i] != refEv[i] {
+				t.Fatalf("shards=%d: obs stream diverges at event %d:\n  %+v\n  %+v", n, i, refEv[i], ev[i])
+			}
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 //
 // Wall-clock speedup is hardware-honest: each arm records GOMAXPROCS, and
 // on a single-core host the ladder degenerates to overhead measurement —
-// which is why BENCH_SIM.json carries gomaxprocs per entry.
+// which is why the table title reports gomaxprocs.
 
 // streamDigest is an O(1)-memory obs.Sink: an order-sensitive FNV-1a fold
 // over every field of every event. Two runs with equal digests and equal

@@ -101,7 +101,9 @@ func TestAnalyzeDrainRunClean(t *testing.T) {
 			t.Errorf("drain: %v", err)
 		}
 	})
-	sim.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
 	g.Finalize()
 	if feed.Completed() != feed.Total() {
 		t.Fatalf("%d of %d completed", feed.Completed(), feed.Total())
@@ -219,7 +221,9 @@ func TestAnalyzeReenqueueSingleFinish(t *testing.T) {
 	// replica 0 reports resident session KV and the policy migrates it —
 	// triggering the mid-transfer drain.
 	submit(2, 80_000, 60_100, 100, 30*time.Second)
-	sim.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
 	g.Finalize()
 
 	if !pol.fired {

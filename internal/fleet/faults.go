@@ -323,11 +323,10 @@ func (g *Gateway) applyFault(f workload.Fault) {
 // the chaos-experiment entry point. The Result's Faults/Hedge stats and the
 // session feed's completion check together prove no request was lost.
 func RunSessionsFaults(scripts []workload.SessionScript, cfg Config, closed bool, faults []workload.Fault) (*Result, error) {
-	sim := simevent.New()
-	g, err := NewGatewayGroups(cfg, sim)
+	g, err := NewGatewayGroups(cfg, simevent.New())
 	if err != nil {
 		return nil, err
 	}
 	InjectFaults(g, faults)
-	return runSessions(g, sim, scripts, closed)
+	return runSessions(g, scripts, closed)
 }

@@ -44,7 +44,9 @@ func TestCrashRecoversInFlightRequests(t *testing.T) {
 			t.Errorf("crash: %v", err)
 		}
 	})
-	sim.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	if g.Completed() != 30 {
 		t.Fatalf("%d of 30 requests completed after crash", g.Completed())
@@ -138,7 +140,9 @@ func TestCrashRecoverySalvagesSurvivingKV(t *testing.T) {
 			t.Errorf("crash: %v", err)
 		}
 	})
-	sim.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	if g.Completed() != 3 {
 		t.Fatalf("%d of 3 completed", g.Completed())
@@ -197,7 +201,9 @@ func TestHedgeDuplicatesStragglerExactly(t *testing.T) {
 	// stalled) replica 0. Hedge delay = q50(1us/token) x 2000 = 2ms, so
 	// the copy launches at 22ms on replica 1 and first-tokens at 24ms.
 	submitAt(sim, g, 6, workload.Entry{InputLen: 2000, OutputLen: 10}, 20*time.Millisecond)
-	sim.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	if g.Completed() != 6 {
 		t.Fatalf("%d of 6 completed", g.Completed())
@@ -276,7 +282,9 @@ func TestControlPlaneLifecycleStats(t *testing.T) {
 			t.Errorf("drain: %v", err)
 		}
 	})
-	sim.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	if g.replicas[2].state != ReplicaRetired {
 		t.Fatalf("drained replica state %v, want retired", g.replicas[2].state)

@@ -145,14 +145,12 @@ type Config struct {
 	// MaxEvents bounds the simulation as a divergence backstop.
 	MaxEvents uint64
 
-	// Shards switches the run onto the sharded multi-core runner (shard.go):
-	// every replica engine advances on its own private simevent heap between
-	// gateway-event barriers, with replicas partitioned round-robin over
-	// Shards worker goroutines. Shards == 1 runs the identical barrier
-	// algorithm inline — the serial reference the determinism tests compare
-	// against; any N produces byte-identical output to it by construction.
-	// 0 keeps the legacy single-heap runner. Sharded runs require an
-	// open-loop feed and a static fleet (no autoscaling driver).
+	// Shards is the number of worker goroutines the runner (shard.go)
+	// partitions replicas over, round-robin: every replica engine advances
+	// on its own private simevent heap in windows between gateway events.
+	// 0 and 1 both run inline. Every count produces byte-identical output,
+	// for every feed (open or closed loop) and every fleet (static, faulty
+	// or autoscaled). Negative counts are rejected.
 	Shards int
 	// FuseDecode enables decode-iteration fusion on every replica engine
 	// implementing serving.DecodeFuser. Fusion is observationally exact —
@@ -246,8 +244,9 @@ type Result struct {
 	// Cold is the cold-KV-tier accounting (zero-valued unless
 	// Config.ColdTierTokens provisioned one).
 	Cold ColdStats
-	// SimEvents is the number of discrete events the run's simulator fired
-	// — the wall-clock-free work measure behind events/sec in BENCH_SIM.
+	// SimEvents is the number of discrete events the run fired, summed over
+	// the gateway's and every replica's heap — the wall-clock-free work
+	// measure behind events per second.
 	SimEvents uint64
 	// ReplicaSeconds integrates provisioned replica count over the run:
 	// every replica is charged from provisioning until retirement (or run
@@ -400,9 +399,9 @@ func RunGroups(trace []workload.TimedRequest, cfg Config) (*Result, error) {
 	return runTrace(g, sim, trace)
 }
 
-// runTrace stages a static trace's arrivals, runs the simulator to
-// completion and finalizes, converting engine OOM panics to errors.
-func runTrace(g *Gateway, sim *simevent.Sim, trace []workload.TimedRequest) (res *Result, err error) {
+// runTrace stages a static trace's arrivals, runs the fleet to completion
+// and finalizes.
+func runTrace(g *Gateway, sim *simevent.Sim, trace []workload.TimedRequest) (*Result, error) {
 	for i, tr := range trace {
 		r := &serving.Request{
 			ID:        kvcache.RequestID(i + 1),
@@ -415,18 +414,9 @@ func runTrace(g *Gateway, sim *simevent.Sim, trace []workload.TimedRequest) (res
 		sim.Stage(r.Arrival, func() { g.Submit(r, entry) })
 	}
 
-	defer func() {
-		if p := recover(); p != nil {
-			if oom, ok := p.(*serving.ErrOOM); ok {
-				err = oom
-				res = nil
-				return
-			}
-			panic(p)
-		}
-	}()
-	g.runLoop()
-
+	if err := g.Run(); err != nil {
+		return nil, err
+	}
 	if g.Completed() != len(trace) {
 		return nil, fmt.Errorf("fleet: %d of %d requests completed (policy %s)", g.Completed(), len(trace), g.PolicyName())
 	}

@@ -99,9 +99,8 @@ type replica struct {
 	// dead so the still-simulating engine's ghost events never reach the
 	// stream. Nil when observability is off or the engine is not Traceable.
 	sink *gatedSink
-	// buf collects this replica's completions and obs events during a
-	// sharded run's parallel phase, for ordered replay at the next barrier
-	// (shard.go). Nil on the legacy single-heap runner.
+	// buf collects this replica's completions and obs events while its
+	// engine runs ahead of the gateway, for ordered replay (shard.go).
 	buf *shardBuf
 
 	outTokens int // routed prompt+output tokens not yet completed
@@ -357,7 +356,10 @@ type Gateway struct {
 
 	// OnComplete, when set, is invoked after the gateway's own accounting
 	// for every finished request — the hook closed-loop session drivers use
-	// to schedule the next turn.
+	// to schedule the next turn. The runner bounds its windows by the
+	// built-in closed-loop feed's think times only: an event another hook
+	// schedules that hands work to an engine sooner than the next pending
+	// gateway event trips the arrival guard.
 	OnComplete func(e workload.Entry, rec metrics.Record)
 
 	// Observability (obs.go). obsSink/sampler mirror Config.Obs/Sampler;
@@ -371,10 +373,9 @@ type Gateway struct {
 	samplerEv   *simevent.Event
 	obsSessions map[PrefixKey]int64
 
-	// shard is the sharded multi-core runner (shard.go), non-nil when
-	// Config.Shards > 0. Every replica then owns a private simevent heap
-	// (rep.env.Sim != g.sim) and the fleet is static: AddReplica and
-	// closed-loop feeds are rejected.
+	// shard is the runner (shard.go): every replica owns a private
+	// simevent heap (rep.env.Sim != g.sim), advanced in windows between
+	// gateway events.
 	shard *shardRunner
 }
 
@@ -397,10 +398,11 @@ func NewGateway(spec Spec, cfg Config, sim *simevent.Sim) (*Gateway, error) {
 
 // NewGatewayGroups builds a gateway from the fleet composition cfg.Groups:
 // for each group, Count active replicas of Kind, in group order. The
-// caller owns the simulator: schedule arrivals via Submit and run it to
-// completion, then call Finalize. The first group's kind is the reference
-// configuration for migration pricing and (unless cfg.SLOKind overrides)
-// SLO budgets.
+// caller owns the gateway's simulator: schedule arrivals on it (events that
+// call Submit), then call Run and Finalize. Replica engines run on private
+// heaps, so that simulator alone advances no replica. The first group's
+// kind is the reference configuration for migration pricing and (unless
+// cfg.SLOKind overrides) SLO budgets.
 func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	if len(cfg.Groups) == 0 {
 		return nil, fmt.Errorf("fleet: empty fleet composition")
@@ -448,8 +450,8 @@ func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 		}
 		cfg.Directory = true // spills register at DirCold; fetches route off it
 	}
-	if err := validateSharded(cfg); err != nil {
-		return nil, err
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("fleet: negative shard count %d", cfg.Shards)
 	}
 	sim.MaxEvents = cfg.MaxEvents
 
@@ -467,6 +469,7 @@ func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 		sloCache:     make(map[[2]int]time.Duration),
 		ctl:          newFleetControl(),
 	}
+	g.shard = &shardRunner{g: g, workers: max(cfg.Shards, 1)}
 	if cfg.StreamMetrics {
 		g.res.Acc = &metrics.Accumulator{}
 	}
@@ -492,9 +495,6 @@ func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 			}
 			rep.state = ReplicaActive
 		}
-	}
-	if cfg.Shards > 0 {
-		g.shard = newShardRunner(g, cfg.Shards)
 	}
 	// The initial composition is the control-plane group's epoch-1
 	// membership (construction is not a lifecycle *change*; every scale-up,
@@ -570,11 +570,19 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 		provisionedAt: g.sim.Now(),
 	}
 	rep.stats.Kind = kind.Name
+	// The engine lives on a private heap that starts at the gateway's
+	// present, and reports completions (and, below, obs events) into the
+	// replica's buffer for the runner to replay (shard.go).
+	rs := simevent.New()
+	rs.MaxEvents = g.cfg.MaxEvents
+	rs.AdvanceTo(g.sim.Now())
+	rep.buf = &shardBuf{}
 	rep.env = &serving.Env{
-		Sim:     g.sim,
-		Cluster: c,
-		CM:      costmodel.New(c.Model, c.HW),
-		Pool:    c.NewPool(),
+		Sim:      rs,
+		Cluster:  c,
+		CM:       costmodel.New(c.Model, c.HW),
+		Pool:     c.NewPool(),
+		Complete: func(r *serving.Request) { rep.buf.complete(rs.Now(), r) },
 	}
 	if g.cfg.Cache == CacheRadix {
 		// Eviction is priced by the replica's own cost model: a block at
@@ -608,18 +616,6 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 			rep.cache.setObserver(&dirShim{g: g, rep: rep})
 		}
 	}
-	if g.cfg.Shards > 0 {
-		// Sharded runner: the engine lives on a private heap and reports
-		// completions (and, below, obs events) into the replica's barrier
-		// buffer instead of straight into the gateway.
-		rs := simevent.New()
-		rs.MaxEvents = g.cfg.MaxEvents
-		rep.env.Sim = rs
-		rep.buf = &shardBuf{}
-		rep.env.Complete = func(r *serving.Request) { rep.buf.complete(rs.Now(), r) }
-	} else {
-		rep.env.Complete = func(r *serving.Request) { g.complete(rep, r) }
-	}
 	if g.cfg.FuseDecode {
 		if df, ok := rep.engine.(serving.DecodeFuser); ok {
 			df.SetDecodeFusion(true)
@@ -631,11 +627,7 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 		// missed. The gate lets a crash silence the engine's remaining
 		// simulated events without an engine-side cancel API.
 		if tr, ok := rep.engine.(serving.Traceable); ok {
-			inner := g.obsSink
-			if rep.buf != nil {
-				inner = rep.buf
-			}
-			rep.sink = &gatedSink{sink: inner}
+			rep.sink = &gatedSink{sink: rep.buf}
 			tr.AttachObsSink(rep.sink, rep.index)
 		}
 	}
@@ -645,6 +637,7 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 	kind.resolveFrom(c, rep.env.CM, rep.engine)
 	g.kinds[kind] = true
 	g.replicas = append(g.replicas, rep)
+	g.shard.live = append(g.shard.live, rep)
 	g.ctl.register(rep)
 	return rep, nil
 }
@@ -803,11 +796,6 @@ func (g *Gateway) AddReplica(warmup time.Duration) (int, error) {
 func (g *Gateway) AddReplicaKind(kind *ReplicaKind, warmup time.Duration) (int, error) {
 	if kind == nil {
 		return 0, fmt.Errorf("fleet: AddReplicaKind with nil kind")
-	}
-	if g.shard != nil {
-		// Mid-run provisioning would change the replica partition under the
-		// worker pool; sharded runs are static fleets by contract.
-		return 0, fmt.Errorf("fleet: AddReplica is unsupported on a sharded run (Shards=%d)", g.cfg.Shards)
 	}
 	rep, err := g.newReplica(kind)
 	if err != nil {
@@ -1301,22 +1289,16 @@ func (g *Gateway) SessionLocations(sessionID int64) map[int]int {
 }
 
 // Finalize assembles the run's Result: per-replica stats, replica-seconds
-// and the makespan. Call after the simulator has run to completion.
+// and the makespan. Call after Run.
 func (g *Gateway) Finalize() *Result {
 	g.ctl.close()
-	end := g.sim.Now()
-	fired := g.sim.Fired()
-	if g.shard != nil {
-		// Replica heaps are private in sharded mode: the makespan is the
-		// latest clock anywhere (ghost engines keep draining past the last
-		// gateway event, exactly as they do on the shared heap) and the event
-		// count sums every heap.
-		for _, rep := range g.replicas {
-			if t := rep.env.Sim.Now(); t > end {
-				end = t
-			}
-			fired += rep.env.Sim.Fired()
-		}
+	// Replica heaps are private: the makespan is the latest clock anywhere
+	// (ghost engines keep draining past the last gateway event) and the
+	// event count sums every heap.
+	end, fired := g.sim.Now(), g.sim.Fired()
+	for _, rep := range g.replicas {
+		end = max(end, rep.env.Sim.Now())
+		fired += rep.env.Sim.Fired()
 	}
 	g.res.End = time.Duration(end)
 	g.res.SimEvents = fired

@@ -240,7 +240,9 @@ func TestDrainMigratesLiveSessions(t *testing.T) {
 					t.Errorf("drain: %v", err)
 				}
 			})
-			sim.Run()
+			if err := g.Run(); err != nil {
+				t.Fatal(err)
+			}
 
 			if feed.Completed() != feed.Total() {
 				t.Fatalf("%d of %d requests completed after drain", feed.Completed(), feed.Total())
@@ -371,7 +373,9 @@ func TestAddReplicaWarmup(t *testing.T) {
 			t.Error("warming replica served traffic before activation")
 		}
 	})
-	sim.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	if feed.Completed() != feed.Total() {
 		t.Fatalf("%d of %d completed", feed.Completed(), feed.Total())
@@ -475,7 +479,9 @@ func TestRoutedMigrationMovesHotSession(t *testing.T) {
 	sim.At(simevent.Time(3*time.Second), func() {
 		g.replicas[home].outTokens -= 2_000_000 // let the run drain cleanly
 	})
-	sim.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	res := g.Finalize()
 	if g.Completed() != 3 {

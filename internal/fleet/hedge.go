@@ -262,8 +262,7 @@ func (g *Gateway) cancelCopy(id kvcache.RequestID, fl *inflight) int {
 // re-routed the work.
 func (g *Gateway) arriveOrStall(rep *replica, r *serving.Request, fl *inflight) {
 	if rep.stalledUntil <= g.sim.Now() {
-		fl.delivered = true
-		rep.engine.Arrive(r)
+		g.arrive(rep, r, fl)
 		return
 	}
 	remaining := time.Duration(rep.stalledUntil - g.sim.Now())
@@ -277,9 +276,21 @@ func (g *Gateway) arriveOrStall(rep *replica, r *serving.Request, fl *inflight) 
 			g.arriveOrStall(rep, r, fl)
 			return
 		}
-		fl.delivered = true
-		rep.engine.Arrive(r)
+		g.arrive(rep, r, fl)
 	})
+}
+
+// arrive hands a request to its replica's engine. The engine's clock must
+// not be ahead of the gateway's: the runner syncs every live replica to the
+// gateway event it fires, so an engine ahead means a window overran a
+// gateway event that touches engines (shard.go), and the arrival would run
+// in the engine's past.
+func (g *Gateway) arrive(rep *replica, r *serving.Request, fl *inflight) {
+	if at, now := rep.env.Sim.Now(), g.sim.Now(); at > now {
+		panic(fmt.Sprintf("fleet: request %d arrives at replica %d at %v, behind its engine clock %v", r.ID, rep.index, now, at))
+	}
+	fl.delivered = true
+	rep.engine.Arrive(r)
 }
 
 // newInflight returns a recycled or fresh inflight record with its

@@ -113,7 +113,9 @@ func TestObsDrainEmitsLifecycleAndMigrates(t *testing.T) {
 			t.Errorf("drain: %v", err)
 		}
 	})
-	sim.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if feed.Completed() != feed.Total() {
 		t.Fatalf("%d of %d completed", feed.Completed(), feed.Total())
 	}

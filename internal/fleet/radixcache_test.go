@@ -255,7 +255,9 @@ func TestRadixGatewayCrossSessionSharing(t *testing.T) {
 		r2 := &serving.Request{ID: 2, InputLen: e2.InputLen, OutputLen: e2.OutputLen,
 			Arrival: simevent.Time(time.Second)}
 		sim.At(simevent.Time(time.Second), func() { g.Submit(r2, e2) })
-		sim.Run()
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
 		if g.Completed() != 2 {
 			t.Fatalf("%d of 2 completed", g.Completed())
 		}
@@ -313,7 +315,9 @@ func TestRadixGatewayDrainMovesSubtrees(t *testing.T) {
 			}
 		}
 	})
-	sim.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	if len(victims) != 1 {
 		t.Fatal("drain never ran")

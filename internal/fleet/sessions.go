@@ -28,6 +28,10 @@ type SessionFeed struct {
 	emitted   int
 	completed int
 
+	// Closed loop only: the think times that follow in-flight requests,
+	// whose minimum is the runner's window lookahead.
+	thinks thinkHeap
+
 	// Trace records every emitted request in submission order; index i
 	// corresponds to request ID i+1, so records can be joined back to
 	// (session, turn) identities.
@@ -54,6 +58,12 @@ func FeedSessions(g *Gateway, scripts []workload.SessionScript, closed bool) *Se
 		g.sim.Stage(start, func() { f.emit(s, 0) })
 	}
 	g.OnComplete = f.onComplete
+	if closed {
+		// Request IDs are dense (1..total), so completion marks index by ID
+		// and the heap never outgrows one entry per request.
+		f.thinks = thinkHeap{items: make([]thinkItem, 0, f.total), done: make([]bool, f.total+1)}
+		g.shard.lookahead = f.thinks.min
+	}
 	return f
 }
 
@@ -85,16 +95,25 @@ func (f *SessionFeed) emit(s *workload.SessionScript, t int) {
 		SLOBudget: f.g.SLOBudget(e.InputLen, e.OutputLen),
 	}
 	f.g.Submit(r, e)
-	if !f.closed && t+1 < len(s.Turns) {
-		f.g.sim.After(simevent.FromSeconds(s.Turns[t].Think), func() { f.emit(s, t+1) })
+	if t+1 < len(s.Turns) {
+		think := simevent.FromSeconds(s.Turns[t].Think)
+		if f.closed {
+			f.thinks.push(think, id)
+		} else {
+			f.g.sim.After(think, func() { f.emit(s, t+1) })
+		}
 	}
 }
 
 // onComplete is the gateway completion hook: in closed-loop mode the
 // session's next turn triggers its think time from here.
-func (f *SessionFeed) onComplete(e workload.Entry, _ metrics.Record) {
+func (f *SessionFeed) onComplete(e workload.Entry, rec metrics.Record) {
 	f.completed++
-	if !f.closed || e.SessionID == 0 {
+	if !f.closed {
+		return
+	}
+	f.thinks.done[rec.ID] = true
+	if e.SessionID == 0 {
 		return
 	}
 	s, ok := f.byID[e.SessionID]
@@ -104,6 +123,60 @@ func (f *SessionFeed) onComplete(e workload.Entry, _ metrics.Record) {
 	if t := e.Turn; t+1 < len(s.Turns) {
 		f.g.sim.After(simevent.FromSeconds(s.Turns[t].Think), func() { f.emit(s, t+1) })
 	}
+}
+
+// thinkHeap is a min-heap of the think times that follow in-flight
+// closed-loop requests. Completed requests leave lazily, when they reach
+// the top; preallocated by the feed, it never allocates.
+type thinkHeap struct {
+	items []thinkItem
+	done  []bool // by request ID
+}
+
+type thinkItem struct {
+	think simevent.Duration
+	id    kvcache.RequestID
+}
+
+func (h *thinkHeap) push(think simevent.Duration, id kvcache.RequestID) {
+	h.items = append(h.items, thinkItem{think, id})
+	for i := len(h.items) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h.items[p].think <= h.items[i].think {
+			break
+		}
+		h.items[p], h.items[i] = h.items[i], h.items[p]
+		i = p
+	}
+}
+
+// min returns the least think time among in-flight requests whose session
+// has a next turn: no completion can schedule an arrival sooner after
+// itself than that.
+func (h *thinkHeap) min() (simevent.Duration, bool) {
+	for len(h.items) > 0 && h.done[h.items[0].id] {
+		n := len(h.items) - 1
+		h.items[0] = h.items[n]
+		h.items = h.items[:n]
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h.items[c+1].think < h.items[c].think {
+				c++
+			}
+			if h.items[i].think <= h.items[c].think {
+				break
+			}
+			h.items[i], h.items[c] = h.items[c], h.items[i]
+			i = c
+		}
+	}
+	if len(h.items) == 0 {
+		return 0, false
+	}
+	return h.items[0].think, true
 }
 
 // StreamFeed drives a lazily sampled session workload (workload.StreamSessions)
@@ -193,31 +266,20 @@ func (f *StreamFeed) emit(s *workload.SessionScript, t int) {
 // RunSessionsGroups(…, closed=false), and the entry point sized for
 // day-long million-session traces (pair with Config.StreamMetrics and, for
 // multi-core execution, Config.Shards).
-func RunSessionStream(stream *workload.SessionStream, cfg Config) (res *Result, err error) {
-	sim := simevent.New()
-	g, err := NewGatewayGroups(cfg, sim)
+func RunSessionStream(stream *workload.SessionStream, cfg Config) (*Result, error) {
+	g, err := NewGatewayGroups(cfg, simevent.New())
 	if err != nil {
 		return nil, err
 	}
 	feed := FeedSessionStream(g, stream)
-
-	defer func() {
-		if p := recover(); p != nil {
-			if oom, ok := p.(*serving.ErrOOM); ok {
-				err = oom
-				res = nil
-				return
-			}
-			panic(p)
-		}
-	}()
-	g.runLoop()
-
+	if err := g.Run(); err != nil {
+		return nil, err
+	}
 	if feed.Completed() != feed.Total() {
 		return nil, fmt.Errorf("fleet: %d of %d streamed session requests completed (policy %s)",
 			feed.Completed(), feed.Total(), g.PolicyName())
 	}
-	res = g.Finalize()
+	res := g.Finalize()
 	res.Trace = feed.Trace
 	return res, nil
 }
@@ -228,54 +290,36 @@ func RunSessionStream(stream *workload.SessionStream, cfg Config) (res *Result, 
 // Result carries the emitted Trace so callers can join records back to
 // session turns.
 func RunSessions(spec Spec, scripts []workload.SessionScript, cfg Config, closed bool) (*Result, error) {
-	sim := simevent.New()
-	g, err := NewGateway(spec, cfg, sim)
+	g, err := NewGateway(spec, cfg, simevent.New())
 	if err != nil {
 		return nil, err
 	}
-	return runSessions(g, sim, scripts, closed)
+	return runSessions(g, scripts, closed)
 }
 
 // RunSessionsGroups replays a session-script workload against a static
 // heterogeneous fleet built from cfg.Groups — the composition-first
 // spelling of RunSessions.
 func RunSessionsGroups(scripts []workload.SessionScript, cfg Config, closed bool) (*Result, error) {
-	sim := simevent.New()
-	g, err := NewGatewayGroups(cfg, sim)
+	g, err := NewGatewayGroups(cfg, simevent.New())
 	if err != nil {
 		return nil, err
 	}
-	return runSessions(g, sim, scripts, closed)
+	return runSessions(g, scripts, closed)
 }
 
-// runSessions feeds the scripts, runs the simulator to completion and
-// finalizes, converting engine OOM panics to errors.
-func runSessions(g *Gateway, sim *simevent.Sim, scripts []workload.SessionScript, closed bool) (res *Result, err error) {
-	if g.shard != nil && closed {
-		// A closed-loop feed schedules the next turn at completion time with
-		// zero lookahead, so no gateway timestamp bounds future engine
-		// interactions — the window invariant the sharded runner rests on.
-		return nil, fmt.Errorf("fleet: closed-loop session feeds cannot run sharded (Shards=%d); use an open-loop feed or Shards=0", g.cfg.Shards)
-	}
+// runSessions feeds the scripts, runs the fleet to completion and
+// finalizes.
+func runSessions(g *Gateway, scripts []workload.SessionScript, closed bool) (*Result, error) {
 	feed := FeedSessions(g, scripts, closed)
-
-	defer func() {
-		if p := recover(); p != nil {
-			if oom, ok := p.(*serving.ErrOOM); ok {
-				err = oom
-				res = nil
-				return
-			}
-			panic(p)
-		}
-	}()
-	g.runLoop()
-
+	if err := g.Run(); err != nil {
+		return nil, err
+	}
 	if feed.Completed() != feed.Total() {
 		return nil, fmt.Errorf("fleet: %d of %d session requests completed (policy %s)",
 			feed.Completed(), feed.Total(), g.PolicyName())
 	}
-	res = g.Finalize()
+	res := g.Finalize()
 	res.Trace = feed.Trace
 	return res, nil
 }

@@ -1,9 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"loongserve/internal/obs"
@@ -11,43 +12,57 @@ import (
 	"loongserve/internal/simevent"
 )
 
-// Sharded single-run execution: conservative time-window synchronization.
+// The fleet runner: conservative time-window synchronization.
 //
-// The legacy runner advances the gateway and every replica engine on one
-// simevent heap, which serializes a 64-replica fleet onto one core. The
-// sharded runner gives each replica engine a private heap and exploits the
-// fleet's causality structure:
+// Every replica engine advances on a private simevent heap; the gateway
+// owns its own heap for routing, lifecycle, fault, hedge, sampler and
+// arrival events. The runner exploits the fleet's causality structure:
 //
 //   - Replicas share nothing: an engine event can only read or write its
 //     own replica's cluster, pool, cost model and request state.
 //   - Every gateway→engine interaction (Arrive, Load) happens inside a
 //     gateway event — a route, a hedge launch, a stall release, a fault, a
-//     sampler tick — or inside completion replay at the barrier.
-//   - With an open-loop feed, every gateway event's timestamp is known
-//     before the window opens: arrivals are staged or chained off earlier
-//     arrivals, hedge timers arm at delivery, faults are pre-staged, and
-//     migration/stall/cold-fetch timers arm at route time. Completion
-//     processing schedules no engine-touching events (closed-loop feeds
-//     would — their next turn fires think-time after a completion with
-//     zero lookahead — which is why sharded runs reject closed loops).
+//     sampler tick, an autoscaler tick — or inside completion replay.
+//   - Every engine→gateway interaction is a completion or an obs event,
+//     which the engine writes into its replica's buffer and the runner
+//     replays.
 //
-// So the next gateway timestamp W is a conservative lower bound on any
-// future interaction with any engine: every replica may advance its private
-// heap through everything strictly before W, in parallel, with no shared
-// state. At the barrier, buffered engine output — completions and obs
-// events — replays into the gateway in the canonical merge order
-// (time, replica index, per-replica emission order), then the gateway fires
-// exactly one event at W with every replica clock synced to W, and the loop
-// repeats.
+// A window ends at W = min(next gateway event, E + lookahead), where E is
+// the earliest pending engine event. Every replica runs its heap through
+// all events strictly before W, in parallel, with no shared state. Then the
+// buffered output — completions and obs events — replays into the gateway
+// in the canonical merge order (time, replica index, per-replica emission
+// order). If nothing replayed and W is the next gateway event, every live
+// replica clock syncs to W and the gateway fires exactly one event there,
+// so anything it injects into an engine lands at the engine's present.
+//
+// The lookahead bounds how soon a completion can make the gateway touch an
+// engine. Open-loop feeds know every arrival before the window opens
+// (arrivals are staged or chained off earlier arrivals, hedge timers arm at
+// delivery, faults are pre-staged, migration/stall/cold-fetch timers arm at
+// route time), so they need none and their windows end at the next gateway
+// event. A closed-loop feed schedules a session's next turn a think time
+// after its completion, so it reports the least think time among in-flight
+// requests whose session has a next turn: no completion at or after E can
+// schedule an arrival before E plus that. A zero lookahead degrades to one
+// engine instant per window, which is still correct.
+//
+// Completion handling can also schedule gateway events that touch no
+// engine — a drain handoff's delayed cache install — earlier than later
+// buffered entries. Replay fires such events in time order, before the
+// entries they precede. The arrival guard (Gateway.arrive) panics if any
+// gateway event hands a request to an engine whose clock is ahead of the
+// gateway's, so a window bug fails loudly instead of running an arrival in
+// the engine's past.
+//
+// Replicas are partitioned round-robin over Config.Shards worker
+// goroutines; 0 and 1 run inline. A retired or crashed replica whose heap
+// and buffer are empty can never hold work again, so it drops out of the
+// scan, the partition and the replay merge.
 //
 // Determinism: the parallel phase touches no shared state and the merge
 // order is independent of how replicas are partitioned over workers, so
-// every shard count produces byte-identical output to Shards=1 — the same
-// argument PR 3's parallel experiment arms made, one level deeper. (The
-// legacy runner may order same-instant events across replicas differently —
-// by heap sequence instead of replica index — so the identity contract is
-// between shard counts of this runner, with Shards=1 as the serial
-// reference.)
+// every shard count produces byte-identical output.
 
 // timeInf is the advance bound once the gateway has no pending events.
 const timeInf = simevent.Time(math.MaxInt64)
@@ -88,98 +103,117 @@ func (b *shardBuf) reset() {
 // mergeRef addresses one buffered entry during the barrier merge.
 type mergeRef struct {
 	at       simevent.Time
-	rep, idx int32
+	rep, idx int32 // replica index, entry index
 }
 
-// shardRunner drives a sharded fleet run.
+func compareMergeRefs(a, b mergeRef) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.rep, b.rep); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// shardRunner drives a fleet run.
 type shardRunner struct {
 	g       *Gateway
 	workers int
 
-	advancedTo simevent.Time // replicas have drained strictly below this
-	merged     []mergeRef    // barrier merge scratch
+	// live lists the replicas that can still hold work, in index order.
+	live   []*replica
+	merged []mergeRef // barrier merge scratch
 
-	// Worker pool (workers > 1): persistent goroutines, replica i handled
-	// by worker i%workers. bound is written by the coordinator before the
-	// start signals and read by workers after them (channel happens-before).
+	// lookahead, when set, reports the least delay between a completion
+	// and an engine-touching gateway event it schedules (a closed-loop
+	// feed's think time); ok=false means no completion schedules one.
+	lookahead func() (d simevent.Duration, ok bool)
+
+	// Worker pool, grown on demand: worker w handles live[w], live[w+n],
+	// ... for the n workers taking part in an advance. bound and n are
+	// written by the coordinator before the start signals and read by
+	// workers after them (channel happens-before).
 	bound  simevent.Time
+	n      int
 	start  []chan struct{}
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // one advance's workers
+	exited sync.WaitGroup // the pool's goroutines, for stop
 	panics []any
 }
 
-func newShardRunner(g *Gateway, workers int) *shardRunner {
-	if workers > len(g.replicas) {
-		workers = len(g.replicas)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &shardRunner{g: g, workers: workers}
-}
-
-// run executes the whole simulation: the sharded replacement for Sim.Run.
+// run executes the whole simulation.
 func (s *shardRunner) run() {
-	if s.workers > 1 && s.start == nil {
-		s.start = make([]chan struct{}, s.workers)
-		s.panics = make([]any, s.workers)
-		for w := range s.start {
-			s.start[w] = make(chan struct{}, 1)
-			go s.worker(w)
-		}
-	}
 	defer s.stop()
+	g := s.g
 	for {
-		bound, ok := s.g.sim.Head()
-		if !ok {
-			// No gateway work left: drain every replica completely, replay
-			// what that produced (which may schedule new gateway events —
-			// drain handoff installs do), and finish when nothing surfaced.
-			s.advance(timeInf)
-			if s.replay() {
-				continue
-			}
-			return
+		gw, hasGW := g.sim.Head()
+		bound := timeInf
+		if hasGW {
+			bound = gw
 		}
-		if bound > s.advancedTo {
+		e, busy := s.engineHead()
+		if busy && s.lookahead != nil {
+			if d, ok := s.lookahead(); ok {
+				bound = min(bound, e.Add(max(d, 1)))
+			}
+		}
+		if busy && e < bound {
 			s.advance(bound)
-			s.advancedTo = bound
 		}
 		if s.replay() {
-			continue // completions < bound must land before the event at bound
+			continue // completions may have scheduled gateway events
 		}
-		// Barrier: sync every replica clock to the window bound, then fire
-		// exactly one gateway event there. Anything it injects into an
-		// engine lands at the engine's present.
-		for _, rep := range s.g.replicas {
-			rep.env.Sim.AdvanceTo(bound)
+		if !hasGW {
+			if bound == timeInf {
+				return // every heap drained and nothing surfaced
+			}
+			continue
 		}
-		s.g.sim.Step()
+		if bound < gw {
+			continue // a lookahead window: the gateway event is still ahead
+		}
+		// Barrier: sync every live replica clock to the gateway event, then
+		// fire exactly that one event.
+		s.sync(gw)
+		if g.sim.MaxEvents > 0 && g.sim.Fired() >= g.sim.MaxEvents {
+			panic(fmt.Sprintf("simevent: exceeded MaxEvents=%d at t=%v", g.sim.MaxEvents, gw))
+		}
+		g.sim.Step()
 	}
 }
 
-// advance runs every replica's private heap through all events strictly
-// before bound — the parallel phase.
-func (s *shardRunner) advance(bound simevent.Time) {
-	work := false
-	for _, rep := range s.g.replicas {
-		if h, ok := rep.env.Sim.Head(); ok && h < bound {
-			work = true
-			break
+// engineHead returns the earliest pending event over the live replicas.
+func (s *shardRunner) engineHead() (simevent.Time, bool) {
+	head, busy := timeInf, false
+	for _, rep := range s.live {
+		if h, ok := rep.env.Sim.Head(); ok && h < head {
+			head, busy = h, true
 		}
 	}
-	if !work {
-		return
-	}
-	if s.workers <= 1 {
-		for _, rep := range s.g.replicas {
+	return head, busy
+}
+
+// advance runs every live replica's heap through all events strictly
+// before bound — the parallel phase.
+func (s *shardRunner) advance(bound simevent.Time) {
+	n := min(s.workers, len(s.live))
+	if n <= 1 {
+		for _, rep := range s.live {
 			rep.env.Sim.RunBefore(bound)
 		}
 		return
 	}
-	s.bound = bound
-	s.wg.Add(s.workers)
-	for _, ch := range s.start {
+	for len(s.start) < n {
+		ch := make(chan struct{}, 1)
+		s.start = append(s.start, ch)
+		s.panics = append(s.panics, nil)
+		s.exited.Add(1)
+		go s.worker(len(s.start)-1, ch)
+	}
+	s.bound, s.n = bound, n
+	s.wg.Add(n)
+	for _, ch := range s.start[:n] {
 		ch <- struct{}{}
 	}
 	s.wg.Wait()
@@ -191,9 +225,11 @@ func (s *shardRunner) advance(bound simevent.Time) {
 	}
 }
 
-// worker advances its replica partition each time the coordinator signals.
-func (s *shardRunner) worker(w int) {
-	for range s.start[w] {
+// worker advances its share of the live replicas each time the coordinator
+// signals.
+func (s *shardRunner) worker(w int, start <-chan struct{}) {
+	defer s.exited.Done()
+	for range start {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
@@ -201,96 +237,101 @@ func (s *shardRunner) worker(w int) {
 				}
 				s.wg.Done()
 			}()
-			reps := s.g.replicas
-			for i := w; i < len(reps); i += s.workers {
-				reps[i].env.Sim.RunBefore(s.bound)
+			for i := w; i < len(s.live); i += s.n {
+				s.live[i].env.Sim.RunBefore(s.bound)
 			}
 		}()
 	}
 }
 
-// stop shuts the worker pool down.
+// stop shuts the worker pool down and waits for its goroutines to exit.
 func (s *shardRunner) stop() {
 	for _, ch := range s.start {
 		close(ch)
 	}
-	s.start = nil
+	s.exited.Wait()
+	s.start, s.panics = nil, nil
 }
 
-// replay drains every replica's buffer into the gateway in the canonical
-// (time, replica index, emission order) merge order: obs events re-emit to
-// the run's sink, completions process through Gateway.complete with the
-// gateway clock advanced to the completion instant. Reports whether
-// anything replayed (completion processing can schedule new gateway events,
-// so the caller must recompute its window).
-func (s *shardRunner) replay() bool {
-	merged := s.merged[:0]
-	for ri, rep := range s.g.replicas {
-		if rep.buf == nil {
+// sync moves every live replica's clock to the barrier instant t, and drops
+// retired or crashed replicas whose heap is empty (buffers are empty at a
+// barrier): nothing can reach them again.
+func (s *shardRunner) sync(t simevent.Time) {
+	live := s.live[:0]
+	for _, rep := range s.live {
+		if (rep.state == ReplicaRetired || rep.state == ReplicaFailed) && rep.env.Sim.Pending() == 0 {
 			continue
 		}
+		rep.env.Sim.AdvanceTo(t)
+		live = append(live, rep)
+	}
+	clear(s.live[len(live):])
+	s.live = live
+}
+
+// replay drains every live replica's buffer into the gateway in the
+// canonical (time, replica index, emission order) merge order: obs events
+// re-emit to the run's sink, completions process through Gateway.complete
+// with the gateway clock advanced to the completion instant. A gateway
+// event that completion handling scheduled before the next entry fires
+// first. Reports whether anything replayed (completion processing can
+// schedule new gateway events, so the caller must recompute its window).
+func (s *shardRunner) replay() bool {
+	merged := s.merged[:0]
+	for _, rep := range s.live {
 		for ei := range rep.buf.entries {
-			merged = append(merged, mergeRef{at: rep.buf.entries[ei].at, rep: int32(ri), idx: int32(ei)})
+			merged = append(merged, mergeRef{at: rep.buf.entries[ei].at, rep: int32(rep.index), idx: int32(ei)})
 		}
 	}
 	s.merged = merged
 	if len(merged) == 0 {
 		return false
 	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].at != merged[b].at {
-			return merged[a].at < merged[b].at
-		}
-		if merged[a].rep != merged[b].rep {
-			return merged[a].rep < merged[b].rep
-		}
-		return merged[a].idx < merged[b].idx
-	})
+	slices.SortFunc(merged, compareMergeRefs)
+	g := s.g
 	for _, m := range merged {
-		rep := s.g.replicas[m.rep]
+		for h, ok := g.sim.Head(); ok && h < m.at; h, ok = g.sim.Head() {
+			g.sim.Step()
+		}
+		rep := g.replicas[m.rep]
 		en := &rep.buf.entries[m.idx]
 		if en.req != nil {
-			s.g.sim.AdvanceTo(en.at)
-			s.g.complete(rep, en.req)
+			g.sim.AdvanceTo(en.at)
+			g.complete(rep, en.req)
 		} else {
-			s.g.obsSink.Emit(en.ev)
+			g.obsSink.Emit(en.ev)
 		}
 	}
-	for _, rep := range s.g.replicas {
-		if rep.buf != nil {
-			rep.buf.reset()
-		}
+	for _, rep := range s.live {
+		rep.buf.reset()
 	}
 	return true
 }
 
-// runLoop runs the gateway's simulation to completion on whichever runner
-// the configuration selected.
-func (g *Gateway) runLoop() {
-	if g.shard != nil {
-		g.shard.run()
-		return
-	}
-	g.sim.Run()
+// Run executes the simulation to completion: the events scheduled on the
+// gateway's simulator and every replica engine's private heap, on the
+// windowed runner above. An engine's *serving.ErrOOM panic returns as the
+// error; any other panic propagates. Call Finalize afterwards.
+func (g *Gateway) Run() (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			oom, ok := p.(*serving.ErrOOM)
+			if !ok {
+				panic(p)
+			}
+			err = oom
+		}
+	}()
+	g.shard.run()
+	return nil
 }
 
-// pendingWork counts pending events across the gateway heap and — in
-// sharded mode — every replica's private heap: the sampler's "is the run
-// still alive" signal, equal to Sim.Pending on the legacy single-heap
-// runner by construction.
+// pendingWork counts pending events across the gateway heap and every live
+// replica heap: the sampler's "is the run still alive" signal.
 func (g *Gateway) pendingWork() int {
 	n := g.sim.Pending()
-	if g.shard != nil {
-		for _, rep := range g.replicas {
-			n += rep.env.Sim.Pending()
-		}
+	for _, rep := range g.shard.live {
+		n += rep.env.Sim.Pending()
 	}
 	return n
-}
-
-func validateSharded(cfg Config) error {
-	if cfg.Shards < 0 {
-		return fmt.Errorf("fleet: negative shard count %d", cfg.Shards)
-	}
-	return nil
 }

@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"loongserve/internal/cluster"
 	"loongserve/internal/core"
+	"loongserve/internal/kvcache"
 	"loongserve/internal/model"
 	"loongserve/internal/obs"
 	"loongserve/internal/obs/analyze"
@@ -15,14 +18,14 @@ import (
 	"loongserve/internal/workload"
 )
 
-// shardRun executes one open-loop session run at the given shard count with
-// an obs collector attached, returning the result and the captured stream.
-func shardRun(t *testing.T, scripts []workload.SessionScript, cfg Config, shards int, faults []workload.Fault) (*Result, []obs.Event) {
+// shardRun executes one session run at the given shard count with an obs
+// collector attached, returning the result and the captured stream.
+func shardRun(t *testing.T, scripts []workload.SessionScript, cfg Config, shards int, closed bool, faults []workload.Fault) (*Result, []obs.Event) {
 	t.Helper()
 	col := &obs.Collector{}
 	cfg.Obs = col
 	cfg.Shards = shards
-	res, err := RunSessionsFaults(scripts, cfg, false, faults)
+	res, err := RunSessionsFaults(scripts, cfg, closed, faults)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
 	}
@@ -67,65 +70,67 @@ func requireIdentical(t *testing.T, label string, a, b *Result, aev, bev []obs.E
 
 // TestShardedMatchesSerial is the tentpole determinism property: for every
 // shard count, a sharded run is byte-identical to the serial reference
-// (Shards=1 — the same window/barrier algorithm with no parallelism),
-// across routing policies, cache modes, the cold tier, and a fault schedule
-// with hedging armed. Worker partitioning must be invisible.
+// (Shards=1 — the same window algorithm with no parallelism), across
+// routing policies, cache modes, the cold tier, a fault schedule with
+// hedging armed, and closed-loop feeds (whose windows the think-time
+// lookahead bounds, down to one engine instant when think times are zero).
+// Worker partitioning must be invisible.
 func TestShardedMatchesSerial(t *testing.T) {
 	scripts := chatScripts(60, 4, 0.3, 17)
 	cases := []struct {
-		name   string
-		mk     func() Config
-		faults []workload.Fault
+		name    string
+		mk      func() Config
+		scripts []workload.SessionScript
+		closed  bool
+		faults  []workload.Fault
 	}{
 		{"least-loaded", func() Config {
 			return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}}, Policy: NewLeastLoaded()}
-		}, nil},
+		}, scripts, false, nil},
 		{"prefix-affinity-radix", func() Config {
 			return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}}, Policy: NewPrefixAffinity(), Cache: CacheRadix}
-		}, nil},
+		}, scripts, false, nil},
 		{"cold-tier", func() Config {
 			return Config{
 				Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}},
 				Policy: NewPrefixAffinity(), Cache: CacheRadix,
 				CacheTokens: 40_000, ColdTierTokens: 2_000_000,
 			}
-		}, nil},
+		}, scripts, false, nil},
 		{"faults-hedged", func() Config {
 			return Config{
 				Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}},
 				Policy: NewPrefixAffinity(),
 				Hedge:  HedgeConfig{Quantile: 0.9, MinSamples: 10, MinInput: 1},
 			}
-		}, chaosFaults()},
+		}, scripts, false, chaosFaults()},
+		{"closed-loop", func() Config {
+			return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}}, Policy: NewPrefixAffinity(), Cache: CacheRadix}
+		}, scripts, true, nil},
+		{"closed-loop-zero-think", func() Config {
+			return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}}, Policy: NewLeastLoaded()}
+		}, chatScripts(60, 4, 0, 17), true, nil},
+		{"closed-loop-faults-hedged", func() Config {
+			return Config{
+				Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}},
+				Policy: NewPrefixAffinity(),
+				Hedge:  HedgeConfig{Quantile: 0.9, MinSamples: 10, MinInput: 1},
+			}
+		}, scripts, true, chaosFaults()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			serial, sev := shardRun(t, scripts, c.mk(), 1, c.faults)
+			serial, sev := shardRun(t, c.scripts, c.mk(), 1, c.closed, c.faults)
 			if vs := analyze.Audit(sev); len(vs) != 0 {
 				t.Fatalf("serial stream failed audit (%d violations), first: %s", len(vs), vs[0])
 			}
 			// 7 > replica count exercises the worker clamp.
 			for _, n := range []int{2, 4, 7} {
-				sharded, shev := shardRun(t, scripts, c.mk(), n, c.faults)
+				sharded, shev := shardRun(t, c.scripts, c.mk(), n, c.closed, c.faults)
 				requireIdentical(t, c.name, serial, sharded, sev, shev)
 			}
 		})
 	}
-}
-
-// TestShardedMatchesLegacyRunner: the single-heap runner and the sharded
-// runner agree on this workload (no same-instant cross-replica ties, so
-// the canonical merge order coincides with heap order). Not a general
-// guarantee — the identity contract is between shard counts — but a strong
-// cross-implementation check while it holds.
-func TestShardedMatchesLegacyRunner(t *testing.T) {
-	scripts := chatScripts(40, 3, 0.4, 29)
-	mk := func() Config {
-		return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 3}}, Policy: NewPrefixAffinity(), Cache: CacheRadix}
-	}
-	legacy, lev := shardRun(t, scripts, mk(), 0, nil)
-	sharded, shev := shardRun(t, scripts, mk(), 3, nil)
-	requireIdentical(t, "legacy-vs-sharded", legacy, sharded, lev, shev)
 }
 
 // loongFleetConfig builds a 2-replica fleet of real ESP engines — the
@@ -144,7 +149,7 @@ func loongFleetConfig() Config {
 
 // TestDecodeFusionIdentity: with fusion on, every observable output is
 // byte-identical to fusion off — records, stats, obs stream — while the
-// simulator fires strictly fewer events. Checked on both runners.
+// simulator fires strictly fewer events. Checked inline and on workers.
 func TestDecodeFusionIdentity(t *testing.T) {
 	cfg := workload.DefaultSessionConfig()
 	cfg.Sessions = 20
@@ -152,11 +157,11 @@ func TestDecodeFusionIdentity(t *testing.T) {
 	cfg.ThinkMean = 2
 	scripts := workload.SessionScripts(cfg, 41)
 
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{1, 2} {
 		run := func(fuse bool) (*Result, []obs.Event) {
 			c := loongFleetConfig()
 			c.FuseDecode = fuse
-			res, ev := shardRun(t, scripts, c, shards, nil)
+			res, ev := shardRun(t, scripts, c, shards, false, nil)
 			return res, ev
 		}
 		plain, pev := run(false)
@@ -171,36 +176,41 @@ func TestDecodeFusionIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsClosedLoop: the window invariant needs arrival
-// lookahead, so closed-loop feeds must be refused, not silently corrupted.
-func TestShardedRejectsClosedLoop(t *testing.T) {
-	scripts := chatScripts(5, 2, 0.1, 3)
-	cfg := Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 2}}, Shards: 2}
-	if _, err := RunSessionsGroups(scripts, cfg, true); err == nil {
-		t.Fatal("closed-loop sharded run accepted")
-	}
-}
-
-// TestShardedRejectsProvisioning: sharded fleets are static — mid-run
-// scale-up would repartition replicas under the worker pool.
+// TestShardedRejectsProvisioning: a negative worker count is a
+// configuration error.
 func TestShardedRejectsProvisioning(t *testing.T) {
-	sim := simevent.New()
-	cfg := Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 2}}, Shards: 2}
-	g, err := NewGatewayGroups(cfg, sim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.AddReplica(time.Second); err == nil {
-		t.Fatal("AddReplica accepted on a sharded run")
-	}
-	if _, err := NewGatewayGroups(Config{Groups: cfg.Groups, Shards: -1}, simevent.New()); err == nil {
+	groups := []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 2}}
+	if _, err := NewGatewayGroups(Config{Groups: groups, Shards: -1}, simevent.New()); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
 }
 
+// TestArrivalGuardCatchesEngineAhead: a gateway event that hands a request
+// to an engine whose clock has run past the gateway's would run the arrival
+// in the engine's past — a window bug — so delivery panics instead.
+func TestArrivalGuardCatchesEngineAhead(t *testing.T) {
+	g, err := NewGateway(toySpec(), Config{Replicas: 2}, simevent.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := workload.Entry{InputLen: 100, OutputLen: 10}
+	deliver := func(id int, rep *replica) {
+		r := &serving.Request{ID: kvcache.RequestID(id), InputLen: e.InputLen, OutputLen: e.OutputLen}
+		g.deliver(rep, r, e, RequestInfo{ID: r.ID, InputLen: r.InputLen})
+	}
+	deliver(1, g.replicas[1]) // in sync: accepted
+	g.replicas[0].env.Sim.AdvanceTo(simevent.Time(time.Second))
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "behind its engine clock") {
+			t.Fatalf("delivery to an engine ahead of the gateway: recovered %v, want the arrival-guard panic", p)
+		}
+	}()
+	deliver(2, g.replicas[0])
+}
+
 // TestStreamFeedMatchesEagerFeed: the lazy stream feed replays the same
-// workload to the same records and trace as the eager all-at-once feed, on
-// both runners — lazy sampling changes memory shape, not behavior.
+// workload to the same records and trace as the eager all-at-once feed,
+// inline and on workers — lazy sampling changes memory shape, not behavior.
 func TestStreamFeedMatchesEagerFeed(t *testing.T) {
 	wcfg := workload.DefaultSessionConfig()
 	wcfg.Sessions = 50
@@ -214,7 +224,7 @@ func TestStreamFeedMatchesEagerFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 3} {
+	for _, shards := range []int{1, 3} {
 		cfg := mk()
 		cfg.Shards = shards
 		lazy, err := RunSessionStream(workload.StreamSessions(wcfg, 13), cfg)

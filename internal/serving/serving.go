@@ -209,8 +209,8 @@ func SLOBudget(cm *costmodel.CostModel, gpus, in, out int, scale float64) time.D
 	return time.Duration(scale * float64(IdealLatency(cm, gpus, in, out)))
 }
 
-// RunStats reports simulator-level statistics of one Run — the events/sec
-// currency the perf trajectory (BENCH_SIM.json) tracks.
+// RunStats reports simulator-level statistics of one Run — the
+// wall-clock-free work measure behind events per second.
 type RunStats struct {
 	Events uint64 // discrete events fired by the simulation
 }
