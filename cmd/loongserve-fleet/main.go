@@ -399,7 +399,8 @@ func main() {
 		}
 		fcfg := fleet.Config{Policy: policies[0], Cache: *cacheKind, CacheTokens: *cacheTokens, NoAdmission: *noAdmission,
 			Shards: *shardsN, Obs: sinkOrNil(collector), Sampler: sampler}
-		var res *autoscale.Result
+		// A homogeneous fleet is one candidate kind, named after -engine.
+		acfg.Kinds = []*fleet.ReplicaKind{fleet.NewKind(*engine, spec)}
 		what := *engine
 		if len(scaleKinds) > 0 {
 			acfg.Kinds = scaleKinds
@@ -408,17 +409,15 @@ func main() {
 				names[i] = k.Name
 			}
 			what = "kinds " + strings.Join(names, ",")
-			res, err = autoscale.RunKinds(scripts, fcfg, acfg, cfg.ClosedLoop)
-		} else {
-			res, err = autoscale.Run(spec, scripts, fcfg, acfg, cfg.ClosedLoop)
 		}
+		res, err := autoscale.RunKinds(scripts, fcfg, acfg, cfg.ClosedLoop)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		s := metrics.Summarize(res.Records)
 		scaling := fmt.Sprintf("%d up / %d down", res.ScaleUps, res.ScaleDowns)
-		if len(res.ScaleUpsByKind) > 0 {
+		if len(scaleKinds) > 0 && len(res.ScaleUpsByKind) > 0 {
 			scaling = fmt.Sprintf("%d up (%s) / %d down", res.ScaleUps, bench.FormatKindUps(res.ScaleUpsByKind), res.ScaleDowns)
 		}
 		t := &bench.Table{
@@ -482,6 +481,7 @@ func main() {
 	}
 	for pi, p := range policies {
 		runCfg := fleet.Config{
+			Groups:      mixGroups,
 			Policy:      p,
 			Cache:       *cacheKind,
 			CacheTokens: *cacheTokens,
@@ -490,8 +490,13 @@ func main() {
 			// for one implies maintaining it.
 			Directory:      *directory || *coldTier > 0 || isDirectoryAware(p),
 			ColdTierTokens: *coldTier,
+			Faults:         faultSchedule,
 			Shards:         *shardsN,
 			FuseDecode:     *fuseDecode,
+		}
+		if runCfg.Groups == nil {
+			// A homogeneous fleet is one group, its kind named after -engine.
+			runCfg.Groups = []fleet.ReplicaGroup{{Kind: fleet.NewKind(*engine, spec), Count: *replicas}}
 		}
 		if needObs && pi == len(policies)-1 {
 			runCfg.Obs = collector
@@ -502,25 +507,7 @@ func main() {
 			runCfg.Hedge = fleet.HedgeConfig{Quantile: *hedgeQ}
 		}
 		t0 := time.Now()
-		var res *fleet.Result
-		var err error
-		switch {
-		case len(faultSchedule) > 0:
-			// Fault injection goes through the composition entry point; a
-			// homogeneous fleet is spelled as one group.
-			if mixGroups != nil {
-				runCfg.Groups = mixGroups
-			} else {
-				runCfg.Groups = []fleet.ReplicaGroup{{Kind: fleet.NewKind(*engine, spec), Count: *replicas}}
-			}
-			res, err = fleet.RunSessionsFaults(scripts, runCfg, cfg.ClosedLoop, faultSchedule)
-		case mixGroups != nil:
-			runCfg.Groups = mixGroups
-			res, err = fleet.RunSessionsGroups(scripts, runCfg, cfg.ClosedLoop)
-		default:
-			runCfg.Replicas = *replicas
-			res, err = fleet.RunSessions(spec, scripts, runCfg, cfg.ClosedLoop)
-		}
+		res, err := fleet.RunSessions(scripts, runCfg, cfg.ClosedLoop)
 		simWall += time.Since(t0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", p.Name(), err)

@@ -145,7 +145,12 @@ func main() {
 			os.Exit(2)
 		}
 		sampler = &obs.Sampler{Interval: *sampleEvery}
-		res, err := fleet.Run(spec, trace, fleet.Config{Replicas: *replicas, Policy: p, Obs: collector, Sampler: sampler})
+		res, err := fleet.Run(trace, fleet.Config{
+			Groups:  []fleet.ReplicaGroup{{Kind: fleet.NewKind(*engine, spec), Count: *replicas}},
+			Policy:  p,
+			Obs:     collector,
+			Sampler: sampler,
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "run failed: %v\n", err)
 			os.Exit(1)

@@ -44,19 +44,18 @@ type Config struct {
 	Warmup   time.Duration // provisioning-to-routable delay for new replicas
 	Cooldown time.Duration // minimum time between scaling actions
 
-	// Kinds are the candidate replica kinds a scale-up may provision (used
-	// by RunKinds; the fleet starts as Min replicas of Kinds[0], which
-	// should therefore be a kind that can serve every request). On each
-	// scale-up the controller picks the kind with the best marginal
+	// Kinds are the candidate replica kinds a scale-up may provision;
+	// RunKinds needs at least one. The fleet starts as Min replicas of
+	// Kinds[0], which should therefore be a kind that can serve every
+	// request, and a homogeneous fleet is the one-kind case. With several
+	// candidates, each scale-up picks the kind with the best marginal
 	// goodput per cost unit against the current queue's length mix: for
 	// each candidate, the requests it could comfortably serve divided by
-	// the cost-model-predicted prefill seconds they would take on it,
-	// per provisioning cost unit. A long-heavy queue disqualifies small
-	// kinds (their servable share collapses); a short-heavy queue favors
-	// them (near-equal speed at a fraction of the cost). Scale-down
-	// prefers draining the kind the current mix least needs. Empty Kinds
-	// (the spec-based Run) keeps the homogeneous controller bit-identical
-	// to its historical behavior.
+	// the cost-model-predicted prefill seconds they would take on it, per
+	// provisioning cost unit. A long-heavy queue disqualifies small kinds
+	// (their servable share collapses); a short-heavy queue favors them
+	// (near-equal speed at a fraction of the cost). Scale-down prefers
+	// draining the kind the current mix least needs.
 	Kinds []*fleet.ReplicaKind
 }
 
@@ -108,13 +107,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result is a Run's outcome: the fleet result plus controller accounting.
+// Result is a RunKinds outcome: the fleet result plus controller
+// accounting.
 type Result struct {
 	*fleet.Result
 	ScaleUps   int
 	ScaleDowns int
-	// ScaleUpsByKind breaks ScaleUps down per replica kind (kind-picking
-	// runs only; nil for homogeneous Run).
+	// ScaleUpsByKind breaks ScaleUps down per replica kind (nil when the
+	// controller never scaled up).
 	ScaleUpsByKind map[string]int
 	// PeakReplicas is the maximum simultaneously provisioned replica count.
 	PeakReplicas int
@@ -128,11 +128,6 @@ type controller struct {
 	cfg  Config
 	feed *fleet.SessionFeed
 	res  *Result
-
-	// kinds are the scale-up candidates (cfg.Kinds); empty for the
-	// homogeneous controller, whose decisions then reduce bit-identically
-	// to the historical single-kind behavior.
-	kinds []*fleet.ReplicaKind
 
 	lastAction simevent.Time
 	acted      bool
@@ -193,8 +188,9 @@ func (c *controller) fleetComfort() float64 {
 // every score is zero).
 func (c *controller) pickKind(lens []int) *fleet.ReplicaKind {
 	comfort := c.fleetComfort()
-	best, bestScore := c.kinds[0], kindScore(c.kinds[0], lens, comfort)
-	for _, k := range c.kinds[1:] {
+	kinds := c.cfg.Kinds
+	best, bestScore := kinds[0], kindScore(kinds[0], lens, comfort)
+	for _, k := range kinds[1:] {
 		if s := kindScore(k, lens, comfort); s > bestScore {
 			best, bestScore = k, s
 		}
@@ -231,21 +227,21 @@ func (c *controller) coolingDown() bool {
 
 // drainVictim picks the active replica to remove: the one with the least
 // outstanding work (ties to the highest index, so the newest spare goes
-// first). With candidate kinds, each active replica is first scored by how
-// much the current queue mix would *miss* it — its kind's marginal score
-// against the fleet's envelope with the replica itself excluded, so the
-// last long-context replica shows the capability holes its removal would
-// open — and the least-missed replica drains first: a spare loong once the
-// long tail has passed, a cheap replica once the mix turns long. The
-// loong-shaped hole means it comes back on the next long burst
-// (pickKind's holeBoost), closing the kind loop in both directions.
-// Single-kind fleets reduce to the historical rule exactly.
+// first). With several candidate kinds, each active replica is first
+// scored by how much the current queue mix would *miss* it — its kind's
+// marginal score against the fleet's envelope with the replica itself
+// excluded, so the last long-context replica shows the capability holes
+// its removal would open — and the least-missed replica drains first: a
+// spare loong once the long tail has passed, a cheap replica once the mix
+// turns long. The loong-shaped hole means it comes back on the next long
+// burst (pickKind's holeBoost), closing the kind loop in both directions.
+// A one-kind fleet uses the outstanding-work rule alone.
 func (c *controller) drainVictim() int {
 	infos := c.g.ReplicaInfos()
 	var need []float64
-	if len(c.kinds) > 1 {
-		byName := make(map[string]*fleet.ReplicaKind, len(c.kinds))
-		for _, k := range c.kinds {
+	if len(c.cfg.Kinds) > 1 {
+		byName := make(map[string]*fleet.ReplicaKind, len(c.cfg.Kinds))
+		for _, k := range c.cfg.Kinds {
 			byName[k.Name] = k
 		}
 		lens := c.g.OutstandingInputLens()
@@ -290,16 +286,11 @@ func (c *controller) drainVictim() int {
 	return best
 }
 
-// scaleUp provisions one replica: the marginal-goodput-per-cost-unit kind
-// against the current queue mix when candidates are configured, the
-// fleet's default kind otherwise.
+// scaleUp provisions one replica of the marginal-goodput-per-cost-unit
+// kind against the current queue mix.
 func (c *controller) scaleUp() bool {
-	if len(c.kinds) == 0 {
-		_, err := c.g.AddReplica(c.cfg.Warmup)
-		return err == nil
-	}
 	k := c.pickKind(c.g.OutstandingInputLens())
-	if _, err := c.g.AddReplicaKind(k, c.cfg.Warmup); err != nil {
+	if _, err := c.g.AddReplica(k, c.cfg.Warmup); err != nil {
 		return false
 	}
 	if c.res.ScaleUpsByKind == nil {
@@ -364,32 +355,15 @@ func (c *controller) tick() {
 	}
 }
 
-// Run drives a session workload (closed- or open-loop) against an elastic
-// homogeneous fleet: the gateway starts at acfg.Min replicas of spec and
-// the controller grows and shrinks it from queue pressure (acfg.Kinds is
-// ignored — kind-picking needs RunKinds). Deterministic in the scripts and
-// configuration.
-func Run(spec fleet.Spec, scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, closed bool) (*Result, error) {
-	if err := acfg.Validate(); err != nil {
-		return nil, err
-	}
-	sim := simevent.New()
-	fcfg.Replicas = acfg.Min
-	g, err := fleet.NewGateway(spec, fcfg, sim)
-	if err != nil {
-		return nil, err
-	}
-	return run(g, sim, scripts, acfg, nil, closed)
-}
-
-// RunKinds drives a session workload against an elastic *heterogeneous*
-// fleet: the gateway starts at acfg.Min replicas of acfg.Kinds[0] (which
-// must be able to serve every request — it is the only capacity until the
-// first scale-up lands) and every scale-up picks the candidate kind with
-// the best marginal goodput per cost unit against the current queue's
-// length mix. fcfg.Groups and fcfg.Replicas must be unset; the composition
-// is the controller's to decide. Deterministic in the scripts and
-// configuration.
+// RunKinds drives a session workload (closed- or open-loop) against an
+// elastic fleet: the gateway starts at acfg.Min replicas of acfg.Kinds[0]
+// (which must be able to serve every request — it is the only capacity
+// until the first scale-up lands) and the controller grows and shrinks it
+// from queue pressure, each scale-up picking the candidate kind with the
+// best marginal goodput per cost unit against the current queue's length
+// mix. A homogeneous fleet is one candidate kind. fcfg.Groups must be
+// unset; the composition is the controller's to decide. Deterministic in
+// the scripts and configuration.
 func RunKinds(scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, closed bool) (*Result, error) {
 	if err := acfg.Validate(); err != nil {
 		return nil, err
@@ -397,8 +371,8 @@ func RunKinds(scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, 
 	if len(acfg.Kinds) == 0 {
 		return nil, fmt.Errorf("autoscale: RunKinds needs at least one candidate kind")
 	}
-	if fcfg.Groups != nil || fcfg.Replicas != 0 {
-		return nil, fmt.Errorf("autoscale: RunKinds owns the composition; leave fcfg.Groups and fcfg.Replicas unset")
+	if fcfg.Groups != nil {
+		return nil, fmt.Errorf("autoscale: RunKinds owns the composition; leave fcfg.Groups unset")
 	}
 	for _, k := range acfg.Kinds {
 		if err := k.Resolve(); err != nil {
@@ -407,19 +381,13 @@ func RunKinds(scripts []workload.SessionScript, fcfg fleet.Config, acfg Config, 
 	}
 	sim := simevent.New()
 	fcfg.Groups = []fleet.ReplicaGroup{{Kind: acfg.Kinds[0], Count: acfg.Min}}
-	g, err := fleet.NewGatewayGroups(fcfg, sim)
+	g, err := fleet.NewGateway(fcfg, sim)
 	if err != nil {
 		return nil, err
 	}
-	return run(g, sim, scripts, acfg, acfg.Kinds, closed)
-}
-
-// run is the shared driver: feed the workload, run the control loop on the
-// gateway's simulator, and finalize.
-func run(g *fleet.Gateway, sim *simevent.Sim, scripts []workload.SessionScript, acfg Config, kinds []*fleet.ReplicaKind, closed bool) (*Result, error) {
 	feed := fleet.FeedSessions(g, scripts, closed)
 	res := &Result{PeakReplicas: acfg.Min}
-	ctl := &controller{g: g, sim: sim, cfg: acfg, feed: feed, res: res, kinds: kinds}
+	ctl := &controller{g: g, sim: sim, cfg: acfg, feed: feed, res: res}
 	sim.After(acfg.Interval, ctl.tick)
 	if err := g.Run(); err != nil {
 		return nil, err

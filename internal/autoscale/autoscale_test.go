@@ -60,15 +60,17 @@ func (e *slowEngine) Load() serving.LoadStats {
 	return serving.LoadStats{Queued: e.inflight - 1, Running: 1}
 }
 
-func slowSpec() fleet.Spec {
+// slowKind is a fresh kind of 8-GPU slow-engine replicas: the candidate
+// of a homogeneous elastic fleet.
+func slowKind() *fleet.ReplicaKind {
 	m := model.LWM1MText()
 	hw := cluster.A800()
-	return fleet.Spec{
+	return fleet.NewKind("slow", fleet.Spec{
 		NewEngine: func() serving.Engine { return &slowEngine{} },
 		NewCluster: func() (*cluster.Cluster, error) {
 			return cluster.New(m, hw, 1, 8, 8)
 		},
-	}
+	})
 }
 
 // burstyScripts builds a closed-loop-ready bursty session workload: 20s of
@@ -97,12 +99,19 @@ func testConfig() autoscale.Config {
 	}
 }
 
+// slowConfig is testConfig over a homogeneous fleet of slow replicas.
+func slowConfig() autoscale.Config {
+	cfg := testConfig()
+	cfg.Kinds = []*fleet.ReplicaKind{slowKind()}
+	return cfg
+}
+
 // TestScalesUpAndDownOverBurst is the controller's core behavior: a bursty
 // closed-loop workload forces scale-up during the burst and drain during
 // the lull, every request completes, and the bounds hold throughout.
 func TestScalesUpAndDownOverBurst(t *testing.T) {
 	scripts := burstyScripts(t, 200, 21)
-	res, err := autoscale.Run(slowSpec(), scripts, fleet.Config{Policy: fleet.NewMigratingAffinity()}, testConfig(), true)
+	res, err := autoscale.RunKinds(scripts, fleet.Config{Policy: fleet.NewMigratingAffinity()}, slowConfig(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +160,7 @@ func TestScalesUpAndDownOverBurst(t *testing.T) {
 func TestAutoscaleDeterminism(t *testing.T) {
 	scripts := burstyScripts(t, 80, 5)
 	run := func() *autoscale.Result {
-		res, err := autoscale.Run(slowSpec(), scripts, fleet.Config{Policy: fleet.NewPrefixAffinity()}, testConfig(), true)
+		res, err := autoscale.RunKinds(scripts, fleet.Config{Policy: fleet.NewPrefixAffinity()}, slowConfig(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +196,7 @@ func TestStaysAtMinWhenUnderloaded(t *testing.T) {
 	cfg.SessionRate = 0.5
 	cfg.ClosedLoop = true
 	scripts := workload.SessionScripts(cfg, 3)
-	res, err := autoscale.Run(slowSpec(), scripts, fleet.Config{}, testConfig(), true)
+	res, err := autoscale.RunKinds(scripts, fleet.Config{}, slowConfig(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +228,8 @@ func TestConfigValidation(t *testing.T) {
 	if err := autoscale.DefaultConfig().Validate(); err != nil {
 		t.Errorf("DefaultConfig invalid: %v", err)
 	}
-	if _, err := autoscale.Run(slowSpec(), nil, fleet.Config{}, autoscale.Config{}, true); err == nil {
-		t.Error("zero config accepted by Run")
+	if _, err := autoscale.RunKinds(nil, fleet.Config{}, autoscale.Config{}, true); err == nil {
+		t.Error("zero config accepted by RunKinds")
 	}
 }
 
@@ -401,8 +410,8 @@ func TestRunKindsValidation(t *testing.T) {
 	}
 	acfg = testConfig()
 	acfg.Kinds = []*fleet.ReplicaKind{fleet.NewKind("a", kindSpec(1))}
-	if _, err := autoscale.RunKinds(scripts, fleet.Config{Replicas: 2}, acfg, true); err == nil {
-		t.Error("fcfg.Replicas accepted alongside kinds")
+	if _, err := autoscale.RunKinds(scripts, fleet.Config{Groups: []fleet.ReplicaGroup{{Kind: acfg.Kinds[0], Count: 2}}}, acfg, true); err == nil {
+		t.Error("fcfg.Groups accepted alongside kinds")
 	}
 	acfg.Kinds = []*fleet.ReplicaKind{nil}
 	if _, err := autoscale.RunKinds(scripts, fleet.Config{}, acfg, true); err == nil {

@@ -18,8 +18,8 @@ import (
 func TestObsAutoscaleDecisions(t *testing.T) {
 	scripts := burstyScripts(t, 200, 21)
 	col := &obs.Collector{}
-	res, err := autoscale.Run(slowSpec(), scripts,
-		fleet.Config{Policy: fleet.NewMigratingAffinity(), Obs: col}, testConfig(), true)
+	res, err := autoscale.RunKinds(scripts,
+		fleet.Config{Policy: fleet.NewMigratingAffinity(), Obs: col}, slowConfig(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestObsAutoscaleDecisions(t *testing.T) {
 func TestAnalyzeAutoscaleRunClean(t *testing.T) {
 	scripts := burstyScripts(t, 200, 21)
 	col := &obs.Collector{}
-	res, err := autoscale.Run(slowSpec(), scripts,
-		fleet.Config{Policy: fleet.NewMigratingAffinity(), Obs: col}, testConfig(), true)
+	res, err := autoscale.RunKinds(scripts,
+		fleet.Config{Policy: fleet.NewMigratingAffinity(), Obs: col}, slowConfig(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

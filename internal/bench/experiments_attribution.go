@@ -32,21 +32,17 @@ func FleetAttributionExperiment(sc Scale) *Table {
 			"audit is the stream invariant verdict (lifecycle order + conservation).",
 		},
 	}
-	spec, err := FleetSpec("vllm")
-	if err != nil {
-		panic(err) // unreachable: the engine name is a constant
-	}
 	trace := FleetSessionTrace(rate, sc)
 	numPolicies := len(fleet.AllPolicies(sc.Seed))
 	rows := make([][]string, numPolicies)
 	runArms(numPolicies, sc.workers(), func(arm int) {
 		policy := fleet.AllPolicies(sc.Seed)[arm]
 		col := &obs.Collector{}
-		if _, err := fleet.Run(spec, trace, fleet.Config{
-			Replicas: sc.FleetReplicas,
-			Policy:   policy,
-			Cache:    fleet.CacheRadix,
-			Obs:      col,
+		if _, err := fleet.Run(trace, fleet.Config{
+			Groups: []fleet.ReplicaGroup{{Kind: vllmKind(), Count: sc.FleetReplicas}},
+			Policy: policy,
+			Cache:  fleet.CacheRadix,
+			Obs:    col,
 		}); err != nil {
 			rows[arm] = []string{policy.Name(), "ERR", "-", "-", "-", "-", "-", "-", "-", "-"}
 			return

@@ -82,16 +82,13 @@ func autoscaleRow(t *Table, system string, res *fleet.Result, extra string) {
 func AutoscaleExperiment(sc Scale) []*Table {
 	wcfg := AutoscaleWorkload(sc)
 	acfg := autoscaleController(sc)
+	acfg.Kinds = []*fleet.ReplicaKind{vllmKind()}
 	scripts := workload.SessionScripts(wcfg, sc.Seed)
 
 	t := &Table{
 		Title: fmt.Sprintf("Autoscale: static fleets vs elastic controller (bursty %vx sessions, closed loop, %d requests)",
 			wcfg.BurstFactor, workload.NumRequests(scripts)),
 		Header: []string{"system", "goodput(req/s)", "TTFT(s)", "SLO", "replicas(mean)", "replica-sec", "goodput/replica", "migrations", "scaling"},
-	}
-	spec, err := FleetSpec("vllm")
-	if err != nil {
-		panic(err) // unreachable: the engine name is a constant
 	}
 	policy := func() fleet.Policy { return fleet.NewMigratingAffinity() }
 	// Bursts are a latency phenomenon: the paper's 25x budget absorbs any
@@ -110,11 +107,12 @@ func AutoscaleExperiment(sc Scale) []*Table {
 	runArms(sc.AutoscaleMax+1, sc.workers(), func(arm int) {
 		if arm < sc.AutoscaleMax {
 			n := arm + 1
-			staticRes[arm], staticErr[arm] = fleet.RunSessions(spec, scripts,
-				fleet.Config{Replicas: n, Policy: policy(), SLOScale: sloScale}, true)
+			groups := []fleet.ReplicaGroup{{Kind: vllmKind(), Count: n}}
+			staticRes[arm], staticErr[arm] = fleet.RunSessions(scripts,
+				fleet.Config{Groups: groups, Policy: policy(), SLOScale: sloScale}, true)
 			return
 		}
-		ares, aerr = autoscale.Run(spec, scripts, fleet.Config{Policy: policy(), SLOScale: sloScale}, acfg, true)
+		ares, aerr = autoscale.RunKinds(scripts, fleet.Config{Policy: policy(), SLOScale: sloScale}, acfg, true)
 	})
 
 	for n := 1; n <= sc.AutoscaleMax; n++ {

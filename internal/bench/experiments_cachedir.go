@@ -90,10 +90,6 @@ type CacheDirArmResult struct {
 // and ContentAffinity with the cold KV tier. Every arm runs at identical
 // per-replica cache capacity and audits its full event stream.
 func RunCacheDirArms(sc Scale) []CacheDirArmResult {
-	spec, err := FleetSpec("vllm")
-	if err != nil {
-		panic(err) // unreachable: the engine name is a constant
-	}
 	replicas := sc.cacheDirReplicas()
 	scripts := CacheDirSessionScripts(sc)
 	horizon := time.Duration(sc.CacheDirDuration * float64(time.Second))
@@ -115,16 +111,17 @@ func RunCacheDirArms(sc Scale) []CacheDirArmResult {
 		a := arms[arm]
 		col := &obs.Collector{}
 		cfg := fleet.Config{
-			Groups:         []fleet.ReplicaGroup{{Kind: fleet.NewKind("vllm", spec), Count: replicas}},
+			Groups:         []fleet.ReplicaGroup{{Kind: vllmKind(), Count: replicas}},
 			Policy:         a.policy(),
 			Cache:          fleet.CacheRadix,
 			CacheTokens:    cacheDirCacheTokens,
 			Directory:      a.directory,
 			ColdTierTokens: a.cold,
+			Faults:         faults,
 			Obs:            col,
 		}
 		r := CacheDirArmResult{Name: a.name}
-		res, err := fleet.RunSessionsFaults(scripts, cfg, true, faults)
+		res, err := fleet.RunSessions(scripts, cfg, true)
 		if err != nil {
 			r.Err = err
 			out[arm] = r

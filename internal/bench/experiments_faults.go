@@ -65,10 +65,6 @@ func FleetChaosExperiment(sc Scale) *Table {
 		Header: []string{"crash/min", "hedge", "goodput(req/s)", "TTFT(s)", "p99TTFT(s)", "SLO",
 			"crashes", "recovered", "hedged", "wins", "wasted(tok)", "lost", "audit"},
 	}
-	spec, err := FleetSpec("vllm")
-	if err != nil {
-		panic(err) // unreachable: the engine name is a constant
-	}
 	scripts := ChaosSessionScripts(sc)
 	horizon := time.Duration(sc.ChaosDuration * float64(time.Second))
 	hedges := []bool{false, true}
@@ -76,13 +72,13 @@ func FleetChaosExperiment(sc Scale) *Table {
 	runArms(len(rows), sc.workers(), func(arm int) {
 		crashRate := sc.ChaosCrashRates[arm/len(hedges)]
 		hedged := hedges[arm%len(hedges)]
-		// One schedule per ladder point: both hedge arms absorb the
-		// identical fault sequence.
-		faults := workload.GenFaults(sc.Seed+int64(arm/len(hedges)), ChaosFaultRates(crashRate), horizon)
 		col := &obs.Collector{}
 		cfg := fleet.Config{
-			Groups: []fleet.ReplicaGroup{{Kind: fleet.NewKind("vllm", spec), Count: sc.FleetReplicas}},
+			Groups: []fleet.ReplicaGroup{{Kind: vllmKind(), Count: sc.FleetReplicas}},
 			Policy: fleet.NewPrefixAffinity(),
+			// One schedule per ladder point: both hedge arms absorb the
+			// identical fault sequence.
+			Faults: workload.GenFaults(sc.Seed+int64(arm/len(hedges)), ChaosFaultRates(crashRate), horizon),
 			Obs:    col,
 		}
 		if hedged {
@@ -92,9 +88,9 @@ func FleetChaosExperiment(sc Scale) *Table {
 		if hedged {
 			hcell = "on"
 		}
-		res, err := fleet.RunSessionsFaults(scripts, cfg, true, faults)
+		res, err := fleet.RunSessions(scripts, cfg, true)
 		if err != nil {
-			// runSessions' completion check failed (or the run OOMed):
+			// RunSessions' completion check failed (or the run OOMed):
 			// requests were lost — the one verdict this table exists to
 			// rule out.
 			rows[arm] = []string{fmt.Sprint(crashRate), hcell, "ERR", "-", "-", "-", "-", "-", "-", "-", "-", "LOST", err.Error()}

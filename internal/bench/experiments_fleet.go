@@ -38,6 +38,16 @@ func FleetSpec(engine string) (fleet.Spec, error) {
 	return fleet.Spec{}, fmt.Errorf("bench: unknown fleet engine %q (want vllm or loongserve)", engine)
 }
 
+// vllmKind returns a fresh kind of FleetSpec("vllm") replicas. Fresh per
+// run: parallel arms must not share a kind that is not resolved yet.
+func vllmKind() *fleet.ReplicaKind {
+	spec, err := FleetSpec("vllm")
+	if err != nil {
+		panic(err) // unreachable: the engine name is a constant
+	}
+	return fleet.NewKind("vllm", spec)
+}
+
 // FleetSessionTrace builds the multi-turn session trace for one arrival
 // rate: session count scales with rate x duration so every point reaches
 // steady state.
@@ -85,10 +95,6 @@ func FleetExperiment(sc Scale) *Table {
 		Title:  fmt.Sprintf("Fleet: routing policy comparison (%d replicas x 8 GPUs, multi-turn sessions)", sc.FleetReplicas),
 		Header: []string{"rate(sess/s)", "cache", "policy", "goodput(req/s)", "TTFT(s)", "input(ms/t)", "hit-ratio", "SLO"},
 	}
-	spec, err := FleetSpec("vllm")
-	if err != nil {
-		panic(err) // unreachable: the engine name is a constant
-	}
 	// Arms are (rate, cache, policy) points. Traces are built once per rate
 	// and shared read-only; each arm constructs its own (stateful) policy
 	// and fleet, and fills its own row.
@@ -103,10 +109,10 @@ func FleetExperiment(sc Scale) *Table {
 		rate := sc.FleetRates[arm/perRate]
 		cache := FleetCaches[arm%perRate/numPolicies]
 		policy := fleet.AllPolicies(sc.Seed)[arm%numPolicies]
-		res, err := fleet.Run(spec, traces[arm/perRate], fleet.Config{
-			Replicas: sc.FleetReplicas,
-			Policy:   policy,
-			Cache:    cache,
+		res, err := fleet.Run(traces[arm/perRate], fleet.Config{
+			Groups: []fleet.ReplicaGroup{{Kind: vllmKind(), Count: sc.FleetReplicas}},
+			Policy: policy,
+			Cache:  cache,
 		})
 		if err != nil {
 			cell := "ERR"
@@ -166,15 +172,11 @@ func FleetCacheExperiment(sc Scale) *Table {
 			sc.FleetReplicas, capTokens/1000),
 		Header: []string{"cache", "goodput(req/s)", "TTFT(s)", "hit-tokens", "hit-ratio", "hit-req", "evicted", "rejected", "SLO"},
 	}
-	spec, err := FleetSpec("vllm")
-	if err != nil {
-		panic(err) // unreachable: the engine name is a constant
-	}
 	rows := make([][]string, len(FleetCaches))
 	runArms(len(rows), sc.workers(), func(arm int) {
 		cache := FleetCaches[arm]
-		res, err := fleet.Run(spec, trace, fleet.Config{
-			Replicas:    sc.FleetReplicas,
+		res, err := fleet.Run(trace, fleet.Config{
+			Groups:      []fleet.ReplicaGroup{{Kind: vllmKind(), Count: sc.FleetReplicas}},
 			Policy:      fleet.NewPrefixAffinity(),
 			Cache:       cache,
 			CacheTokens: capTokens,

@@ -254,7 +254,7 @@ func FleetHeteroExperiment(sc Scale) *Table {
 		switch {
 		case arm < len(comps):
 			c := comps[arm]
-			res, err := fleet.RunSessionsGroups(scripts, fleet.Config{
+			res, err := fleet.RunSessions(scripts, fleet.Config{
 				Groups:   c.Groups,
 				SLOKind:  loong,
 				Policy:   fleet.NewCapabilityAffinity(),
@@ -266,7 +266,7 @@ func FleetHeteroExperiment(sc Scale) *Table {
 			}
 			heteroRow(rows, arm, c.Name, "capability", res, long, "-")
 		case arm == len(comps):
-			res, err := fleet.RunSessionsGroups(scripts, fleet.Config{
+			res, err := fleet.RunSessions(scripts, fleet.Config{
 				Groups:   mixed.Groups,
 				SLOKind:  loong,
 				Policy:   fleet.NewMigratingAffinity(),

@@ -10,12 +10,11 @@ import (
 )
 
 // TestFleetQuickGolden is the backward-compat anchor of the composition
-// refactor: the two pre-existing -exp fleet tables, rendered serially at
-// quick scale, must stay byte-identical to the output of the
-// pre-refactor tree (testdata/fleet_quick.golden, captured before
-// ReplicaKind/Groups existed). The homogeneous Spec+Replicas path is a
-// shim over the heterogeneous composition API, and this test is what
-// "bit-identical" means.
+// API: the two pre-existing -exp fleet tables, rendered serially at quick
+// scale, must stay byte-identical to the output of the tree before
+// ReplicaKind/Groups existed (testdata/fleet_quick.golden). Those tables
+// now run homogeneous fleets as one-group compositions, and this test is
+// what "bit-identical" means.
 func TestFleetQuickGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/fleet_quick.golden")
 	if err != nil {
@@ -85,7 +84,7 @@ func TestFleetHeteroMixedWins(t *testing.T) {
 	gcu := make(map[string]float64, len(comps))
 	var costUnits float64
 	for _, c := range comps {
-		res, err := fleet.RunSessionsGroups(scripts, fleet.Config{
+		res, err := fleet.RunSessions(scripts, fleet.Config{
 			Groups:   c.Groups,
 			SLOKind:  loong,
 			Policy:   fleet.NewCapabilityAffinity(),

@@ -73,7 +73,7 @@ func TestLRUListZeroAllocs(t *testing.T) {
 // (time, replica, emission) order, must reuse the entry and merge storage.
 func TestShardBufSteadyStateZeroAllocs(t *testing.T) {
 	sink := &countingSink{}
-	g, err := NewGateway(toySpec(), Config{Replicas: 3, Obs: sink}, simevent.New())
+	g, err := NewGateway(Config{Groups: toyFleet(3), Obs: sink}, simevent.New())
 	if err != nil {
 		t.Fatal(err)
 	}

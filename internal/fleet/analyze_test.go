@@ -54,7 +54,7 @@ func TestAnalyzeFleetAttributionExactAndClean(t *testing.T) {
 		t.Run(pol.Name(), func(t *testing.T) {
 			trace := obsTrace()
 			col := &obs.Collector{}
-			res, err := Run(toySpec(), trace, Config{Replicas: 3, Policy: pol, Obs: col})
+			res, err := Run(trace, Config{Groups: toyFleet(3), Policy: pol, Obs: col})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestAnalyzeDrainRunClean(t *testing.T) {
 	scripts := chatScripts(30, 6, 0.5, 3)
 	col := &obs.Collector{}
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 3, Policy: NewPrefixAffinity(), Obs: col}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(3), Policy: NewPrefixAffinity(), Obs: col}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAnalyzeHeteroRunClean(t *testing.T) {
 	scripts := workload.SessionScripts(cfg, 9)
 
 	col := &obs.Collector{}
-	res, err := RunSessionsGroups(scripts, Config{
+	res, err := RunSessions(scripts, Config{
 		Groups: []ReplicaGroup{{Kind: loong, Count: 1}},
 		Policy: NewCapabilityAffinity(),
 		Obs:    col,
@@ -200,7 +200,7 @@ func TestAnalyzeReenqueueSingleFinish(t *testing.T) {
 	sim := simevent.New()
 	col := &obs.Collector{}
 	pol := &forceMigratePolicy{sim: sim}
-	g, err := NewGateway(toySpec(), Config{Replicas: 3, Policy: pol, Obs: col}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(3), Policy: pol, Obs: col}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,13 +183,13 @@ func TestFleetDirectoryChaosAuditsClean(t *testing.T) {
 	cfg.Cache = CacheRadix
 	cfg.CacheTokens = 4 * workload.BlockTokens // tiny: force spills
 	cfg.ColdTierTokens = 16 * workload.BlockTokens
-	faults := []workload.Fault{
+	cfg.Faults = []workload.Fault{
 		{At: 400 * time.Millisecond, Kind: workload.FaultStall, Slot: 1, Stall: 300 * time.Millisecond},
 		{At: 600 * time.Millisecond, Kind: workload.FaultDegrade, Slot: 0, Window: 2 * time.Second, Factor: 8},
 		{At: 800 * time.Millisecond, Kind: workload.FaultDrain, Slot: 2},
 		{At: 1500 * time.Millisecond, Kind: workload.FaultCrash, Slot: 0},
 	}
-	res, err := RunSessionsFaults(scripts, cfg, true, faults)
+	res, err := RunSessions(scripts, cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,9 @@ import (
 // destroys a replica mid-flight and recovers its requests on survivors,
 // StallReplica freezes one replica's arrivals (the straggler hedging
 // defends against), DropControlCaches wipes one instance's control-plane
-// metadata (repaired by the manager's Nak/resend path), and InjectFaults
-// stages a deterministic workload.Fault schedule onto the simulator.
+// metadata (repaired by the manager's Nak/resend path), and applyFault
+// fires the deterministic workload.Fault schedule NewGateway stages from
+// Config.Faults.
 
 // FaultStats accounts the faults a run absorbed.
 type FaultStats struct {
@@ -263,18 +264,9 @@ func (g *Gateway) DropControlCaches(idx int) error {
 	return nil
 }
 
-// InjectFaults stages a fault schedule onto the gateway's simulator. Each
-// fault resolves its abstract Slot against the replicas active at fire
-// time, so the schedule composes with any scaling the run performs.
-// Unfireable faults (a crash with one active replica left) are counted as
-// skipped, never retried.
-func InjectFaults(g *Gateway, faults []workload.Fault) {
-	for _, f := range faults {
-		f := f
-		g.sim.Stage(simevent.Time(f.At), func() { g.applyFault(f) })
-	}
-}
-
+// applyFault fires one scheduled fault (Config.Faults), resolving its
+// abstract Slot against the replicas active now. NewGateway validated the
+// schedule, so every kind here is known.
 func (g *Gateway) applyFault(f workload.Fault) {
 	var actives []int
 	for _, rep := range g.replicas {
@@ -310,23 +302,8 @@ func (g *Gateway) applyFault(f workload.Fault) {
 		err = g.DrainReplica(idx)
 	case workload.FaultDegrade:
 		err = g.DegradeLinks(f.Factor, f.Window)
-	default:
-		g.res.Faults.Skipped++
-		return
 	}
 	if err != nil {
 		panic(fmt.Sprintf("fleet: fault %s on replica %d: %v", f.Kind, idx, err))
 	}
-}
-
-// RunSessionsFaults is RunSessionsGroups with a fault schedule injected —
-// the chaos-experiment entry point. The Result's Faults/Hedge stats and the
-// session feed's completion check together prove no request was lost.
-func RunSessionsFaults(scripts []workload.SessionScript, cfg Config, closed bool, faults []workload.Fault) (*Result, error) {
-	g, err := NewGatewayGroups(cfg, simevent.New())
-	if err != nil {
-		return nil, err
-	}
-	InjectFaults(g, faults)
-	return runSessions(g, scripts, closed)
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func submitAt(sim *simevent.Sim, g *Gateway, id int, e workload.Entry, at time.D
 // routing and completes on the survivors.
 func TestCrashRecoversInFlightRequests(t *testing.T) {
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 3, Policy: NewRoundRobin()}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(3), Policy: NewRoundRobin()}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestCrashRecoversInFlightRequests(t *testing.T) {
 // (routing must always have a destination).
 func TestCrashRefusals(t *testing.T) {
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 2, Policy: NewRoundRobin()}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(2), Policy: NewRoundRobin()}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestCrashRefusals(t *testing.T) {
 func TestCrashRecoverySalvagesSurvivingKV(t *testing.T) {
 	col := &obs.Collector{}
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 2, Policy: NewRoundRobin(), Obs: col}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(2), Policy: NewRoundRobin(), Obs: col}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +179,10 @@ func TestHedgeDuplicatesStragglerExactly(t *testing.T) {
 	col := &obs.Collector{}
 	sim := simevent.New()
 	cfg := Config{
-		Replicas: 2, Policy: NewLeastLoaded(), Obs: col,
+		Groups: toyFleet(2), Policy: NewLeastLoaded(), Obs: col,
 		Hedge: HedgeConfig{Quantile: 0.5, MinSamples: 5, MinInput: 1},
 	}
-	g, err := NewGateway(toySpec(), cfg, sim)
+	g, err := NewGateway(cfg, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestHedgeDuplicatesStragglerExactly(t *testing.T) {
 // the Nak/resend repair when an instance's metadata cache is wiped.
 func TestControlPlaneLifecycleStats(t *testing.T) {
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 2, Policy: NewRoundRobin()}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(2), Policy: NewRoundRobin()}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestControlPlaneLifecycleStats(t *testing.T) {
 	}
 
 	sim.At(0, func() {
-		if _, err := g.AddReplica(10 * time.Millisecond); err != nil {
+		if _, err := g.AddReplica(g.refKind, 10*time.Millisecond); err != nil {
 			t.Errorf("add: %v", err)
 		}
 	})
@@ -302,13 +303,15 @@ func TestControlPlaneLifecycleStats(t *testing.T) {
 	g.Finalize()
 }
 
-// chaosConfig builds a fresh 4-replica hedged config (policies carry
-// internal state, so each run needs its own instance).
+// chaosConfig builds a fresh 4-replica hedged config with the chaos fault
+// schedule (policies carry internal state, so each run needs its own
+// instance).
 func chaosConfig(col *obs.Collector) Config {
 	cfg := Config{
-		Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 4}},
+		Groups: toyFleet(4),
 		Policy: NewPrefixAffinity(),
 		Hedge:  HedgeConfig{Quantile: 0.9, MinSamples: 10, MinInput: 1},
+		Faults: chaosFaults(),
 	}
 	if col != nil {
 		cfg.Obs = col
@@ -332,7 +335,7 @@ func chaosFaults() []workload.Fault {
 func TestFaultScheduleDeterminism(t *testing.T) {
 	scripts := chatScripts(40, 6, 0.3, 11)
 	run := func() *Result {
-		res, err := RunSessionsFaults(scripts, chaosConfig(nil), true, chaosFaults())
+		res, err := RunSessions(scripts, chaosConfig(nil), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +371,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 func TestChaosRunAuditsClean(t *testing.T) {
 	scripts := chatScripts(50, 8, 0.2, 7)
 	col := &obs.Collector{}
-	res, err := RunSessionsFaults(scripts, chaosConfig(col), true, chaosFaults())
+	res, err := RunSessions(scripts, chaosConfig(col), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,5 +380,41 @@ func TestChaosRunAuditsClean(t *testing.T) {
 	}
 	if vs := analyze.Audit(col.Events); len(vs) != 0 {
 		t.Fatalf("chaos stream failed audit (%d violations), first: %s", len(vs), vs[0])
+	}
+}
+
+// TestMalformedFaultsRejected: NewGateway refuses a fault schedule with a
+// malformed entry, naming the entry, where the run would otherwise panic
+// mid-flight (degrade factor below 1, negative time or slot) or silently
+// skip or drop the fault (unknown kind, negative stall or window). Every
+// schedule GenFaults draws passes.
+func TestMalformedFaultsRejected(t *testing.T) {
+	good := workload.Fault{At: time.Second, Kind: workload.FaultCrash, Slot: 1}
+	bad := []struct {
+		name  string
+		fault workload.Fault
+	}{
+		{"degrade factor below 1", workload.Fault{At: time.Second, Kind: workload.FaultDegrade, Window: time.Second, Factor: 0.5}},
+		{"degrade factor unset", workload.Fault{At: time.Second, Kind: workload.FaultDegrade, Window: time.Second}},
+		{"negative time", workload.Fault{At: -time.Second, Kind: workload.FaultCacheDrop}},
+		{"negative slot", workload.Fault{At: time.Second, Kind: workload.FaultCacheDrop, Slot: -1}},
+		{"unknown kind", workload.Fault{At: time.Second, Kind: "meteor"}},
+		{"negative stall", workload.Fault{At: time.Second, Kind: workload.FaultStall, Stall: -time.Second}},
+		{"negative window", workload.Fault{At: time.Second, Kind: workload.FaultDegrade, Window: -time.Second, Factor: 2}},
+	}
+	for _, c := range bad {
+		_, err := NewGateway(Config{Groups: toyFleet(2), Faults: []workload.Fault{good, c.fault}}, simevent.New())
+		if err == nil || !strings.Contains(err.Error(), "Faults[1]") {
+			t.Errorf("%s: NewGateway error %v, want one naming Config.Faults[1]", c.name, err)
+		}
+	}
+
+	rates := workload.FaultRates{CrashPerMin: 3, StallPerMin: 3, CacheDropPerMin: 3, DrainPerMin: 3, DegradePerMin: 3}
+	for seed := int64(1); seed <= 5; seed++ {
+		g, err := NewGateway(Config{Groups: toyFleet(2), Faults: workload.GenFaults(seed, rates, time.Minute)}, simevent.New())
+		if err != nil {
+			t.Fatalf("seed %d: GenFaults schedule rejected: %v", seed, err)
+		}
+		g.Finalize()
 	}
 }

@@ -42,10 +42,17 @@
 // repair. Config.Hedge arms request hedging (hedge.go): a request still
 // waiting for its first token past a learned TTFT quantile is duplicated
 // onto a second replica, the first finisher wins, and the loser's tokens
-// are charged honestly to Result.Hedge. InjectFaults stages a seeded
-// workload.Fault schedule onto the simulator; RunSessionsFaults is the
-// chaos-experiment entry point, whose closed-loop completion check is
-// itself the proof that no request was lost.
+// are charged honestly to Result.Hedge. Config.Faults carries a seeded
+// workload.Fault schedule that NewGateway stages onto the simulator; the
+// run functions' completion check is itself the proof that no request
+// was lost.
+//
+// A fleet is described one way: Config.Groups, a list of (ReplicaKind,
+// Count) slices — a homogeneous fleet is one group. NewGateway builds it,
+// and each workload feed has one run function — Run for a static trace,
+// RunSessions for session scripts (open or closed loop), RunSessionStream
+// for a lazily sampled stream — all ending in the same run, completion
+// check and Finalize.
 package fleet
 
 import (
@@ -65,7 +72,7 @@ import (
 // called once per replica; every replica must get fresh instances (the
 // gateway gives each its own environment and KV pool). A Spec is the
 // anonymous building block; a named Spec with a derived capability sheet
-// is a ReplicaKind (kind.go), and a fleet mixes kinds through
+// is a ReplicaKind (kind.go), and a fleet is built from kinds through
 // Config.Groups.
 type Spec struct {
 	NewEngine  func() serving.Engine
@@ -84,24 +91,13 @@ const (
 )
 
 // Config controls a fleet run.
-//
-// The fleet's composition comes from Groups — a list of (ReplicaKind,
-// Count) slices, heterogeneous at will. The legacy homogeneous form
-// (Replicas clones of one Spec passed to NewGateway/Run) is kept as a
-// thin shim over a single-kind composition and behaves bit-identically to
-// the pre-composition gateway.
 type Config struct {
-	// Groups is the fleet composition for the heterogeneous entry points
-	// (NewGatewayGroups, RunGroups, RunSessionsGroups). Must be empty for
-	// the legacy Spec-based entry points, which synthesize it.
+	// Groups is the fleet composition: for each group, Count replicas of
+	// Kind, built in group order. A homogeneous fleet is one group, a
+	// heterogeneous one several. The first group's kind is the reference
+	// configuration for migration pricing and (unless SLOKind overrides)
+	// SLO budgets.
 	Groups []ReplicaGroup
-
-	// Replicas is the legacy homogeneous replica count, consumed with the
-	// Spec argument of NewGateway/Run/RunSessions.
-	//
-	// Deprecated: new callers should express the fleet as Groups; Replicas
-	// remains supported as a single-kind composition.
-	Replicas int
 
 	// SLOKind, when set, pins every request's latency budget to this
 	// kind's reference configuration instead of the first group's — so
@@ -163,6 +159,14 @@ type Config struct {
 	// finisher wins, and the loser's work is charged to the run honestly
 	// (see HedgeConfig and Result.Hedge). The zero value disables hedging.
 	Hedge HedgeConfig
+	// Faults is a fault schedule (typically workload.GenFaults) that
+	// NewGateway stages onto the simulator. Each fault resolves its
+	// abstract Slot against the replicas active at fire time, so the
+	// schedule composes with any scaling the run performs; unfireable
+	// faults (a crash with one active replica left) are counted as
+	// skipped, never retried. NewGateway rejects malformed entries (see
+	// workload.Fault.Validate).
+	Faults []workload.Fault
 
 	// Obs, when non-nil, receives the run's observability event stream:
 	// request-lifecycle events (enqueue, route, cache lookup, migrate,
@@ -181,7 +185,7 @@ type Config struct {
 
 // ReplicaStats is the per-replica accounting of one run.
 type ReplicaStats struct {
-	Kind          string // replica kind name ("default" for Spec-built fleets)
+	Kind          string // the replica's ReplicaKind name
 	Requests      int
 	HitRequests   int   // requests served with a nonzero prefix-cache hit
 	HitTokens     int64 // prompt tokens served from cache
@@ -264,9 +268,10 @@ type Result struct {
 	End time.Duration
 
 	// Trace is the emitted request sequence, index i corresponding to
-	// request ID i+1. Set by RunSessions (where arrivals are generated
-	// during the run); nil for trace-replay Run and for streaming runs
-	// (Config.StreamMetrics), which retain neither records nor trace.
+	// request ID i+1. Set by RunSessions and RunSessionStream (where
+	// arrivals are generated during the run); nil for trace-replay Run and
+	// for streaming runs (Config.StreamMetrics), which retain neither
+	// records nor trace.
 	Trace []workload.TimedRequest
 }
 
@@ -370,55 +375,29 @@ func (r *Result) GoodputPerCostUnit() float64 {
 	return r.Goodput() / mean
 }
 
-// Run replays a trace against a static fleet of cfg.Replicas engine
-// replicas routed by cfg.Policy, all advancing on one discrete-event
-// clock. Completion records report each request's full prompt length (so
-// normalized input latency reflects what the client submitted), while the
-// engines simulate only the cache-missed suffix of each prompt — the
-// prefill discount of prefix reuse. Deterministic in the trace and policy.
-//
-// Run is the homogeneous shim over RunGroups: cfg.Replicas clones of spec
-// as a single anonymous kind, bit-identical to the pre-composition fleet.
-func Run(spec Spec, trace []workload.TimedRequest, cfg Config) (*Result, error) {
-	sim := simevent.New()
-	g, err := NewGateway(spec, cfg, sim)
+// Run replays a static trace against the fleet cfg.Groups describes, all
+// replicas advancing on one discrete-event clock; request i of the trace
+// gets ID i+1. Completion records report each request's full prompt
+// length (so normalized input latency reflects what the client
+// submitted), while the engines simulate only the cache-missed suffix of
+// each prompt — the prefill discount of prefix reuse. Deterministic in
+// the trace and configuration. Result.Trace stays nil: the caller holds
+// the trace.
+func Run(trace []workload.TimedRequest, cfg Config) (*Result, error) {
+	g, err := NewGateway(cfg, simevent.New())
 	if err != nil {
 		return nil, err
 	}
-	return runTrace(g, sim, trace)
-}
-
-// RunGroups replays a trace against a static heterogeneous fleet built
-// from cfg.Groups — the composition-first spelling of Run.
-func RunGroups(trace []workload.TimedRequest, cfg Config) (*Result, error) {
-	sim := simevent.New()
-	g, err := NewGatewayGroups(cfg, sim)
-	if err != nil {
-		return nil, err
-	}
-	return runTrace(g, sim, trace)
-}
-
-// runTrace stages a static trace's arrivals, runs the fleet to completion
-// and finalizes.
-func runTrace(g *Gateway, sim *simevent.Sim, trace []workload.TimedRequest) (*Result, error) {
 	for i, tr := range trace {
 		r := &serving.Request{
 			ID:        kvcache.RequestID(i + 1),
 			InputLen:  tr.InputLen,
 			OutputLen: tr.OutputLen,
 			Arrival:   simevent.Time(tr.Arrival),
+			SLOBudget: g.SLOBudget(tr.InputLen, tr.OutputLen),
 		}
-		r.SLOBudget = g.SLOBudget(tr.InputLen, tr.OutputLen)
-		entry := tr.Entry
-		sim.Stage(r.Arrival, func() { g.Submit(r, entry) })
+		g.sim.Stage(r.Arrival, func() { g.Submit(r, tr.Entry) })
 	}
-
-	if err := g.Run(); err != nil {
-		return nil, err
-	}
-	if g.Completed() != len(trace) {
-		return nil, fmt.Errorf("fleet: %d of %d requests completed (policy %s)", g.Completed(), len(trace), g.PolicyName())
-	}
-	return g.Finalize(), nil
+	f := &feedBase{g: g, total: len(trace)}
+	return f.finish()
 }

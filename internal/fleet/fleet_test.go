@@ -13,17 +13,18 @@ import (
 	"loongserve/internal/workload"
 )
 
-// vllmSpec builds a fleet of single-node vLLM (TP=8) replicas.
-func vllmSpec(t *testing.T) fleet.Spec {
-	t.Helper()
+// vllmFleet builds a fleet of n single-node vLLM (TP=8) replicas, of a
+// fresh kind per call.
+func vllmFleet(n int) []fleet.ReplicaGroup {
 	m := model.LWM1MText()
 	hw := cluster.A800()
-	return fleet.Spec{
+	kind := fleet.NewKind("vllm", fleet.Spec{
 		NewEngine: func() serving.Engine { return baselines.NewVLLM(8) },
 		NewCluster: func() (*cluster.Cluster, error) {
 			return cluster.New(m, hw, 1, 8, 8)
 		},
-	}
+	})
+	return []fleet.ReplicaGroup{{Kind: kind, Count: n}}
 }
 
 func sessionTrace() []workload.TimedRequest {
@@ -51,7 +52,7 @@ func TestSingleReplicaMatchesServingRun(t *testing.T) {
 	}
 
 	for _, policy := range fleet.AllPolicies(3) {
-		res, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 1, Policy: policy})
+		res, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(1), Policy: policy})
 		if err != nil {
 			t.Fatalf("%s: %v", policy.Name(), err)
 		}
@@ -72,7 +73,7 @@ func TestSingleReplicaMatchesServingRun(t *testing.T) {
 func TestPoliciesPreservePerRequestResults(t *testing.T) {
 	trace := sessionTrace()
 	for _, policy := range fleet.AllPolicies(5) {
-		res, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 4, Policy: policy})
+		res, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(4), Policy: policy})
 		if err != nil {
 			t.Fatalf("%s: %v", policy.Name(), err)
 		}
@@ -106,11 +107,11 @@ func TestPoliciesPreservePerRequestResults(t *testing.T) {
 func TestPrefixAffinityBeatsRoundRobinHitRatio(t *testing.T) {
 	trace := sessionTrace()
 
-	rr, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 4, Policy: fleet.NewRoundRobin()})
+	rr, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(4), Policy: fleet.NewRoundRobin()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aff, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 4, Policy: fleet.NewPrefixAffinity()})
+	aff, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(4), Policy: fleet.NewPrefixAffinity()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestPrefixAffinityBeatsRoundRobinHitRatio(t *testing.T) {
 func TestFleetDeterminism(t *testing.T) {
 	trace := sessionTrace()
 	run := func() *fleet.Result {
-		res, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 3, Policy: fleet.NewPrefixAffinity()})
+		res, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(3), Policy: fleet.NewPrefixAffinity()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func TestFleetDeterminism(t *testing.T) {
 func TestFleetSpreadsLoad(t *testing.T) {
 	trace := sessionTrace()
 	for _, policy := range []fleet.Policy{fleet.NewLeastLoaded(), fleet.NewPowerOfTwoChoices(1), fleet.NewPrefixAffinity()} {
-		res, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 4, Policy: policy})
+		res, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(4), Policy: policy})
 		if err != nil {
 			t.Fatalf("%s: %v", policy.Name(), err)
 		}
@@ -188,19 +189,19 @@ func TestFleetOOMPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := []workload.TimedRequest{{Entry: workload.Entry{InputLen: capTokens + 10, OutputLen: 8}}}
-	_, err = fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 2, Policy: fleet.NewLeastLoaded()})
+	_, err = fleet.Run(trace, fleet.Config{Groups: vllmFleet(2), Policy: fleet.NewLeastLoaded()})
 	if _, ok := err.(*serving.ErrOOM); !ok {
 		t.Fatalf("err = %v, want *serving.ErrOOM", err)
 	}
 }
 
-// TestFleetConfigValidation covers the constructor error paths.
 func TestFleetConfigValidation(t *testing.T) {
 	trace := workload.PoissonTrace(workload.ShareGPT(), 5, 5, 1)
-	if _, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 0}); err == nil {
+	if _, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(0)}); err == nil {
 		t.Error("zero replicas accepted")
 	}
-	if _, err := fleet.Run(fleet.Spec{}, trace, fleet.Config{Replicas: 1}); err == nil {
+	empty := fleet.NewKind("empty", fleet.Spec{})
+	if _, err := fleet.Run(trace, fleet.Config{Groups: []fleet.ReplicaGroup{{Kind: empty, Count: 1}}}); err == nil {
 		t.Error("empty spec accepted")
 	}
 }

@@ -278,11 +278,11 @@ type Gateway struct {
 	cfg    Config
 	policy Policy
 
-	// defaultKind is the kind AddReplica provisions (the first group's);
-	// kinds tracks every distinct kind that has built a replica, so event
-	// details mention kinds exactly when the fleet is heterogeneous.
-	defaultKind *ReplicaKind
-	kinds       map[*ReplicaKind]bool
+	// refKind is the reference kind (the first group's); kinds tracks
+	// every distinct kind that has built a replica, so event details
+	// mention kinds exactly when the fleet is heterogeneous.
+	refKind *ReplicaKind
+	kinds   map[*ReplicaKind]bool
 
 	replicas []*replica
 	pending  map[kvcache.RequestID]*inflight
@@ -379,31 +379,16 @@ type Gateway struct {
 	shard *shardRunner
 }
 
-// NewGateway builds a gateway with cfg.Replicas active replicas cloned
-// from spec — the homogeneous shim over NewGatewayGroups, bit-identical to
-// the pre-composition gateway.
-func NewGateway(spec Spec, cfg Config, sim *simevent.Sim) (*Gateway, error) {
-	if cfg.Groups != nil {
-		return nil, fmt.Errorf("fleet: NewGateway takes a Spec, not Config.Groups (use NewGatewayGroups)")
-	}
-	if cfg.Replicas <= 0 {
-		return nil, fmt.Errorf("fleet: non-positive replica count %d", cfg.Replicas)
-	}
-	if spec.NewEngine == nil || spec.NewCluster == nil {
-		return nil, fmt.Errorf("fleet: Spec needs NewEngine and NewCluster")
-	}
-	cfg.Groups = []ReplicaGroup{{Kind: NewKind("default", spec), Count: cfg.Replicas}}
-	return NewGatewayGroups(cfg, sim)
-}
-
-// NewGatewayGroups builds a gateway from the fleet composition cfg.Groups:
-// for each group, Count active replicas of Kind, in group order. The
-// caller owns the gateway's simulator: schedule arrivals on it (events that
-// call Submit), then call Run and Finalize. Replica engines run on private
-// heaps, so that simulator alone advances no replica. The first group's
-// kind is the reference configuration for migration pricing and (unless
-// cfg.SLOKind overrides) SLO budgets.
-func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
+// NewGateway builds a gateway from the fleet composition cfg.Groups: for
+// each group, Count active replicas of Kind, in group order. The caller
+// owns the gateway's simulator: schedule arrivals on it (events that call
+// Submit), then call Run and Finalize — or let Run, RunSessions or
+// RunSessionStream do all three. Replica engines run on private heaps, so
+// that simulator alone advances no replica. The first group's kind is the
+// reference configuration for migration pricing and (unless cfg.SLOKind
+// overrides) SLO budgets. cfg.Faults is staged last, after every replica
+// and the control plane exist.
+func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	if len(cfg.Groups) == 0 {
 		return nil, fmt.Errorf("fleet: empty fleet composition")
 	}
@@ -453,13 +438,18 @@ func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("fleet: negative shard count %d", cfg.Shards)
 	}
+	for i, f := range cfg.Faults {
+		if err := f.Validate(); err != nil {
+			return nil, fmt.Errorf("fleet: Config.Faults[%d]: %w", i, err)
+		}
+	}
 	sim.MaxEvents = cfg.MaxEvents
 
 	g := &Gateway{
 		sim:          sim,
 		cfg:          cfg,
 		policy:       cfg.Policy,
-		defaultKind:  cfg.Groups[0].Kind,
+		refKind:      cfg.Groups[0].Kind,
 		kinds:        make(map[*ReplicaKind]bool),
 		pending:      make(map[kvcache.RequestID]*inflight),
 		ghosts:       make(map[kvcache.RequestID]*inflight),
@@ -506,11 +496,11 @@ func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	// The reference kind may have provisioned no replica yet (a zero-count
 	// first group under autoscaling); resolve it — and the SLO override —
 	// by probe so pricing is available before the first scale-up.
-	if err := g.defaultKind.Resolve(); err != nil {
+	if err := g.refKind.Resolve(); err != nil {
 		g.ctl.close()
 		return nil, err
 	}
-	g.sloKind = g.defaultKind
+	g.sloKind = g.refKind
 	if cfg.SLOKind != nil {
 		if err := cfg.SLOKind.Resolve(); err != nil {
 			g.ctl.close()
@@ -518,7 +508,7 @@ func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 		}
 		g.sloKind = cfg.SLOKind
 	}
-	ref := g.defaultKind
+	ref := g.refKind
 	g.cm0 = ref.cm
 	g.refGPUs = ref.GPUs
 	g.refKVCap = ref.KVCapacity
@@ -536,6 +526,9 @@ func NewGatewayGroups(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 			return (full - ref.cm.PrefillIterTime([]int{start}, 1, ref.GPUs, ref.nvlink)).Seconds()
 		}
 		g.cold = newColdTier(g, g.sharedIndex, cfg.ColdTierTokens, workload.BlockTokens, coldCost)
+	}
+	for _, f := range cfg.Faults {
+		g.sim.Stage(simevent.Time(f.At), func() { g.applyFault(f) })
 	}
 	return g, nil
 }
@@ -782,20 +775,13 @@ func (g *Gateway) event(kind, cause string, rep int, format string, args ...any)
 	g.emitLifecycle(kind, rep)
 }
 
-// AddReplica provisions a new replica of the fleet's default kind (the
-// first group's). It joins the routable set after the warm-up delay (model
-// load, cache init); it accrues replica-seconds from now. Returns the new
-// replica's index.
-func (g *Gateway) AddReplica(warmup time.Duration) (int, error) {
-	return g.AddReplicaKind(g.defaultKind, warmup)
-}
-
-// AddReplicaKind provisions a new replica of the given kind — the
-// scale-up primitive of kind-picking autoscalers. The kind need not be
-// part of the initial composition.
-func (g *Gateway) AddReplicaKind(kind *ReplicaKind, warmup time.Duration) (int, error) {
+// AddReplica provisions a new replica of the given kind, which need not
+// be part of the initial composition — the scale-up primitive. The replica
+// joins the routable set after the warm-up delay (model load, cache init)
+// and accrues replica-seconds from now. Returns the new replica's index.
+func (g *Gateway) AddReplica(kind *ReplicaKind, warmup time.Duration) (int, error) {
 	if kind == nil {
-		return 0, fmt.Errorf("fleet: AddReplicaKind with nil kind")
+		return 0, fmt.Errorf("fleet: AddReplica with nil kind")
 	}
 	rep, err := g.newReplica(kind)
 	if err != nil {

@@ -70,6 +70,12 @@ func toySpec() Spec {
 	}
 }
 
+// toyFleet is a homogeneous composition of n toy replicas, of a fresh kind
+// per call.
+func toyFleet(n int) []ReplicaGroup {
+	return []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: n}}
+}
+
 // chatScripts builds a small deterministic session workload.
 func chatScripts(sessions int, rate, think float64, seed int64) []workload.SessionScript {
 	cfg := workload.DefaultSessionConfig()
@@ -112,9 +118,9 @@ func joinTurns(t *testing.T, res *Result) map[int64]map[int]struct {
 // under the same load — that contrast is what closed-loop mode exists for.
 func TestClosedLoopNeverOutrunsCompletion(t *testing.T) {
 	scripts := chatScripts(40, 8, 0.01, 3) // fast arrivals, near-zero think: saturating
-	cfg := Config{Replicas: 2, Policy: NewPrefixAffinity()}
+	cfg := Config{Groups: toyFleet(2), Policy: NewPrefixAffinity()}
 
-	closed, err := RunSessions(toySpec(), scripts, cfg, true)
+	closed, err := RunSessions(scripts, cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +144,7 @@ func TestClosedLoopNeverOutrunsCompletion(t *testing.T) {
 		}
 	}
 
-	open, err := RunSessions(toySpec(), scripts, cfg, false)
+	open, err := RunSessions(scripts, cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +173,7 @@ func TestOpenLoopFeedMatchesStaticTrace(t *testing.T) {
 	scripts := workload.SessionScripts(cfg, 5)
 	static := workload.SessionTrace(cfg, 5)
 
-	res, err := RunSessions(toySpec(), scripts, Config{Replicas: 2, Policy: NewRoundRobin()}, false)
+	res, err := RunSessions(scripts, Config{Groups: toyFleet(2), Policy: NewRoundRobin()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +220,7 @@ func TestDrainMigratesLiveSessions(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			scripts := chatScripts(30, 6, 0.5, seed)
 			sim := simevent.New()
-			g, err := NewGateway(toySpec(), Config{Replicas: 3, Policy: NewPrefixAffinity()}, sim)
+			g, err := NewGateway(Config{Groups: toyFleet(3), Policy: NewPrefixAffinity()}, sim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,7 +350,7 @@ func TestDrainMigratesLiveSessions(t *testing.T) {
 func TestAddReplicaWarmup(t *testing.T) {
 	scripts := chatScripts(30, 10, 0.2, 9)
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 1, Policy: NewLeastLoaded()}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(1), Policy: NewLeastLoaded()}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +359,7 @@ func TestAddReplicaWarmup(t *testing.T) {
 	const warmup = 2 * time.Second
 	provisionAt := simevent.FromSeconds(1)
 	sim.At(simevent.Time(provisionAt), func() {
-		idx, err := g.AddReplica(warmup)
+		idx, err := g.AddReplica(g.refKind, warmup)
 		if err != nil {
 			t.Errorf("AddReplica: %v", err)
 		}
@@ -415,7 +421,7 @@ func TestAddReplicaWarmup(t *testing.T) {
 // TestDrainGuards covers the drain error paths.
 func TestDrainGuards(t *testing.T) {
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 2, Policy: NewLeastLoaded()}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(2), Policy: NewLeastLoaded()}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +445,7 @@ func TestDrainGuards(t *testing.T) {
 // relocated cache entry.
 func TestRoutedMigrationMovesHotSession(t *testing.T) {
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 2, Policy: NewMigratingAffinity()}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(2), Policy: NewMigratingAffinity()}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,38 +86,6 @@ func TestKindResolveDerivesCapability(t *testing.T) {
 	}
 }
 
-// TestHomogeneousShimMatchesGroups: the legacy Spec+Replicas entry point
-// must produce bit-identical results to the explicit single-kind
-// composition it synthesizes.
-func TestHomogeneousShimMatchesGroups(t *testing.T) {
-	trace := sessionTrace()
-	legacy, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 3, Policy: fleet.NewPrefixAffinity()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := model.LWM1MText()
-	hw := cluster.A800()
-	kind := fleet.NewKind("default", fleet.Spec{
-		NewEngine: func() serving.Engine { return baselines.NewVLLM(8) },
-		NewCluster: func() (*cluster.Cluster, error) {
-			return cluster.New(m, hw, 1, 8, 8)
-		},
-	})
-	grouped, err := fleet.RunGroups(trace, fleet.Config{
-		Groups: []fleet.ReplicaGroup{{Kind: kind, Count: 3}},
-		Policy: fleet.NewPrefixAffinity(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Records, grouped.Records) {
-		t.Fatal("records differ between the Spec shim and the explicit composition")
-	}
-	if !reflect.DeepEqual(legacy.Replicas, grouped.Replicas) {
-		t.Fatalf("replica stats differ:\nlegacy  %+v\ngrouped %+v", legacy.Replicas, grouped.Replicas)
-	}
-}
-
 // TestHeteroDeterminism is the -mix reproducibility property: a
 // heterogeneous closed-loop run under capability routing is bit-identical
 // across repetitions, for several seeds.
@@ -126,7 +94,7 @@ func TestHeteroDeterminism(t *testing.T) {
 		scripts := workload.SessionScripts(mixedWorkload(40), seed)
 		run := func() *fleet.Result {
 			lk, ck := loongKind(t), cheapKind(t)
-			res, err := fleet.RunSessionsGroups(scripts, fleet.Config{
+			res, err := fleet.RunSessions(scripts, fleet.Config{
 				Groups:   []fleet.ReplicaGroup{{Kind: lk, Count: 1}, {Kind: ck, Count: 3}},
 				SLOKind:  lk,
 				Policy:   fleet.NewCapabilityAffinity(),
@@ -159,7 +127,7 @@ func TestHeteroDeterminism(t *testing.T) {
 func TestHeteroCompletesAndRoutesByCapability(t *testing.T) {
 	lk, ck := loongKind(t), cheapKind(t)
 	scripts := workload.SessionScripts(mixedWorkload(60), 42)
-	res, err := fleet.RunSessionsGroups(scripts, fleet.Config{
+	res, err := fleet.RunSessions(scripts, fleet.Config{
 		Groups:   []fleet.ReplicaGroup{{Kind: lk, Count: 1}, {Kind: ck, Count: 3}},
 		SLOKind:  lk,
 		Policy:   fleet.NewCapabilityAffinity(),
@@ -210,11 +178,11 @@ func TestHeteroCompletesAndRoutesByCapability(t *testing.T) {
 // metric the run reports — only whether records are retained.
 func TestStreamMetricsEquivalence(t *testing.T) {
 	trace := sessionTrace()
-	full, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 3, Policy: fleet.NewPrefixAffinity()})
+	full, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(3), Policy: fleet.NewPrefixAffinity()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 3, Policy: fleet.NewPrefixAffinity(), StreamMetrics: true})
+	streamed, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(3), Policy: fleet.NewPrefixAffinity(), StreamMetrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +209,7 @@ func TestStreamMetricsEquivalence(t *testing.T) {
 	cfg := workload.DefaultSessionConfig()
 	cfg.Sessions = 12
 	scripts := workload.SessionScripts(cfg, 9)
-	sres, err := fleet.RunSessions(vllmSpec(t), scripts, fleet.Config{Replicas: 2, StreamMetrics: true}, false)
+	sres, err := fleet.RunSessions(scripts, fleet.Config{Groups: vllmFleet(2), StreamMetrics: true}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,18 +251,14 @@ func TestParseMix(t *testing.T) {
 // TestGatewayGroupsValidation covers the composition constructor errors.
 func TestGatewayGroupsValidation(t *testing.T) {
 	trace := workload.PoissonTrace(workload.ShareGPT(), 5, 5, 1)
-	if _, err := fleet.RunGroups(trace, fleet.Config{}); err == nil {
+	if _, err := fleet.Run(trace, fleet.Config{}); err == nil {
 		t.Error("empty composition accepted")
 	}
-	if _, err := fleet.RunGroups(trace, fleet.Config{Groups: []fleet.ReplicaGroup{{Kind: nil, Count: 1}}}); err == nil {
+	if _, err := fleet.Run(trace, fleet.Config{Groups: []fleet.ReplicaGroup{{Kind: nil, Count: 1}}}); err == nil {
 		t.Error("nil kind accepted")
 	}
 	lk := loongKind(t)
-	if _, err := fleet.RunGroups(trace, fleet.Config{Groups: []fleet.ReplicaGroup{{Kind: lk, Count: 0}}}); err == nil {
+	if _, err := fleet.Run(trace, fleet.Config{Groups: []fleet.ReplicaGroup{{Kind: lk, Count: 0}}}); err == nil {
 		t.Error("zero-replica composition accepted")
-	}
-	// The legacy entry point refuses a composition (ambiguous intent).
-	if _, err := fleet.Run(vllmSpec(t), trace, fleet.Config{Replicas: 1, Groups: []fleet.ReplicaGroup{{Kind: lk, Count: 1}}}); err == nil {
-		t.Error("NewGateway accepted Config.Groups")
 	}
 }

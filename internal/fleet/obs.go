@@ -16,7 +16,7 @@ import (
 // AllocsPerRun.
 
 // attachObs wires Config.Obs and Config.Sampler into the gateway. Called
-// once from NewGatewayGroups, before replicas are built (so the engine
+// once from NewGateway, before replicas are built (so the engine
 // sinks attach during construction) and before any event can fire.
 func (g *Gateway) attachObs() {
 	g.obsSink = g.cfg.Obs

@@ -26,7 +26,7 @@ func obsTrace() []workload.TimedRequest {
 func TestObsRequestLifecycle(t *testing.T) {
 	trace := obsTrace()
 	col := &obs.Collector{}
-	res, err := Run(toySpec(), trace, Config{Replicas: 3, Policy: NewPrefixAffinity(), Obs: col})
+	res, err := Run(trace, Config{Groups: toyFleet(3), Policy: NewPrefixAffinity(), Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +76,13 @@ func TestObsRequestLifecycle(t *testing.T) {
 // records with and without observability are identical.
 func TestObsOffPreservesResults(t *testing.T) {
 	trace := obsTrace()
-	plain, err := Run(toySpec(), trace, Config{Replicas: 3, Policy: NewPrefixAffinity()})
+	plain, err := Run(trace, Config{Groups: toyFleet(3), Policy: NewPrefixAffinity()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := &obs.Collector{}
 	sampler := &obs.Sampler{Interval: 500 * time.Millisecond}
-	observed, err := Run(toySpec(), trace, Config{Replicas: 3, Policy: NewPrefixAffinity(), Obs: col, Sampler: sampler})
+	observed, err := Run(trace, Config{Groups: toyFleet(3), Policy: NewPrefixAffinity(), Obs: col, Sampler: sampler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestObsDrainEmitsLifecycleAndMigrates(t *testing.T) {
 	scripts := chatScripts(30, 6, 0.5, 3)
 	col := &obs.Collector{}
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 3, Policy: NewPrefixAffinity(), Obs: col}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(3), Policy: NewPrefixAffinity(), Obs: col}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestObsDrainEmitsLifecycleAndMigrates(t *testing.T) {
 // allocations (one branch and out).
 func TestObsNilSinkEmitsAllocFree(t *testing.T) {
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 2, Policy: NewRoundRobin()}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(2), Policy: NewRoundRobin()}, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestObsNilSinkEmitsAllocFree(t *testing.T) {
 // low-nanosecond range (a handful of predicted branches).
 func BenchmarkObsNilSinkEmit(b *testing.B) {
 	sim := simevent.New()
-	g, err := NewGateway(toySpec(), Config{Replicas: 2, Policy: NewRoundRobin()}, sim)
+	g, err := NewGateway(Config{Groups: toyFleet(2), Policy: NewRoundRobin()}, sim)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestObsSamplerCadence(t *testing.T) {
 	trace := obsTrace()
 	interval := 250 * time.Millisecond
 	sampler := &obs.Sampler{Interval: interval}
-	res, err := Run(toySpec(), trace, Config{Replicas: 2, Policy: NewRoundRobin(), Sampler: sampler})
+	res, err := Run(trace, Config{Groups: toyFleet(2), Policy: NewRoundRobin(), Sampler: sampler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestObsExportDeterministicAcrossArms(t *testing.T) {
 	export := func() []byte {
 		col := &obs.Collector{}
 		sampler := &obs.Sampler{Interval: 500 * time.Millisecond}
-		res, err := Run(toySpec(), trace, Config{Replicas: 3, Policy: NewPrefixAffinity(), Obs: col, Sampler: sampler})
+		res, err := Run(trace, Config{Groups: toyFleet(3), Policy: NewPrefixAffinity(), Obs: col, Sampler: sampler})
 		if err != nil {
 			t.Error(err)
 			return nil
@@ -299,7 +299,7 @@ func TestObsExportDeterministicAcrossArms(t *testing.T) {
 func TestObsRoutedMigrationAttribution(t *testing.T) {
 	scripts := chatScripts(20, 8, 0.2, 7)
 	col := &obs.Collector{}
-	res, err := RunSessions(toySpec(), scripts, Config{Replicas: 3, Policy: NewMigratingAffinity(), Obs: col}, true)
+	res, err := RunSessions(scripts, Config{Groups: toyFleet(3), Policy: NewMigratingAffinity(), Obs: col}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

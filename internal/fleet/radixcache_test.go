@@ -230,7 +230,7 @@ func TestRadixCacheInstallBypassesAdmission(t *testing.T) {
 // radixSpec is toySpec with the gateway in radix-cache mode (helper for
 // the gateway-level tests below).
 func radixConfig(replicas int, p Policy) Config {
-	return Config{Replicas: replicas, Policy: p, Cache: CacheRadix}
+	return Config{Groups: toyFleet(replicas), Policy: p, Cache: CacheRadix}
 }
 
 // TestRadixGatewayCrossSessionSharing is the tentpole behavior at gateway
@@ -240,7 +240,7 @@ func radixConfig(replicas int, p Policy) Config {
 func TestRadixGatewayCrossSessionSharing(t *testing.T) {
 	run := func(cache string) *Result {
 		sim := simevent.New()
-		g, err := NewGateway(toySpec(), Config{Replicas: 1, Policy: NewPrefixAffinity(), Cache: cache}, sim)
+		g, err := NewGateway(Config{Groups: toyFleet(1), Policy: NewPrefixAffinity(), Cache: cache}, sim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestRadixGatewayDrainMovesSubtrees(t *testing.T) {
 	sim := simevent.New()
 	// LeastLoaded ties to the lowest index, so serially submitted requests
 	// against an idle fleet all land on replica 0 — deterministic setup.
-	g, err := NewGateway(toySpec(), radixConfig(2, NewLeastLoaded()), sim)
+	g, err := NewGateway(radixConfig(2, NewLeastLoaded()), sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestRadixGatewayDrainMovesSubtrees(t *testing.T) {
 func TestRadixGatewaySessionWorkload(t *testing.T) {
 	scripts := chatScripts(30, 5, 0.5, 21)
 	run := func() *Result {
-		res, err := RunSessions(toySpec(), scripts, radixConfig(2, NewPrefixAffinity()), true)
+		res, err := RunSessions(scripts, radixConfig(2, NewPrefixAffinity()), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +395,7 @@ func TestRadixGatewaySessionWorkload(t *testing.T) {
 // TestGatewayRejectsUnknownCache covers the config error path.
 func TestGatewayRejectsUnknownCache(t *testing.T) {
 	sim := simevent.New()
-	if _, err := NewGateway(toySpec(), Config{Replicas: 1, Cache: "quantum"}, sim); err == nil {
+	if _, err := NewGateway(Config{Groups: toyFleet(1), Cache: "quantum"}, sim); err == nil {
 		t.Fatal("unknown cache kind accepted")
 	}
 }

@@ -11,6 +11,66 @@ import (
 	"loongserve/internal/workload"
 )
 
+// feedBase is what every workload feed shares: the gateway it drives, its
+// request accounting, the trace of what it emitted, and the one path that
+// runs the gateway to completion and checks it (finish).
+type feedBase struct {
+	g       *Gateway
+	total   int
+	emitted int
+
+	// Trace records every emitted request in submission order; index i
+	// corresponds to request ID i+1, so records can be joined back to
+	// (session, turn) identities. Streaming runs (Config.StreamMetrics)
+	// drop it: retaining one TimedRequest (with its block-hash chain) per
+	// emitted request would rebuild the O(requests) footprint the flag
+	// exists to remove, and with Records gone there is nothing to join the
+	// trace back to.
+	Trace []workload.TimedRequest
+}
+
+// Total returns the number of requests the feed emits. For a lazy stream
+// it counts the sessions pulled so far; once the simulation drains it
+// equals the whole workload's request count.
+func (f *feedBase) Total() int { return f.total }
+
+// Completed returns the number of finished requests.
+func (f *feedBase) Completed() int { return f.g.Completed() }
+
+// submit emits e as the feed's next request, arriving now, and returns its
+// ID.
+func (f *feedBase) submit(e workload.Entry) kvcache.RequestID {
+	f.emitted++
+	id := kvcache.RequestID(f.emitted)
+	now := f.g.sim.Now()
+	if !f.g.cfg.StreamMetrics {
+		f.Trace = append(f.Trace, workload.TimedRequest{Entry: e, Arrival: time.Duration(now)})
+	}
+	f.g.Submit(&serving.Request{
+		ID:        id,
+		InputLen:  e.InputLen,
+		OutputLen: e.OutputLen,
+		Arrival:   now,
+		SLOBudget: f.g.SLOBudget(e.InputLen, e.OutputLen),
+	}, e)
+	return id
+}
+
+// finish is every run function's tail: run the gateway until its simulator
+// drains, check that every request the feed emitted completed, and
+// finalize the Result with the feed's trace.
+func (f *feedBase) finish() (*Result, error) {
+	if err := f.g.Run(); err != nil {
+		return nil, err
+	}
+	if done := f.g.Completed(); done != f.total {
+		return nil, fmt.Errorf("fleet: %d of %d requests completed (policy %s)", done, f.total, f.g.PolicyName())
+	}
+	res := f.g.Finalize()
+	res.Trace = f.Trace
+	return res, nil
+}
+
 // SessionFeed drives a session-script workload through a gateway, emitting
 // each conversation's turns as simulator events. In open-loop mode turn
 // t+1 fires Think seconds after turn t's arrival (the static-trace
@@ -19,34 +79,23 @@ import (
 // turn cannot arrive while the previous one is still queued, which is what
 // makes saturation measurements honest.
 type SessionFeed struct {
-	g       *Gateway
-	scripts []workload.SessionScript
-	byID    map[int64]*workload.SessionScript
-	closed  bool
-
-	total     int
-	emitted   int
-	completed int
+	feedBase
+	byID   map[int64]*workload.SessionScript
+	closed bool
 
 	// Closed loop only: the think times that follow in-flight requests,
 	// whose minimum is the runner's window lookahead.
 	thinks thinkHeap
-
-	// Trace records every emitted request in submission order; index i
-	// corresponds to request ID i+1, so records can be joined back to
-	// (session, turn) identities.
-	Trace []workload.TimedRequest
 }
 
-// FeedSessions schedules a session workload onto a gateway and takes over
-// its OnComplete hook. Call before running the simulator.
+// FeedSessions schedules a session workload onto a gateway and, in
+// closed-loop mode, takes over its OnComplete hook. Call before running
+// the simulator.
 func FeedSessions(g *Gateway, scripts []workload.SessionScript, closed bool) *SessionFeed {
 	f := &SessionFeed{
-		g:       g,
-		scripts: scripts,
-		byID:    make(map[int64]*workload.SessionScript, len(scripts)),
-		closed:  closed,
-		total:   workload.NumRequests(scripts),
+		feedBase: feedBase{g: g, total: workload.NumRequests(scripts)},
+		byID:     make(map[int64]*workload.SessionScript, len(scripts)),
+		closed:   closed,
 	}
 	for i := range scripts {
 		s := &scripts[i]
@@ -57,8 +106,8 @@ func FeedSessions(g *Gateway, scripts []workload.SessionScript, closed bool) *Se
 		start := simevent.Time(simevent.FromSeconds(s.Start))
 		g.sim.Stage(start, func() { f.emit(s, 0) })
 	}
-	g.OnComplete = f.onComplete
 	if closed {
+		g.OnComplete = f.onComplete
 		// Request IDs are dense (1..total), so completion marks index by ID
 		// and the heap never outgrows one entry per request.
 		f.thinks = thinkHeap{items: make([]thinkItem, 0, f.total), done: make([]bool, f.total+1)}
@@ -67,34 +116,10 @@ func FeedSessions(g *Gateway, scripts []workload.SessionScript, closed bool) *Se
 	return f
 }
 
-// Total returns the number of requests the feed will emit.
-func (f *SessionFeed) Total() int { return f.total }
-
-// Completed returns the number of finished requests.
-func (f *SessionFeed) Completed() int { return f.completed }
-
 // emit submits turn t of script s at the current simulated time and, in
 // open-loop mode, chains the next turn's arrival off this one.
 func (f *SessionFeed) emit(s *workload.SessionScript, t int) {
-	e := s.Entry(t)
-	f.emitted++
-	id := kvcache.RequestID(f.emitted)
-	now := f.g.sim.Now()
-	if !f.g.cfg.StreamMetrics {
-		// Streaming runs drop the trace too: retaining one TimedRequest
-		// (with its block-hash chain) per emitted request would rebuild
-		// the O(requests) footprint the flag exists to remove, and with
-		// Records gone there is nothing to join the trace back to.
-		f.Trace = append(f.Trace, workload.TimedRequest{Entry: e, Arrival: time.Duration(now)})
-	}
-	r := &serving.Request{
-		ID:        id,
-		InputLen:  e.InputLen,
-		OutputLen: e.OutputLen,
-		Arrival:   now,
-		SLOBudget: f.g.SLOBudget(e.InputLen, e.OutputLen),
-	}
-	f.g.Submit(r, e)
+	id := f.submit(s.Entry(t))
 	if t+1 < len(s.Turns) {
 		think := simevent.FromSeconds(s.Turns[t].Think)
 		if f.closed {
@@ -105,13 +130,9 @@ func (f *SessionFeed) emit(s *workload.SessionScript, t int) {
 	}
 }
 
-// onComplete is the gateway completion hook: in closed-loop mode the
-// session's next turn triggers its think time from here.
+// onComplete is the closed-loop completion hook: the session's next turn
+// triggers its think time from here.
 func (f *SessionFeed) onComplete(e workload.Entry, rec metrics.Record) {
-	f.completed++
-	if !f.closed {
-		return
-	}
 	f.thinks.done[rec.ID] = true
 	if e.SessionID == 0 {
 		return
@@ -179,46 +200,24 @@ func (h *thinkHeap) min() (simevent.Duration, bool) {
 	return h.items[0].think, true
 }
 
-// StreamFeed drives a lazily sampled session workload (workload.StreamSessions)
-// through a gateway, open-loop. It pulls one branching family from the
-// stream at a time and schedules the next session's start when the current
-// one starts — sound because the sampler's Start times are non-decreasing —
-// so memory holds only the live sessions plus one family, never the whole
-// workload. With Config.StreamMetrics set, a day-long million-session run
-// is O(live sessions) resident.
-type StreamFeed struct {
-	g      *Gateway
+// streamFeed drives a lazily sampled session workload
+// (workload.StreamSessions) through a gateway, open-loop. It pulls one
+// branching family from the stream at a time and schedules the next
+// session's start when the current one starts — sound because the
+// sampler's Start times are non-decreasing — so memory holds only the live
+// sessions plus one family, never the whole workload. With
+// Config.StreamMetrics set, a day-long million-session run is O(live
+// sessions) resident.
+type streamFeed struct {
+	feedBase
 	stream *workload.SessionStream
 	family []workload.SessionScript
 	idx    int
-
-	total     int // turns of every session pulled so far
-	emitted   int
-	completed int
-
-	// Trace mirrors SessionFeed.Trace (dropped under StreamMetrics).
-	Trace []workload.TimedRequest
 }
-
-// FeedSessionStream schedules a lazy session workload onto a gateway and
-// takes over its OnComplete hook. Call before running the simulator.
-func FeedSessionStream(g *Gateway, stream *workload.SessionStream) *StreamFeed {
-	f := &StreamFeed{g: g, stream: stream}
-	g.OnComplete = func(workload.Entry, metrics.Record) { f.completed++ }
-	f.scheduleNext()
-	return f
-}
-
-// Total returns the number of requests of every session pulled so far; once
-// the simulation drains it equals the whole workload's request count.
-func (f *StreamFeed) Total() int { return f.total }
-
-// Completed returns the number of finished requests.
-func (f *StreamFeed) Completed() int { return f.completed }
 
 // scheduleNext arms the start of the next unstarted session, pulling the
 // next family from the stream when the current one is exhausted.
-func (f *StreamFeed) scheduleNext() {
+func (f *streamFeed) scheduleNext() {
 	if f.idx == len(f.family) {
 		f.family = f.stream.Next()
 		f.idx = 0
@@ -240,86 +239,37 @@ func (f *StreamFeed) scheduleNext() {
 }
 
 // emit submits turn t of script s now and chains the next turn open-loop.
-func (f *StreamFeed) emit(s *workload.SessionScript, t int) {
-	e := s.Entry(t)
-	f.emitted++
-	id := kvcache.RequestID(f.emitted)
-	now := f.g.sim.Now()
-	if !f.g.cfg.StreamMetrics {
-		f.Trace = append(f.Trace, workload.TimedRequest{Entry: e, Arrival: time.Duration(now)})
-	}
-	r := &serving.Request{
-		ID:        id,
-		InputLen:  e.InputLen,
-		OutputLen: e.OutputLen,
-		Arrival:   now,
-		SLOBudget: f.g.SLOBudget(e.InputLen, e.OutputLen),
-	}
-	f.g.Submit(r, e)
+func (f *streamFeed) emit(s *workload.SessionScript, t int) {
+	f.submit(s.Entry(t))
 	if t+1 < len(s.Turns) {
 		f.g.sim.After(simevent.FromSeconds(s.Turns[t].Think), func() { f.emit(s, t+1) })
 	}
 }
 
+// RunSessions replays a session-script workload against the fleet
+// cfg.Groups describes, open- or closed-loop per cfg.ClosedLoop on the
+// workload config that produced the scripts (passed explicitly here as
+// `closed`). The returned Result carries the emitted Trace so callers can
+// join records back to session turns.
+func RunSessions(scripts []workload.SessionScript, cfg Config, closed bool) (*Result, error) {
+	g, err := NewGateway(cfg, simevent.New())
+	if err != nil {
+		return nil, err
+	}
+	return FeedSessions(g, scripts, closed).finish()
+}
+
 // RunSessionStream replays a lazily sampled open-loop session workload
-// against a fleet built from cfg.Groups — the streaming counterpart of
-// RunSessionsGroups(…, closed=false), and the entry point sized for
-// day-long million-session traces (pair with Config.StreamMetrics and, for
-// multi-core execution, Config.Shards).
+// against the fleet cfg.Groups describes — the streaming counterpart of
+// RunSessions(…, closed=false), sized for day-long million-session traces
+// (pair with Config.StreamMetrics and, for multi-core execution,
+// Config.Shards).
 func RunSessionStream(stream *workload.SessionStream, cfg Config) (*Result, error) {
-	g, err := NewGatewayGroups(cfg, simevent.New())
+	g, err := NewGateway(cfg, simevent.New())
 	if err != nil {
 		return nil, err
 	}
-	feed := FeedSessionStream(g, stream)
-	if err := g.Run(); err != nil {
-		return nil, err
-	}
-	if feed.Completed() != feed.Total() {
-		return nil, fmt.Errorf("fleet: %d of %d streamed session requests completed (policy %s)",
-			feed.Completed(), feed.Total(), g.PolicyName())
-	}
-	res := g.Finalize()
-	res.Trace = feed.Trace
-	return res, nil
-}
-
-// RunSessions replays a session-script workload against a static fleet,
-// open- or closed-loop per cfg.ClosedLoop on the workload config that
-// produced the scripts (passed explicitly here as `closed`). The returned
-// Result carries the emitted Trace so callers can join records back to
-// session turns.
-func RunSessions(spec Spec, scripts []workload.SessionScript, cfg Config, closed bool) (*Result, error) {
-	g, err := NewGateway(spec, cfg, simevent.New())
-	if err != nil {
-		return nil, err
-	}
-	return runSessions(g, scripts, closed)
-}
-
-// RunSessionsGroups replays a session-script workload against a static
-// heterogeneous fleet built from cfg.Groups — the composition-first
-// spelling of RunSessions.
-func RunSessionsGroups(scripts []workload.SessionScript, cfg Config, closed bool) (*Result, error) {
-	g, err := NewGatewayGroups(cfg, simevent.New())
-	if err != nil {
-		return nil, err
-	}
-	return runSessions(g, scripts, closed)
-}
-
-// runSessions feeds the scripts, runs the fleet to completion and
-// finalizes.
-func runSessions(g *Gateway, scripts []workload.SessionScript, closed bool) (*Result, error) {
-	feed := FeedSessions(g, scripts, closed)
-	if err := g.Run(); err != nil {
-		return nil, err
-	}
-	if feed.Completed() != feed.Total() {
-		return nil, fmt.Errorf("fleet: %d of %d session requests completed (policy %s)",
-			feed.Completed(), feed.Total(), g.PolicyName())
-	}
-	res := g.Finalize()
-	res.Trace = feed.Trace
-	return res, nil
+	f := &streamFeed{feedBase: feedBase{g: g}, stream: stream}
+	f.scheduleNext()
+	return f.finish()
 }

@@ -25,7 +25,8 @@ func shardRun(t *testing.T, scripts []workload.SessionScript, cfg Config, shards
 	col := &obs.Collector{}
 	cfg.Obs = col
 	cfg.Shards = shards
-	res, err := RunSessionsFaults(scripts, cfg, closed, faults)
+	cfg.Faults = faults
+	res, err := RunSessions(scripts, cfg, closed)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
 	}
@@ -180,7 +181,7 @@ func TestDecodeFusionIdentity(t *testing.T) {
 // configuration error.
 func TestShardedRejectsProvisioning(t *testing.T) {
 	groups := []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 2}}
-	if _, err := NewGatewayGroups(Config{Groups: groups, Shards: -1}, simevent.New()); err == nil {
+	if _, err := NewGateway(Config{Groups: groups, Shards: -1}, simevent.New()); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
 }
@@ -189,7 +190,7 @@ func TestShardedRejectsProvisioning(t *testing.T) {
 // to an engine whose clock has run past the gateway's would run the arrival
 // in the engine's past — a window bug — so delivery panics instead.
 func TestArrivalGuardCatchesEngineAhead(t *testing.T) {
-	g, err := NewGateway(toySpec(), Config{Replicas: 2}, simevent.New())
+	g, err := NewGateway(Config{Groups: toyFleet(2)}, simevent.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestStreamFeedMatchesEagerFeed(t *testing.T) {
 	mk := func() Config {
 		return Config{Groups: []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: 3}}, Policy: NewPrefixAffinity(), Cache: CacheRadix}
 	}
-	eager, err := RunSessionsGroups(scripts, mk(), false)
+	eager, err := RunSessions(scripts, mk(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

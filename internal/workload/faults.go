@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"time"
@@ -40,6 +41,30 @@ type Fault struct {
 	// times their nominal link time until Window elapses.
 	Window time.Duration
 	Factor float64
+}
+
+// Validate reports why a fault cannot be scheduled: a negative fire time,
+// slot, stall or window, an unknown kind, or a link-degrade factor below 1
+// (a degrade cannot speed links up). GenFaults only draws valid faults.
+func (f Fault) Validate() error {
+	switch f.Kind {
+	case FaultCrash, FaultStall, FaultCacheDrop, FaultDrain, FaultDegrade:
+	default:
+		return fmt.Errorf("workload: unknown fault kind %q", f.Kind)
+	}
+	switch {
+	case f.At < 0:
+		return fmt.Errorf("workload: %s fault at negative time %v", f.Kind, f.At)
+	case f.Slot < 0:
+		return fmt.Errorf("workload: %s fault has negative slot %d", f.Kind, f.Slot)
+	case f.Stall < 0:
+		return fmt.Errorf("workload: %s fault has negative stall %v", f.Kind, f.Stall)
+	case f.Window < 0:
+		return fmt.Errorf("workload: %s fault has negative window %v", f.Kind, f.Window)
+	case f.Kind == FaultDegrade && !(f.Factor >= 1):
+		return fmt.Errorf("workload: degrade fault factor %v < 1", f.Factor)
+	}
+	return nil
 }
 
 // FaultRates parameterizes a generated fault schedule as mean events per

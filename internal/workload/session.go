@@ -24,9 +24,9 @@ type SessionConfig struct {
 	// triggers its think time after turn t *completes* rather than after it
 	// arrives. A closed-loop trace cannot be pre-materialized — arrivals
 	// depend on serving latency — so consumers use SessionScripts with a
-	// session-driving runner (fleet.RunSessions, autoscale.Run) instead of
-	// SessionTrace. Open-loop (the default, false) preserves the historical
-	// behavior exactly.
+	// session-driving runner (fleet.RunSessions, autoscale.RunKinds)
+	// instead of SessionTrace. Open-loop (the default, false) preserves the
+	// historical behavior exactly.
 	ClosedLoop bool
 	// BurstFactor > 1 makes session arrivals bursty: each BurstPeriod
 	// seconds open at SessionRate*BurstFactor for BurstDuty of the period,
@@ -135,7 +135,7 @@ func (cfg SessionConfig) Validate() error {
 // SessionScripts through a session-aware runner instead.
 func SessionTrace(cfg SessionConfig, seed int64) []TimedRequest {
 	if cfg.ClosedLoop {
-		panic("workload: a closed-loop session workload cannot be pre-materialized; drive SessionScripts through fleet.RunSessions or autoscale.Run")
+		panic("workload: a closed-loop session workload cannot be pre-materialized; drive SessionScripts through fleet.RunSessions or autoscale.RunKinds")
 	}
 	return OpenLoopTrace(SessionScripts(cfg, seed))
 }

@@ -51,9 +51,9 @@ type SessionScript struct {
 	// (through the last turn's reply). Every turn's chain is a prefix of
 	// it — hashes are chained and the turn-t stream is a prefix of the
 	// full stream — so Entry slices instead of re-hashing (hand-built
-	// scripts without it fall back to hashing per call). Filled by
-	// SessionScripts; read-only afterwards, so scripts stay safe to share
-	// across parallel experiment arms.
+	// scripts without it fall back to hashing per call). Filled by the
+	// session generator; read-only afterwards, so scripts stay safe to
+	// share across parallel experiment arms.
 	chain []uint64
 }
 
@@ -132,9 +132,8 @@ func (b *burstClock) advance(mass float64) float64 {
 
 // sessionSampler holds the generator state one session draw advances: the
 // RNG, the shared length distributions, the per-group system-prompt
-// lengths, and the arrival clock. SessionScripts and SessionStream share it,
-// which is what makes the stream RNG-identical to the eager generator — the
-// draw code exists exactly once.
+// lengths, and the arrival clock. SessionStream owns it and SessionScripts
+// drains the stream, so the draw code exists exactly once.
 type sessionSampler struct {
 	cfg              SessionConfig
 	rng              *rand.Rand
@@ -221,30 +220,23 @@ func (sp *sessionSampler) draw(s int) SessionScript {
 // process alternating between SessionRate*BurstFactor and
 // SessionRate/BurstFactor every BurstPeriod/2 seconds — bursty arrivals for
 // elasticity experiments. Turn structure is unaffected.
+//
+// SessionScripts is StreamSessions drained into one slice: the eager and
+// lazy generators are one code path.
 func SessionScripts(cfg SessionConfig, seed int64) []SessionScript {
-	sp := newSessionSampler(cfg, seed)
+	st := StreamSessions(cfg, seed)
 	scripts := make([]SessionScript, 0, cfg.Sessions)
-	for s := 0; s < cfg.Sessions; s++ {
-		scripts = append(scripts, sp.draw(s))
-	}
-	if cfg.BranchFactor >= 2 {
-		branchScripts(scripts, cfg.BranchFactor, cfg.BranchTurns)
-	}
-	// Hash each conversation once (after branching rewires lineage): every
-	// turn's chain is a prefix of the full chain, so Entry can slice it.
-	for i := range scripts {
-		s := &scripts[i]
-		s.chain = s.blockChain(len(s.Turns) - 1)
+	for fam := st.Next(); fam != nil; fam = st.Next() {
+		scripts = append(scripts, fam...)
 	}
 	return scripts
 }
 
 // SessionStream is the lazy spelling of SessionScripts: the same RNG draw
 // sequence, surfaced one branching family at a time instead of as one
-// O(sessions) slice. Concatenating every Next() reproduces
-// SessionScripts(cfg, seed) element for element, so a streaming driver can
-// run day-long million-session workloads holding only the live sessions in
-// memory.
+// O(sessions) slice (SessionScripts is this stream drained), so a
+// streaming driver can run day-long million-session workloads holding
+// only the live sessions in memory.
 type SessionStream struct {
 	sp     *sessionSampler
 	factor int // family size: BranchFactor, or 1 when branching is off
@@ -285,6 +277,8 @@ func (st *SessionStream) Next() []SessionScript {
 	if st.factor >= 2 {
 		branchScripts(family, st.factor, cfg.BranchTurns)
 	}
+	// Hash each conversation once (after branching rewires lineage): every
+	// turn's chain is a prefix of the full chain, so Entry can slice it.
 	for i := range family {
 		s := &family[i]
 		s.chain = s.blockChain(len(s.Turns) - 1)

@@ -277,31 +277,58 @@ func TestLongDocBranchInheritance(t *testing.T) {
 	}
 }
 
+// scriptsFingerprint hashes every field of every script — identity,
+// lineage, draws (floats by their bits) and block chain.
+func scriptsFingerprint(scripts []SessionScript) uint64 {
+	h := fnv.New64a()
+	turns := func(ts []SessionTurn) {
+		fmt.Fprintf(h, "%d:", len(ts))
+		for _, t := range ts {
+			fmt.Fprintf(h, "%d,%d,%x;", t.UserTokens, t.ReplyTokens, math.Float64bits(t.Think))
+		}
+	}
+	for i := range scripts {
+		s := &scripts[i]
+		fmt.Fprintf(h, "%d|%d|%d|%d|%x|%d|", s.ID, s.Group, s.SystemTokens, s.DocTokens, math.Float64bits(s.Start), s.ParentID)
+		turns(s.Turns)
+		turns(s.BaseTurns)
+		fmt.Fprintf(h, "%x\n", s.chain)
+	}
+	return h.Sum64()
+}
+
 // TestStreamSessionsMatchesEager is the lazy-sampling contract: pulling the
-// whole stream reproduces SessionScripts element for element (IDs, draws,
-// lineage, block chains), across plain, long-document, bursty and branching
-// configurations — so a streaming driver samples the same workload it would
-// have loaded eagerly.
+// whole stream, and SessionScripts (which drains it), both reproduce the
+// workload the generator produced before the two became one code path —
+// IDs, draws, lineage and block chains, pinned as fingerprints captured
+// when the eager generator was still separate code (and matched the stream
+// element for element) — across plain, long-document, bursty and
+// branching configurations.
 func TestStreamSessionsMatchesEager(t *testing.T) {
-	cases := map[string]SessionConfig{}
 	plain := DefaultSessionConfig()
 	plain.Sessions = 97
-	cases["plain"] = plain
 	long := plain
 	long.LongFrac = 0.3
 	long.LongDocTokens = 20_000
-	cases["long-doc"] = long
 	burst := plain
 	burst.BurstFactor = 3
 	burst.BurstPeriod = 40
-	cases["bursty"] = burst
 	branch := long
 	branch.BranchFactor = 4
 	branch.BranchTurns = 2
-	cases["branching"] = branch
+	cases := []struct {
+		name string
+		cfg  SessionConfig
+		want uint64
+	}{
+		{"plain", plain, 0x5db03f5af24cb651},
+		{"long-doc", long, 0xd91b0f744fc265f6},
+		{"bursty", burst, 0xe7f8796e805ffb3b},
+		{"branching", branch, 0x3a8c4fb56cfff7ca},
+	}
 
-	for name, cfg := range cases {
-		eager := SessionScripts(cfg, 23)
+	for _, c := range cases {
+		name, cfg := c.name, c.cfg
 		st := StreamSessions(cfg, 23)
 		if st.Sessions() != cfg.Sessions {
 			t.Fatalf("%s: stream advertises %d sessions, want %d", name, st.Sessions(), cfg.Sessions)
@@ -315,13 +342,14 @@ func TestStreamSessionsMatchesEager(t *testing.T) {
 		if st.Next() != nil {
 			t.Fatalf("%s: exhausted stream yielded another family", name)
 		}
-		if len(got) != len(eager) {
-			t.Fatalf("%s: stream produced %d scripts, eager %d", name, len(got), len(eager))
+		if len(got) != cfg.Sessions {
+			t.Fatalf("%s: stream produced %d scripts, want %d", name, len(got), cfg.Sessions)
 		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], eager[i]) {
-				t.Fatalf("%s: script %d differs:\nstream %+v\neager  %+v", name, i, got[i], eager[i])
-			}
+		if fp := scriptsFingerprint(got); fp != c.want {
+			t.Fatalf("%s: stream fingerprint %#x, want %#x", name, fp, c.want)
+		}
+		if fp := scriptsFingerprint(SessionScripts(cfg, 23)); fp != c.want {
+			t.Fatalf("%s: SessionScripts fingerprint %#x, want %#x", name, fp, c.want)
 		}
 		want := cfg.Sessions
 		if cfg.BranchFactor >= 2 {
