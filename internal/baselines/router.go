@@ -22,7 +22,6 @@ type Router struct {
 	Policy fleet.Policy
 
 	load  []int
-	reqs  []int // outstanding requests per sub (LoadReporter fallback)
 	views []fleet.ReplicaView
 	index map[kvcache.RequestID]int
 }
@@ -43,13 +42,6 @@ type routerView struct {
 }
 
 func (v routerView) OutstandingTokens() int { return v.r.load[v.i] }
-
-func (v routerView) QueueDepth() int {
-	if lr, ok := v.r.Subs[v.i].(serving.LoadReporter); ok {
-		return lr.Load().Outstanding()
-	}
-	return v.r.reqs[v.i]
-}
 
 func (v routerView) CachedTokens(fleet.RequestInfo) int { return 0 }
 
@@ -78,7 +70,6 @@ func (r *Router) Init(env *serving.Env) error {
 		}
 	}
 	r.load = make([]int, len(r.Subs))
-	r.reqs = make([]int, len(r.Subs))
 	r.views = make([]fleet.ReplicaView, len(r.Subs))
 	for i := range r.Subs {
 		r.views[i] = routerView{r: r, i: i}
@@ -87,7 +78,6 @@ func (r *Router) Init(env *serving.Env) error {
 	env.Complete = func(req *serving.Request) {
 		if idx, ok := r.index[req.ID]; ok {
 			r.load[idx] -= req.Tokens()
-			r.reqs[idx]--
 			delete(r.index, req.ID)
 		}
 		inner(req)
@@ -103,7 +93,6 @@ func (r *Router) Arrive(req *serving.Request) {
 		panic(fmt.Sprintf("%s: policy %s picked sub-engine %d of %d", r.Label, r.Policy.Name(), best, len(r.Subs)))
 	}
 	r.load[best] += req.Tokens()
-	r.reqs[best]++
 	r.index[req.ID] = best
 	r.Subs[best].Arrive(req)
 }

@@ -180,7 +180,7 @@ func FleetCacheDirExperiment(sc Scale) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"all arms share one branching + long-document closed-loop workload and one seeded drain/crash/degrade schedule, at identical per-replica radix-cache capacity",
-		"prefix-affinity sticks to whole-key homes, modulo-hash and choose-2 ignore content; content routes by directory-resident block overlap x queue depth with MaxContext headroom",
+		"prefix-affinity sticks to whole-key homes, modulo-hash and choose-2 ignore content; content routes by directory-resident block overlap plus 0.4x outstanding tokens, within MaxContext headroom",
 		"content+cold additionally spills capacity-evicted blocks to a fleet-shared host pool and fetches them back when the (possibly degraded) link beats recompute",
 		"audit=clean replays each arm's stream through the invariant checker, directory coherence and cold-tier conservation invariants included")
 	return t

@@ -9,24 +9,34 @@ import (
 	"loongserve/internal/workload"
 )
 
-// TestFleetQuickGolden is the backward-compat anchor of the composition
-// API: the two pre-existing -exp fleet tables, rendered serially at quick
-// scale, must stay byte-identical to the output of the tree before
-// ReplicaKind/Groups existed (testdata/fleet_quick.golden). Those tables
-// now run homogeneous fleets as one-group compositions, and this test is
-// what "bit-identical" means.
+// TestFleetQuickGolden pins fleet tables, rendered serially at quick
+// scale, byte for byte. fleet_quick.golden holds the two pre-existing -exp
+// fleet tables as the tree rendered them before ReplicaKind/Groups existed
+// (they now run homogeneous fleets as one-group compositions). The hetero
+// table and the cachedir scorecard pin capability routing's fallback ties
+// and content routing, which the fleet tables never exercise.
 func TestFleetQuickGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/fleet_quick.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := QuickScale()
 	sc.Workers = 1
-	var buf bytes.Buffer
-	FleetExperiment(sc).Fprint(&buf)
-	FleetCacheExperiment(sc).Fprint(&buf)
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("quick -exp fleet output diverged from the pre-refactor golden\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	for _, c := range []struct {
+		golden string
+		tables []func(Scale) *Table
+	}{
+		{"fleet_quick.golden", []func(Scale) *Table{FleetExperiment, FleetCacheExperiment}},
+		{"fleet_hetero_quick.golden", []func(Scale) *Table{FleetHeteroExperiment}},
+		{"cachedir_quick.golden", []func(Scale) *Table{FleetCacheDirExperiment}},
+	} {
+		want, err := os.ReadFile("testdata/" + c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for _, table := range c.tables {
+			table(sc).Fprint(&buf)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("output diverged from testdata/%s\n--- got ---\n%s\n--- want ---\n%s", c.golden, buf.Bytes(), want)
+		}
 	}
 }
 

@@ -20,17 +20,22 @@
 // minimizes recomputation, spreading minimizes queueing — the same
 // cache-affinity-vs-load balance studied by the arodland/loadbalance
 // simulation, here measured in KV tokens on the paper's cost model.
+// Every affinity policy is a preset of one scored policy, Affinity
+// (policy.go): the presets differ only in the load weight, the context
+// headroom that picks candidates, token or capability pricing, the
+// overlap source (cache probe or global directory) and whether session KV
+// may migrate.
 //
 // The fleet is elastic (gateway.go): replicas can be provisioned at
 // runtime (with a warm-up delay before they take traffic) and drained —
 // new arrivals stop, in-flight requests finish, and every live session's
 // KV migrates to a surviving replica over the inter-node link at the cost
 // model's transfer time instead of being dropped and recomputed. The same
-// link-vs-recompute tradeoff is available to routing: a MigrationAware
-// policy may move a session's KV off its overloaded home replica when the
-// transfer is cheaper than recomputing the prefix cold (policy.go). The
-// autoscale package closes the loop, growing and shrinking the fleet from
-// queue pressure.
+// link-vs-recompute tradeoff is available to routing: an Affinity preset
+// with migration on may move a session's KV off its overloaded home
+// replica when the transfer is cheaper than recomputing the prefix cold.
+// The autoscale package closes the loop, growing and shrinking the fleet
+// from queue pressure.
 //
 // Failure is a first-class scenario (faults.go): CrashReplica destroys a
 // replica and its resident KV mid-flight — every in-flight request it

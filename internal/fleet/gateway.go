@@ -120,7 +120,8 @@ func (rep *replica) Index() int { return rep.index }
 // Capability implements ReplicaView: the replica kind's derived sheet.
 func (rep *replica) Capability() ReplicaCapability { return rep.kind.Capability() }
 
-// QueueDepth implements ReplicaView: engine-reported when available.
+// QueueDepth is the in-flight request count: engine-reported when the
+// engine implements serving.LoadReporter, else the gateway's accounting.
 func (rep *replica) QueueDepth() int {
 	if lr, ok := rep.engine.(serving.LoadReporter); ok {
 		return lr.Load().Outstanding()
@@ -426,6 +427,9 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 		return nil, err
 	}
 	cfg.Hedge = cfg.Hedge.withDefaults()
+	if cfg.CacheTokens < 0 {
+		return nil, fmt.Errorf("fleet: negative cache capacity %d", cfg.CacheTokens)
+	}
 	if cfg.ColdTierTokens < 0 {
 		return nil, fmt.Errorf("fleet: negative cold-tier capacity %d", cfg.ColdTierTokens)
 	}
@@ -1039,8 +1043,8 @@ func (g *Gateway) Submit(r *serving.Request, e workload.Entry) {
 		}
 		g.emitRoute(e.SessionID, r.ID, rep.index, src)
 		if ca, ok := g.policy.(*ContentAffinity); ok && g.dir != nil {
-			claim, queue, eligible := ca.LastPick()
-			g.emitContentRoute(e.SessionID, r.ID, rep.index, claim, queue, eligible)
+			claim, eligible := ca.LastPick()
+			g.emitContentRoute(e.SessionID, r.ID, rep.index, claim, rep.QueueDepth(), eligible)
 		}
 	}
 

@@ -50,10 +50,6 @@ type ReplicaView interface {
 	// OutstandingTokens is the gateway-accounted in-flight token load
 	// (prompt + budgeted output of every routed, unfinished request).
 	OutstandingTokens() int
-	// QueueDepth is the in-flight request count; engines implementing
-	// serving.LoadReporter report their internal queue, others fall back
-	// to gateway accounting.
-	QueueDepth() int
 	// CachedTokens is the prefix-cache hit the replica would serve for
 	// req right now (0 = cold).
 	CachedTokens(req RequestInfo) int
@@ -145,62 +141,9 @@ func (p *PowerOfTwoChoices) Pick(_ RequestInfo, replicas []ReplicaView) int {
 	return a
 }
 
-// PrefixAffinity scores every replica by the work routing there would
-// cost: the prefill tokens the replica must actually compute (prompt minus
-// its prefix-cache hit) plus its current outstanding load, weighted by
-// LoadWeight. New sessions hash to a stable home replica so that the turns
-// and sibling sessions that follow find warm caches, but a sufficiently
-// loaded home loses to a cold, idle replica — the cache-affinity-vs-load
-// balance the arodland/loadbalance simulation studies.
-type PrefixAffinity struct {
-	// LoadWeight converts outstanding tokens into score units relative to
-	// prefill tokens. 1.0 treats a queued token and a cold prefill token
-	// as equally costly; higher values favor load balance over affinity.
-	LoadWeight float64
-}
-
-// NewPrefixAffinity returns the policy with LoadWeight 1.
-func NewPrefixAffinity() *PrefixAffinity { return &PrefixAffinity{LoadWeight: 1} }
-
-// Name implements Policy.
-func (p *PrefixAffinity) Name() string { return "PrefixAffinity" }
-
-// homeIndex hashes the request's stickiest available key to a replica.
-func (p *PrefixAffinity) homeIndex(req RequestInfo, n int) int {
-	key := req.SessionKey
-	if key == 0 {
-		key = req.SharedKey
-	}
-	if key == 0 {
-		return -1
-	}
-	return int(mix64(uint64(key)) % uint64(n))
-}
-
-// Pick implements Policy.
-func (p *PrefixAffinity) Pick(req RequestInfo, replicas []ReplicaView) int {
-	n := len(replicas)
-	home := p.homeIndex(req, n)
-	best, bestScore := -1, 0.0
-	for i, r := range replicas {
-		miss := req.InputLen - r.CachedTokens(req)
-		if miss < 0 {
-			miss = 0
-		}
-		score := float64(miss) + p.LoadWeight*float64(r.OutstandingTokens())
-		// The hashed home wins ties (cold caches, equal load), which is
-		// what plants a new session — and its whole prompt group — on a
-		// stable replica instead of wherever index order says.
-		if best == -1 || score < bestScore || (score == bestScore && i == home) {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
 // Migrator is the gateway-side cost oracle handed to MigrationAware
-// policies: it converts a KV transfer into the prefill-token units policy
-// scores are denominated in.
+// policies: it converts a KV transfer into the units policy scores are
+// denominated in.
 type Migrator interface {
 	// MigrationTokenCost returns the prefill-token-equivalent cost of
 	// moving n KV tokens between two replicas over the fleet interconnect.
@@ -230,289 +173,6 @@ type MigrationAware interface {
 	PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrator) Decision
 }
 
-// MigratingAffinity is PrefixAffinity extended with the migrate-vs-
-// recompute decision: it scores every replica as PrefixAffinity does, and
-// additionally scores migrating the session's KV from its warmest holder
-// to each other replica — the transfer priced by the gateway's cost model
-// (Migrator) in prefill-token equivalents. Migration wins exactly when the
-// load gap between the warm home and an idle replica exceeds the link
-// cost, which is LoongServe's multi-replica analogue of choosing KV
-// movement over recomputation.
-type MigratingAffinity struct {
-	PrefixAffinity
-}
-
-// NewMigratingAffinity returns the policy with LoadWeight 1.
-func NewMigratingAffinity() *MigratingAffinity {
-	return &MigratingAffinity{PrefixAffinity{LoadWeight: 1}}
-}
-
-// Name implements Policy.
-func (p *MigratingAffinity) Name() string { return "MigratingAffinity" }
-
-// PickMigrate implements MigrationAware.
-func (p *MigratingAffinity) PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrator) Decision {
-	n := len(replicas)
-	home := p.homeIndex(req, n)
-	best, bestScore := -1, 0.0
-	for i, r := range replicas {
-		miss := req.InputLen - r.CachedTokens(req)
-		if miss < 0 {
-			miss = 0
-		}
-		score := float64(miss) + p.LoadWeight*float64(r.OutstandingTokens())
-		if best == -1 || score < bestScore || (score == bestScore && i == home) {
-			best, bestScore = i, score
-		}
-	}
-	if req.SessionKey == 0 || n < 2 {
-		return Decision{Dest: best, From: -1}
-	}
-	// The migration source is the replica holding the most of this
-	// session's KV; nothing to move if the session is cold everywhere.
-	src, cached := -1, 0
-	for i, r := range replicas {
-		if c := r.SessionTokens(req); c > cached {
-			src, cached = i, c
-		}
-	}
-	if src < 0 || src == best {
-		return Decision{Dest: best, From: -1}
-	}
-	migCost := m.MigrationTokenCost(cached)
-	miss := req.InputLen - cached
-	if miss < 0 {
-		miss = 0
-	}
-	migBest, migBestScore := -1, 0.0
-	for i, r := range replicas {
-		if i == src {
-			continue
-		}
-		s := float64(miss) + migCost + p.LoadWeight*float64(r.OutstandingTokens())
-		if migBest == -1 || s < migBestScore {
-			migBest, migBestScore = i, s
-		}
-	}
-	// Hysteresis: a move must beat staying by more than its own transfer
-	// cost, or marginal load differences make sessions ping-pong between
-	// replicas (each bounce paying the link for nothing).
-	if migBest >= 0 && migBestScore+migCost < bestScore {
-		return Decision{Dest: migBest, From: src}
-	}
-	return Decision{Dest: best, From: -1}
-}
-
-// DefaultCapabilityHeadroom is the fraction of a replica's MaxContext a
-// request's prompt may comfortably occupy before CapabilityAffinity stops
-// routing there: a session needs room to grow across turns and to coexist
-// with other residents, so a prompt at, say, 80% of a small replica's
-// whole pool belongs on a longer-context kind even though it would
-// technically fit.
-const DefaultCapabilityHeadroom = 0.5
-
-// CapabilityAffinity is heterogeneity-aware routing: every replica is
-// scored by the *cost* of serving the request there — predicted service
-// seconds (the prefill miss plus queued work, at the replica kind's
-// cost-model prefill rate) weighted by the kind's provisioning cost. Long
-// prompts flow to long-context kinds because small kinds are ineligible
-// (the prompt would not comfortably fit their KV envelope) or slow; short
-// prompts flow to cheap kinds because a short request takes nearly the
-// same time anywhere and the cheap replica's seconds cost less; prefix
-// affinity and load balance fall out of the same score (a warm cache
-// shrinks the miss, a deep queue grows the wait), with the hashed session
-// home breaking cold ties exactly as PrefixAffinity does. It composes the
-// MigratingAffinity decision: session KV migrates to a capability-eligible
-// replica when the link seconds beat the recompute they avoid.
-//
-// On a homogeneous fleet every replica shares one capability sheet, so the
-// score reduces to (miss + LoadWeight*outstanding) times a constant —
-// PrefixAffinity's ordering exactly.
-type CapabilityAffinity struct {
-	// LoadWeight converts outstanding tokens into score units relative to
-	// prefill tokens, as in PrefixAffinity.
-	LoadWeight float64
-	// Headroom is the comfortable fraction of MaxContext
-	// (DefaultCapabilityHeadroom when 0).
-	Headroom float64
-}
-
-// NewCapabilityAffinity returns the policy with LoadWeight 1 and the
-// default headroom.
-func NewCapabilityAffinity() *CapabilityAffinity {
-	return &CapabilityAffinity{LoadWeight: 1, Headroom: DefaultCapabilityHeadroom}
-}
-
-// Name implements Policy.
-func (p *CapabilityAffinity) Name() string { return "CapabilityAffinity" }
-
-// headroom returns the effective comfort fraction.
-func (p *CapabilityAffinity) headroom() float64 {
-	if p.Headroom > 0 {
-		return p.Headroom
-	}
-	return DefaultCapabilityHeadroom
-}
-
-// eligible reports whether the request's prompt comfortably fits the
-// replica's context envelope.
-func (p *CapabilityAffinity) eligible(req RequestInfo, c ReplicaCapability) bool {
-	return float64(req.InputLen) <= p.headroom()*float64(c.MaxContext)
-}
-
-// score prices serving the request on r: cost-weighted seconds of the
-// prefill miss plus queued work, plus extraSeconds (a pending migration's
-// link time).
-func (p *CapabilityAffinity) score(miss int, r ReplicaView, extraSeconds float64) float64 {
-	c := r.Capability()
-	rate := c.PrefillRate
-	if rate <= 0 {
-		rate = 1
-	}
-	t := (float64(miss)+p.LoadWeight*float64(r.OutstandingTokens()))/rate + extraSeconds
-	return t * c.CostUnits
-}
-
-// homeIndex hashes the request's stickiest key to a replica, as
-// PrefixAffinity does.
-func (p *CapabilityAffinity) homeIndex(req RequestInfo, n int) int {
-	key := req.SessionKey
-	if key == 0 {
-		key = req.SharedKey
-	}
-	if key == 0 {
-		return -1
-	}
-	return int(mix64(uint64(key)) % uint64(n))
-}
-
-// pick scores the eligible replicas (all of them when none is eligible —
-// then the most capable wins outright) and returns the winner plus its
-// score.
-func (p *CapabilityAffinity) pick(req RequestInfo, replicas []ReplicaView) (int, float64) {
-	n := len(replicas)
-	anyEligible := false
-	for _, r := range replicas {
-		if p.eligible(req, r.Capability()) {
-			anyEligible = true
-			break
-		}
-	}
-	if !anyEligible {
-		// Nothing fits comfortably: fall back to the largest context
-		// envelope — the replica class that fails least badly — and
-		// balance by score within it, so a homogeneous fleet of small
-		// replicas spreads its oversize tail instead of dogpiling one.
-		best, bestScore := 0, p.score(missTokens(req, replicas[0]), replicas[0], 0)
-		for i := 1; i < n; i++ {
-			bm, im := replicas[best].Capability().MaxContext, replicas[i].Capability().MaxContext
-			if im < bm {
-				continue
-			}
-			score := p.score(missTokens(req, replicas[i]), replicas[i], 0)
-			if im > bm || score < bestScore {
-				best, bestScore = i, score
-			}
-		}
-		return best, bestScore
-	}
-	home := p.homeIndex(req, n)
-	best, bestScore := -1, 0.0
-	for i, r := range replicas {
-		if !p.eligible(req, r.Capability()) {
-			continue
-		}
-		score := p.score(missTokens(req, r), r, 0)
-		if best == -1 || score < bestScore || (score == bestScore && i == home) {
-			best, bestScore = i, score
-		}
-	}
-	return best, bestScore
-}
-
-// missTokens is the prefill the replica would actually compute.
-func missTokens(req RequestInfo, r ReplicaView) int {
-	miss := req.InputLen - r.CachedTokens(req)
-	if miss < 0 {
-		return 0
-	}
-	return miss
-}
-
-// Pick implements Policy.
-func (p *CapabilityAffinity) Pick(req RequestInfo, replicas []ReplicaView) int {
-	best, _ := p.pick(req, replicas)
-	return best
-}
-
-// PickMigrate implements MigrationAware: as MigratingAffinity, but scores
-// in cost-weighted seconds and only migrates onto capability-eligible
-// replicas.
-func (p *CapabilityAffinity) PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrator) Decision {
-	best, bestScore := p.pick(req, replicas)
-	n := len(replicas)
-	if req.SessionKey == 0 || n < 2 {
-		return Decision{Dest: best, From: -1}
-	}
-	src, cached := -1, 0
-	for i, r := range replicas {
-		if c := r.SessionTokens(req); c > cached {
-			src, cached = i, c
-		}
-	}
-	if src < 0 || src == best {
-		return Decision{Dest: best, From: -1}
-	}
-	migSec := m.MigrationSeconds(cached)
-	miss := req.InputLen - cached
-	if miss < 0 {
-		miss = 0
-	}
-	migBest, migBestScore, migBestSec := -1, 0.0, 0.0
-	for i, r := range replicas {
-		if i == src || !p.eligible(req, r.Capability()) {
-			continue
-		}
-		s := p.score(miss, r, migSec)
-		if migBest == -1 || s < migBestScore {
-			migBest, migBestScore = i, s
-			migBestSec = migSec * r.Capability().CostUnits
-		}
-	}
-	// Hysteresis, as MigratingAffinity: the move must beat staying by more
-	// than its own (cost-weighted) transfer time, or sessions ping-pong.
-	if migBest >= 0 && migBestScore+migBestSec < bestScore {
-		return Decision{Dest: migBest, From: src}
-	}
-	return Decision{Dest: best, From: -1}
-}
-
-// ModuloHash routes every request by hashing its stickiest key modulo the
-// replica count — the classic consistent-bucket baseline: perfect session
-// stickiness, zero load awareness, and a reshuffle of every home whenever
-// the active set changes size. It is the degenerate endpoint of
-// cache-aware routing (affinity with no load term) and the natural
-// baseline for the cache-directory experiment.
-type ModuloHash struct{}
-
-// NewModuloHash returns the policy.
-func NewModuloHash() *ModuloHash { return &ModuloHash{} }
-
-// Name implements Policy.
-func (p *ModuloHash) Name() string { return "ModuloHash" }
-
-// Pick implements Policy.
-func (p *ModuloHash) Pick(req RequestInfo, replicas []ReplicaView) int {
-	key := uint64(req.SessionKey)
-	if key == 0 {
-		key = uint64(req.SharedKey)
-	}
-	if key == 0 {
-		key = uint64(req.ID) // stateless: spread by request identity
-	}
-	return int(mix64(key) % uint64(len(replicas)))
-}
-
 // DirectoryAware policies route off the gateway's global cache directory
 // instead of probing every replica's cache. The gateway attaches its
 // directory when Config.Directory is on; unattached (directory off), the
@@ -532,78 +192,114 @@ type DirectoryLocator interface {
 	Index() int
 }
 
-// ContentAffinity is cache-content-aware routing over the global cache
-// directory: each replica is scored by the prefill miss the directory
-// says it would really compute — the request's block chain matched
-// against the replica's directory-resident blocks — plus its outstanding
-// load, the whole estimate inflated by queue depth (a deep queue delays
-// the prefill no matter how warm the cache is). Replicas whose context
-// envelope the prompt would not comfortably fit are ineligible, as in
-// CapabilityAffinity. Ties break to the larger overlap, then to the
-// hashed session home.
+// DefaultCapabilityHeadroom is the fraction of a replica's MaxContext a
+// request's prompt may comfortably occupy before the capability and
+// content presets stop routing there: a session needs room to grow across
+// turns and to coexist with other residents, so a prompt at, say, 80% of
+// a small replica's whole pool belongs on a longer-context kind even
+// though it would technically fit.
+const DefaultCapabilityHeadroom = 0.5
+
+// Affinity is the fleet's scored routing policy: it prices serving the
+// request on every candidate replica and routes to the cheapest. The
+// affinity presets (NewPrefixAffinity, NewMigratingAffinity,
+// NewCapabilityAffinity, NewContentAffinity) differ only in its terms:
 //
-// The contrast with PrefixAffinity is the information source:
-// PrefixAffinity probes every replica's cache omnisciently per request,
-// while ContentAffinity reads one gateway-side structure maintained by
-// residency events — the deployable version — and therefore also prices
-// partial overlaps (branch trunks, shared system prompts) that whole-key
-// probes undervalue, and composes with the cold tier (a directory hit at
-// DirCold becomes a fetch instead of a recompute).
-type ContentAffinity struct {
-	// LoadWeight converts outstanding tokens into score units relative to
-	// prefill tokens, as in PrefixAffinity.
-	LoadWeight float64
-	// QueueBias inflates a replica's score per queued request
-	// (multiplicative: score *= 1 + QueueBias*depth).
-	QueueBias float64
-	// Headroom is the comfortable fraction of MaxContext
-	// (DefaultCapabilityHeadroom when 0).
-	Headroom float64
+//   - Score: the prefill tokens the replica must compute (the prompt minus
+//     its resident overlap) plus a load weight times its outstanding
+//     tokens — or, capability-priced, those tokens as seconds at the
+//     replica kind's prefill rate, weighted by the kind's cost units.
+//   - Candidates: the replicas whose MaxContext the prompt fits within a
+//     headroom fraction (every replica, without one); when none fits, the
+//     widest envelope class — the one that fails least badly — scored so
+//     an oversize tail spreads, ties to the lowest index.
+//   - Overlap source: each replica's cache probe, or the global cache
+//     directory once one is attached (ContentAffinity).
+//   - Ties: the hashed session home, which plants a new session — and its
+//     prompt group — on a stable replica so the turns that follow find
+//     warm caches; the content preset prefers the larger overlap first.
+//   - Migration: optionally, moving the session's KV off its warmest
+//     holder when the link transfer beats the recompute it avoids —
+//     LoongServe's choice of KV movement over recomputation, across
+//     replicas.
+//
+// A sufficiently loaded home loses to a cold, idle replica: the
+// cache-affinity-vs-load balance the arodland/loadbalance simulation
+// studies.
+type Affinity struct {
+	name       string
+	loadWeight float64 // score units per outstanding token, relative to a prefill token
+	headroom   float64 // comfortable fraction of MaxContext; 0 = every replica fits
+	priced     bool    // capability pricing: cost-weighted service seconds
+	migrate    bool
+	overlapTie bool // score ties prefer the larger overlap before the home
 
-	dir *CacheDirectory
+	dir *CacheDirectory // the overlap source once attached (ContentAffinity)
 
-	// Last-pick explanation, read by the gateway's content-route emitter:
-	// the overlap tokens claimed at the chosen replica, its queue depth at
-	// pick time, and how many replicas were eligible.
-	lastClaim    int
-	lastQueue    int
-	lastEligible int
+	// The last pick's explanation (ContentAffinity.LastPick): the overlap
+	// claimed at the chosen replica and the number of candidates.
+	lastClaim, lastEligible int
 }
 
-// NewContentAffinity returns the policy with LoadWeight 0.4, QueueBias 0
-// and the default headroom. The low load weight is deliberate: directory
-// overlap is the signal this policy exists to exploit, so load only breaks
-// near-ties rather than dragging requests off their warm replicas; at
-// LoadWeight 1 the policy converges on PrefixAffinity's placements and the
-// directory buys nothing.
-func NewContentAffinity() *ContentAffinity {
-	return &ContentAffinity{LoadWeight: 0.4, Headroom: DefaultCapabilityHeadroom}
+// NewPrefixAffinity returns the token-priced preset: every replica is a
+// candidate, load weight 1 (a queued token costs as much as a cold prefill
+// token), no migration.
+func NewPrefixAffinity() *Affinity { return &Affinity{name: "PrefixAffinity", loadWeight: 1} }
+
+// NewMigratingAffinity returns PrefixAffinity with migration on, the link
+// transfer priced by the gateway in prefill-token equivalents: a session
+// moves exactly when the load gap between its warm home and an idle
+// replica exceeds the transfer cost.
+func NewMigratingAffinity() *Affinity {
+	return &Affinity{name: "MigratingAffinity", loadWeight: 1, migrate: true}
+}
+
+// NewCapabilityAffinity returns the heterogeneity-aware preset: scores are
+// cost-weighted service seconds, candidates are the replicas the prompt
+// fits within DefaultCapabilityHeadroom, and session KV migrates onto such
+// replicas when the link seconds beat the recompute they avoid. Long
+// prompts flow to long-context kinds because small kinds are not
+// candidates or are slow; short prompts flow to cheap kinds because a
+// short request takes nearly the same time anywhere and the cheap
+// replica's seconds cost less. On a homogeneous fleet the score is
+// PrefixAffinity's times a constant, so the two pick alike for prompts
+// that fit.
+func NewCapabilityAffinity() *Affinity {
+	return &Affinity{name: "CapabilityAffinity", loadWeight: 1, headroom: DefaultCapabilityHeadroom, priced: true, migrate: true}
 }
 
 // Name implements Policy.
-func (p *ContentAffinity) Name() string { return "ContentAffinity" }
+func (p *Affinity) Name() string { return p.name }
 
-// AttachDirectory implements DirectoryAware.
-func (p *ContentAffinity) AttachDirectory(d *CacheDirectory) { p.dir = d }
-
-// LastPick returns the explanation of the most recent Pick.
-func (p *ContentAffinity) LastPick() (claim, queue, eligible int) {
-	return p.lastClaim, p.lastQueue, p.lastEligible
+// Pick implements Policy.
+func (p *Affinity) Pick(req RequestInfo, replicas []ReplicaView) int {
+	best, _ := p.pick(req, replicas)
+	return best
 }
 
-func (p *ContentAffinity) headroom() float64 {
-	if p.Headroom > 0 {
-		return p.Headroom
+// fits reports whether req's prompt comfortably fits r's context envelope.
+func (p *Affinity) fits(req RequestInfo, r ReplicaView) bool {
+	return p.headroom == 0 || float64(req.InputLen) <= p.headroom*float64(r.Capability().MaxContext)
+}
+
+// score prices serving req on r with overlap tokens resident there, plus
+// extra (a pending migration's link cost, in the score's units).
+func (p *Affinity) score(req RequestInfo, overlap int, r ReplicaView, extra float64) float64 {
+	miss := float64(max(req.InputLen-overlap, 0))
+	if !p.priced {
+		return miss + extra + p.loadWeight*float64(r.OutstandingTokens())
 	}
-	return DefaultCapabilityHeadroom
+	c := r.Capability()
+	rate := c.PrefillRate
+	if rate <= 0 {
+		rate = 1
+	}
+	return ((miss+p.loadWeight*float64(r.OutstandingTokens()))/rate + extra) * c.CostUnits
 }
 
-// overlap is the directory's resident-prefix claim for req at view slot i,
-// falling back to the live cache probe when no directory is attached. The
-// directory location is the view's stable fleet index (DirectoryLocator),
-// not i: the active-views slice compacts over crashed and drained
-// replicas, so slot i can be a different replica than location i.
-func (p *ContentAffinity) overlap(req RequestInfo, i int, r ReplicaView) int {
+// overlap is the resident prefix of req at view slot i. The directory
+// location is the view's stable fleet index (DirectoryLocator), not i.
+func (p *Affinity) overlap(req RequestInfo, i int, r ReplicaView) int {
 	if p.dir == nil {
 		return r.CachedTokens(req)
 	}
@@ -612,48 +308,148 @@ func (p *ContentAffinity) overlap(req RequestInfo, i int, r ReplicaView) int {
 		loc = dl.Index()
 	}
 	if len(req.Blocks) > 0 {
-		o := p.dir.ChainOverlap(req.Blocks, loc)
-		if o > req.InputLen {
-			o = req.InputLen
-		}
-		return o
+		return min(p.dir.ChainOverlap(req.Blocks, loc), req.InputLen)
 	}
-	// Whole-key mode: the directory stores entry keys; the usable overlap
-	// is capped by the reusable prefix length, mirroring replica.lookup.
-	best := 0
+	// Whole-key mode: the directory stores entry keys; each claim is capped
+	// by its reusable prefix length, as replica.lookup caps its hits.
+	claim := 0
 	if req.SessionKey != 0 {
-		if t := p.dir.Tokens(uint64(req.SessionKey), loc); t > 0 {
-			if t > req.PrefixLen {
-				t = req.PrefixLen
-			}
-			best = t
-		}
+		claim = min(p.dir.Tokens(uint64(req.SessionKey), loc), req.PrefixLen)
 	}
 	if req.SharedKey != 0 {
-		if t := p.dir.Tokens(uint64(req.SharedKey), loc); t > 0 {
-			if t > req.SharedLen {
-				t = req.SharedLen
+		claim = max(claim, min(p.dir.Tokens(uint64(req.SharedKey), loc), req.SharedLen))
+	}
+	return claim
+}
+
+// pick returns the cheapest candidate and its score.
+func (p *Affinity) pick(req RequestInfo, replicas []ReplicaView) (int, float64) {
+	fallback, widest := true, 0
+	for _, r := range replicas {
+		if p.fits(req, r) {
+			fallback = false
+			break
+		}
+		widest = max(widest, r.Capability().MaxContext)
+	}
+	home := homeIndex(req, len(replicas))
+	if fallback {
+		home = -1 // fallback ties go to the lowest index
+	}
+	best, bestScore, bestOverlap := -1, 0.0, 0
+	p.lastEligible = 0
+	for i, r := range replicas {
+		if fallback {
+			if r.Capability().MaxContext != widest {
+				continue
 			}
-			if t > best {
-				best = t
+		} else if !p.fits(req, r) {
+			continue
+		}
+		p.lastEligible++
+		o := p.overlap(req, i, r)
+		s := p.score(req, o, r, 0)
+		better := best == -1 || s < bestScore
+		if !better && s == bestScore {
+			if p.overlapTie && !fallback && o != bestOverlap {
+				better = o > bestOverlap
+			} else {
+				better = i == home
 			}
 		}
+		if better {
+			best, bestScore, bestOverlap = i, s, o
+		}
 	}
-	return best
+	p.lastClaim = bestOverlap
+	return best, bestScore
 }
 
-// score prices serving req on r given its directory overlap.
-func (p *ContentAffinity) score(req RequestInfo, r ReplicaView, overlap int) float64 {
-	miss := req.InputLen - overlap
-	if miss < 0 {
-		miss = 0
+// PickMigrate implements MigrationAware. With migration on, the replica
+// holding the most of the session's KV may hand it to another replica that
+// fits, when serving there with the transfer paid beats the best stay by
+// more than the transfer itself: without that hysteresis, marginal load
+// gaps make sessions ping-pong between replicas, each bounce paying the
+// link for nothing.
+func (p *Affinity) PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrator) Decision {
+	best, bestScore := p.pick(req, replicas)
+	stay := Decision{Dest: best, From: -1}
+	if !p.migrate || req.SessionKey == 0 || len(replicas) < 2 {
+		return stay
 	}
-	s := float64(miss) + p.LoadWeight*float64(r.OutstandingTokens())
-	return s * (1 + p.QueueBias*float64(r.QueueDepth()))
+	src, cached := -1, 0
+	for i, r := range replicas {
+		if c := r.SessionTokens(req); c > cached {
+			src, cached = i, c
+		}
+	}
+	if src < 0 || src == best {
+		return stay
+	}
+	var cost float64
+	if p.priced {
+		cost = m.MigrationSeconds(cached)
+	} else {
+		cost = m.MigrationTokenCost(cached)
+	}
+	to, toScore := -1, 0.0
+	for i, r := range replicas {
+		if i == src || !p.fits(req, r) {
+			continue
+		}
+		if s := p.score(req, cached, r, cost); to == -1 || s < toScore {
+			to, toScore = i, s
+		}
+	}
+	if to < 0 {
+		return stay
+	}
+	hysteresis := cost
+	if p.priced {
+		hysteresis *= replicas[to].Capability().CostUnits
+	}
+	if toScore+hysteresis < bestScore {
+		return Decision{Dest: to, From: src}
+	}
+	return stay
 }
 
-// homeIndex hashes the request's stickiest key, as PrefixAffinity does.
-func (p *ContentAffinity) homeIndex(req RequestInfo, n int) int {
+// ContentAffinity is cache-content-aware routing: the Affinity preset that
+// routes off the gateway's global cache directory. Each replica's overlap
+// is the request's block chain matched against its directory-resident
+// blocks; the score adds 0.4 times its outstanding tokens, candidates fit
+// within DefaultCapabilityHeadroom, and score ties prefer the larger
+// overlap, then the home.
+//
+// The contrast with PrefixAffinity is the information source:
+// PrefixAffinity probes every replica's cache omnisciently per request,
+// while ContentAffinity reads one gateway-side structure maintained by
+// residency events — the deployable version — and therefore also prices
+// partial overlaps (branch trunks, shared system prompts) that whole-key
+// probes undervalue, and composes with the cold tier (a directory hit at
+// DirCold becomes a fetch instead of a recompute).
+type ContentAffinity struct{ Affinity }
+
+// NewContentAffinity returns the content preset. Its low load weight is
+// deliberate: directory overlap is the signal this policy exists to
+// exploit, so load only breaks near-ties rather than dragging requests off
+// their warm replicas; at load weight 1 the policy converges on
+// PrefixAffinity's placements and the directory buys nothing.
+func NewContentAffinity() *ContentAffinity {
+	return &ContentAffinity{Affinity{name: "ContentAffinity", loadWeight: 0.4, headroom: DefaultCapabilityHeadroom, overlapTie: true}}
+}
+
+// AttachDirectory implements DirectoryAware.
+func (p *ContentAffinity) AttachDirectory(d *CacheDirectory) { p.dir = d }
+
+// LastPick explains the most recent pick, for the gateway's content-route
+// event: the overlap tokens claimed at the chosen replica and how many
+// replicas were candidates.
+func (p *ContentAffinity) LastPick() (claim, eligible int) { return p.lastClaim, p.lastEligible }
+
+// homeIndex hashes the request's stickiest key (its session, else its
+// shared prompt) to a replica slot; -1 for a stateless request.
+func homeIndex(req RequestInfo, n int) int {
 	key := req.SessionKey
 	if key == 0 {
 		key = req.SharedKey
@@ -664,41 +460,26 @@ func (p *ContentAffinity) homeIndex(req RequestInfo, n int) int {
 	return int(mix64(uint64(key)) % uint64(n))
 }
 
+// ModuloHash routes every request by hashing its stickiest key modulo the
+// replica count — the classic consistent-bucket baseline: perfect session
+// stickiness, zero load awareness, and a reshuffle of every home whenever
+// the active set changes size. It is the degenerate endpoint of
+// cache-aware routing (affinity with no load term) and the natural
+// baseline for the cache-directory experiment.
+type ModuloHash struct{}
+
+// NewModuloHash returns the policy.
+func NewModuloHash() *ModuloHash { return &ModuloHash{} }
+
+// Name implements Policy.
+func (p *ModuloHash) Name() string { return "ModuloHash" }
+
 // Pick implements Policy.
-func (p *ContentAffinity) Pick(req RequestInfo, replicas []ReplicaView) int {
-	n := len(replicas)
-	head := p.headroom()
-	eligible := 0
-	for _, r := range replicas {
-		if float64(req.InputLen) <= head*float64(r.Capability().MaxContext) {
-			eligible++
-		}
+func (p *ModuloHash) Pick(req RequestInfo, replicas []ReplicaView) int {
+	if home := homeIndex(req, len(replicas)); home >= 0 {
+		return home
 	}
-	home := p.homeIndex(req, n)
-	best, bestScore, bestOverlap := -1, 0.0, 0
-	for i, r := range replicas {
-		// When nothing fits comfortably every replica stays a candidate —
-		// the request must land somewhere.
-		if eligible > 0 && float64(req.InputLen) > head*float64(r.Capability().MaxContext) {
-			continue
-		}
-		o := p.overlap(req, i, r)
-		score := p.score(req, r, o)
-		better := best == -1 || score < bestScore
-		if !better && score == bestScore {
-			better = o > bestOverlap || (o == bestOverlap && i == home)
-		}
-		if better {
-			best, bestScore, bestOverlap = i, score, o
-		}
-	}
-	p.lastClaim = bestOverlap
-	p.lastQueue = replicas[best].QueueDepth()
-	if eligible == 0 {
-		eligible = n
-	}
-	p.lastEligible = eligible
-	return best
+	return int(mix64(uint64(req.ID)) % uint64(len(replicas))) // stateless: spread by request identity
 }
 
 // ByName returns a fresh policy instance for a CLI-facing name.
@@ -725,13 +506,13 @@ func ByName(name string, seed int64) (Policy, error) {
 }
 
 // AllPolicies returns one fresh instance of every load/affinity policy, in
-// presentation order. CapabilityAffinity is deliberately not included: on
-// the homogeneous fleets this set is compared on it reduces to
-// PrefixAffinity's ordering, so the historical comparison tables keep
-// their exact rows; heterogeneous comparisons add it explicitly.
-// ContentAffinity and ModuloHash are likewise excluded for the same
-// table-stability reason — the cache-directory experiment compares them
-// explicitly.
+// presentation order. The capability preset is deliberately not included:
+// on the homogeneous fleets this set is compared on it picks as
+// PrefixAffinity does for every prompt that fits, so the historical
+// comparison tables keep their exact rows; heterogeneous comparisons add
+// it explicitly. ContentAffinity and ModuloHash are likewise excluded for
+// the same table-stability reason — the cache-directory experiment
+// compares them explicitly.
 func AllPolicies(seed int64) []Policy {
 	return []Policy{
 		NewRoundRobin(),

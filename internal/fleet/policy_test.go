@@ -7,14 +7,12 @@ import "testing"
 // behave as on a homogeneous fleet.
 type fakeReplica struct {
 	tokens  int
-	depth   int
 	cached  int
 	session int // session-owned portion of cached (0 = none movable)
 	cap     ReplicaCapability
 }
 
 func (f *fakeReplica) OutstandingTokens() int        { return f.tokens }
-func (f *fakeReplica) QueueDepth() int               { return f.depth }
 func (f *fakeReplica) CachedTokens(RequestInfo) int  { return f.cached }
 func (f *fakeReplica) SessionTokens(RequestInfo) int { return f.session }
 
@@ -311,5 +309,185 @@ func TestByNameCapability(t *testing.T) {
 		if err != nil || p.Name() != "CapabilityAffinity" {
 			t.Fatalf("ByName(%q) = %v, %v", name, p, err)
 		}
+	}
+}
+
+// locatedReplica is a fakeReplica whose stable fleet index differs from
+// its view slot, as in the gateway's compacted active set after churn.
+type locatedReplica struct {
+	fakeReplica
+	index int
+}
+
+func (l *locatedReplica) Index() int { return l.index }
+
+// homeOf is the view slot the affinity presets hash req's stickiest key to.
+func homeOf(req RequestInfo, n int) int {
+	key := req.SessionKey
+	if key == 0 {
+		key = req.SharedKey
+	}
+	return int(mix64(uint64(key)) % uint64(n))
+}
+
+// sessionHomedAt returns a session request whose hashed home among n
+// replicas is slot want.
+func sessionHomedAt(want, n int, req RequestInfo) RequestInfo {
+	for s := int64(1); ; s++ {
+		req.SessionKey = SessionKey(s)
+		if homeOf(req, n) == want {
+			return req
+		}
+	}
+}
+
+// TestAffinityPresets pins the rules that tell the four affinity presets
+// apart: which candidates compete, how score ties break, where the cached
+// overlap is read from, which presets route off the directory and which
+// move session KV.
+func TestAffinityPresets(t *testing.T) {
+	presets := map[string]func() Policy{
+		"prefix":     func() Policy { return NewPrefixAffinity() },
+		"migrate":    func() Policy { return NewMigratingAffinity() },
+		"capability": func() Policy { return NewCapabilityAffinity() },
+		"content":    func() Policy { return NewContentAffinity() },
+	}
+	big := ReplicaCapability{Kind: "big", GPUs: 8, CostUnits: 8, KVCapacity: 200_000, MaxContext: 200_000, PrefillRate: 40_000}
+	small := ReplicaCapability{Kind: "small", GPUs: 1, CostUnits: 1, KVCapacity: 100_000, MaxContext: 100_000, PrefillRate: 9_000}
+
+	cold := RequestInfo{InputLen: 1000, SessionKey: SessionKey(7)}
+	coldHome := homeOf(cold, 4)
+	idle := views(&fakeReplica{}, &fakeReplica{}, &fakeReplica{}, &fakeReplica{})
+	// Equal scores: the home slot is cold and idle; the other slot saves
+	// 1000 prefill tokens but carries load worth exactly that much at the
+	// preset's load weight (1, or 0.4 for content).
+	tie := sessionHomedAt(0, 2, RequestInfo{InputLen: 4000})
+	overlapTie := func(load int) []ReplicaView {
+		return views(&fakeReplica{}, &fakeReplica{cached: 1000, tokens: load})
+	}
+	// Whole-key directory: slot 0 claims its whole shared prompt (2400)
+	// over its short session entry; slot 2's long session entry is capped
+	// at PrefixLen 1800; slot 3's shared entry is capped at SharedLen and
+	// then loses on load; the probe (cached) points at slot 1, which the
+	// directory must override.
+	wholeKey := RequestInfo{InputLen: 4000, SessionKey: SessionKey(3), SharedKey: GroupKey(2), PrefixLen: 1800, SharedLen: 2400}
+	wholeKeyDir := func() *CacheDirectory {
+		d := NewCacheDirectory(100)
+		d.Set(uint64(wholeKey.SessionKey), 0, 500)
+		d.Set(uint64(wholeKey.SharedKey), 0, 2400)
+		d.Set(uint64(wholeKey.SessionKey), 1, 1500)
+		d.Set(uint64(wholeKey.SessionKey), 2, 9000)
+		d.Set(uint64(wholeKey.SharedKey), 3, 9000)
+		return d
+	}
+	// Radix directory, 100-token blocks: the non-home slot holds the whole
+	// three-block chain, the home two blocks; both claims cap at InputLen
+	// 200, so the overlap tie falls through to the home.
+	radixCap := sessionHomedAt(0, 2, RequestInfo{InputLen: 200, Blocks: []uint64{11, 12, 13}})
+	radixCapDir := func() *CacheDirectory {
+		d := NewCacheDirectory(100)
+		for _, b := range radixCap.Blocks[:2] {
+			d.Set(b, 0, 100)
+		}
+		for _, b := range radixCap.Blocks {
+			d.Set(b, 1, 100)
+		}
+		return d
+	}
+	// Radix directory read through DirectoryLocator: slot 1 is fleet
+	// replica 3, which holds the chain; location 0 holds it too, so a read
+	// at the view slot would pick slot 0.
+	located := RequestInfo{InputLen: 400, SessionKey: SessionKey(4), Blocks: []uint64{21, 22}}
+	locatedDir := func() *CacheDirectory {
+		d := NewCacheDirectory(100)
+		for _, b := range located.Blocks {
+			d.Set(b, 0, 100)
+			d.Set(b, 3, 100)
+		}
+		return d
+	}
+	// Nothing fits half of any envelope: the two big replicas compete,
+	// equally loaded, and the lower index wins although the home is the
+	// higher one and the idle small replicas would score lower.
+	oversize := sessionHomedAt(2, 4, RequestInfo{InputLen: 150_000})
+	oversizeViews := views(
+		&fakeReplica{cap: small},
+		&fakeReplica{tokens: 10, cap: big},
+		&fakeReplica{tokens: 10, cap: big},
+		&fakeReplica{cap: small},
+	)
+
+	cases := []struct {
+		name   string
+		preset string
+		dir    func() *CacheDirectory
+		req    RequestInfo
+		vs     []ReplicaView
+		want   int
+	}{
+		{"cold ties go to the home", "prefix", nil, cold, idle, coldHome},
+		{"cold ties go to the home", "migrate", nil, cold, idle, coldHome},
+		{"cold ties go to the home", "capability", nil, cold, idle, coldHome},
+		{"cold ties go to the home", "content", nil, cold, idle, coldHome},
+		{"score ties ignore overlap", "prefix", nil, tie, overlapTie(1000), 0},
+		{"score ties ignore overlap", "capability", nil, tie, overlapTie(1000), 0},
+		{"score ties go to the larger overlap first", "content", nil, tie, overlapTie(2500), 1},
+		{"unattached, it probes CachedTokens", "content", nil, sessionHomedAt(0, 3, RequestInfo{InputLen: 4000}),
+			views(&fakeReplica{}, &fakeReplica{}, &fakeReplica{cached: 3000}), 2},
+		{"whole-key claims: larger of session and shared, each capped", "content", wholeKeyDir, wholeKey,
+			views(&fakeReplica{}, &fakeReplica{cached: 4000}, &fakeReplica{}, &fakeReplica{tokens: 100}), 0},
+		{"radix claims cap at InputLen", "content", radixCapDir, radixCap, views(&fakeReplica{}, &fakeReplica{}), 0},
+		{"radix claims are read at the fleet index", "content", locatedDir, located,
+			[]ReplicaView{&locatedReplica{index: 5}, &locatedReplica{index: 3}}, 1},
+		{"nothing fits: widest class, lowest index", "capability", nil, oversize, oversizeViews, 1},
+	}
+	for _, c := range cases {
+		p := presets[c.preset]()
+		if c.dir != nil {
+			p.(DirectoryAware).AttachDirectory(c.dir())
+		}
+		if got := p.Pick(c.req, c.vs); got != c.want {
+			t.Errorf("%s: %s: pick %d, want %d", c.preset, c.name, got, c.want)
+		}
+	}
+
+	// A session warm on a swamped replica beside an idle one, over a cheap
+	// link: exactly the migrating presets move it.
+	warm := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5), PrefixLen: 3500}
+	swamped := views(&fakeReplica{tokens: 50_000, cached: 3500, session: 3500}, &fakeReplica{})
+	for name, want := range map[string]struct{ directory, migrates bool }{
+		"prefix":     {false, false},
+		"migrate":    {false, true},
+		"capability": {false, true},
+		"content":    {true, false},
+	} {
+		p := presets[name]()
+		_, directory := p.(DirectoryAware)
+		migrates := false
+		if ma, ok := p.(MigrationAware); ok {
+			migrates = ma.PickMigrate(warm, swamped, fixedMigrator{cost: 100}).From >= 0
+		}
+		if directory != want.directory || migrates != want.migrates {
+			t.Errorf("%s: DirectoryAware %v, migrates %v; want %v, %v", name, directory, migrates, want.directory, want.migrates)
+		}
+	}
+}
+
+// TestContentFallbackMatchesCapability pins the one rule that changed when
+// the affinity policies became presets of one scorer: with no replica
+// fitting half its envelope, content routing no longer scores every
+// replica but takes capability's fallback, the widest-envelope class with
+// ties to the lowest index.
+func TestContentFallbackMatchesCapability(t *testing.T) {
+	big := ReplicaCapability{Kind: "big", GPUs: 8, CostUnits: 8, KVCapacity: 200_000, MaxContext: 200_000, PrefillRate: 40_000}
+	small := ReplicaCapability{Kind: "small", GPUs: 1, CostUnits: 1, KVCapacity: 100_000, MaxContext: 100_000, PrefillRate: 9_000}
+	req := sessionHomedAt(2, 4, RequestInfo{InputLen: 150_000})
+	vs := views(&fakeReplica{cap: small}, &fakeReplica{tokens: 10, cap: big}, &fakeReplica{tokens: 10, cap: big}, &fakeReplica{cap: small})
+	p := NewContentAffinity()
+	if got := p.Pick(req, vs); got != 1 {
+		t.Fatalf("content fallback picked %d, want the lower-index big replica 1", got)
+	}
+	if claim, eligible := p.LastPick(); claim != 0 || eligible != 2 {
+		t.Fatalf("LastPick = (%d, %d), want (0, 2): only the widest class competes", claim, eligible)
 	}
 }
