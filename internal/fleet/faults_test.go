@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"loongserve/internal/controlplane"
 	"loongserve/internal/kvcache"
 	"loongserve/internal/obs"
 	"loongserve/internal/obs/analyze"
@@ -249,58 +250,92 @@ func TestHedgeDuplicatesStragglerExactly(t *testing.T) {
 	}
 }
 
-// TestControlPlaneLifecycleStats is the tentpole's re-homing acceptance
-// test: every lifecycle transition rides the typed control plane, so the
-// manager's wire stats move in lockstep with gateway operations — configs
-// on construction and scale-up, commands on every membership change, and
-// the Nak/resend repair when an instance's metadata cache is wiped.
+// TestControlPlaneLifecycleStats pins the manager's exact wire traffic for
+// two lifecycle scripts: every lifecycle transition rides the typed control
+// plane, so configs (one per member at construction, one per joining
+// instance), scale plans (one per live member of the old and new
+// membership) and the Nak/resend repair of a wiped metadata cache are all
+// counted. A crashed instance is skipped by every later push.
 func TestControlPlaneLifecycleStats(t *testing.T) {
-	sim := simevent.New()
-	g, err := NewGateway(Config{Groups: toyFleet(2), Policy: NewRoundRobin()}, sim)
-	if err != nil {
-		t.Fatal(err)
+	type step struct {
+		at time.Duration
+		do func(g *Gateway) error
 	}
-	st := g.ControlStats()
-	if st.ConfigsSent != 2 {
-		t.Fatalf("configs sent at construction = %d, want 2 (one per member)", st.ConfigsSent)
-	}
-	if st.Naks != 0 || st.Resends != 0 {
-		t.Fatalf("fresh control plane already repaired something: %+v", st)
-	}
-
-	sim.At(0, func() {
-		if _, err := g.AddReplica(g.refKind, 10*time.Millisecond); err != nil {
-			t.Errorf("add: %v", err)
+	add := func(warmup time.Duration) func(*Gateway) error {
+		return func(g *Gateway) error {
+			_, err := g.AddReplica(g.refKind, warmup)
+			return err
 		}
-	})
-	sim.At(simevent.Time(20*time.Millisecond), func() {
-		if err := g.DropControlCaches(1); err != nil {
-			t.Errorf("cache drop: %v", err)
-		}
-	})
-	sim.At(simevent.Time(21*time.Millisecond), func() {
-		if err := g.DrainReplica(2); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
 	}
-
-	if g.replicas[2].state != ReplicaRetired {
-		t.Fatalf("drained replica state %v, want retired", g.replicas[2].state)
+	dropCaches := func(idx int) func(*Gateway) error {
+		return func(g *Gateway) error { return g.DropControlCaches(idx) }
 	}
-	st = g.ControlStats()
-	if st.ConfigsSent <= 2 {
-		t.Fatalf("scale-up pushed no configs: %+v", st)
+	drain := func(idx int) func(*Gateway) error {
+		return func(g *Gateway) error { return g.DrainReplica(idx) }
 	}
-	if st.Commands < 3 {
-		t.Fatalf("membership changes sent %d commands, want >= 3 scale plans", st.Commands)
+	crash := func(idx int) func(*Gateway) error {
+		return func(g *Gateway) error { return g.CrashReplica(idx) }
 	}
-	if st.Naks < 1 || st.Resends < 1 {
-		t.Fatalf("cache drop drew no Nak/resend repair: %+v", st)
+	cases := []struct {
+		name     string
+		replicas int
+		steps    []step
+		drained  int
+		want     controlplane.Stats
+	}{
+		{
+			name:     "scale-up, cache drop, drain",
+			replicas: 2,
+			steps: []step{
+				{0, add(10 * time.Millisecond)},
+				{20 * time.Millisecond, dropCaches(1)},
+				{21 * time.Millisecond, drain(2)},
+			},
+			drained: 2,
+			want:    controlplane.Stats{ConfigsSent: 4, Commands: 7, Resends: 1, Naks: 1},
+		},
+		{
+			name:     "crash repair",
+			replicas: 3,
+			steps: []step{
+				{time.Millisecond, crash(0)},
+				{2 * time.Millisecond, dropCaches(1)},
+				{3 * time.Millisecond, add(time.Millisecond)},
+				{5 * time.Millisecond, drain(3)},
+			},
+			drained: 3,
+			want:    controlplane.Stats{ConfigsSent: 5, Commands: 9, Resends: 1, Naks: 1},
+		},
 	}
-	g.Finalize()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := simevent.New()
+			g, err := NewGateway(Config{Groups: toyFleet(tc.replicas), Policy: NewRoundRobin()}, sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, want := g.ControlStats(), (controlplane.Stats{ConfigsSent: tc.replicas}); st != want {
+				t.Fatalf("stats at construction = %+v, want %+v (one config per member)", st, want)
+			}
+			for _, s := range tc.steps {
+				sim.At(simevent.Time(s.at), func() {
+					if err := s.do(g); err != nil {
+						t.Errorf("step at %v: %v", s.at, err)
+					}
+				})
+			}
+			if err := g.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if st := g.replicas[tc.drained].state; st != ReplicaRetired {
+				t.Fatalf("drained replica state %v, want retired", st)
+			}
+			if st := g.ControlStats(); st != tc.want {
+				t.Fatalf("control-plane stats = %+v, want %+v", st, tc.want)
+			}
+			g.Finalize()
+		})
+	}
 }
 
 // chaosConfig builds a fresh 4-replica hedged config with the chaos fault
