@@ -326,6 +326,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loongserve-fleet: -shards must be >= 0")
 		os.Exit(2)
 	}
+	if *sampleEvery <= 0 {
+		fmt.Fprintln(os.Stderr, "loongserve-fleet: -sample must be > 0")
+		os.Exit(2)
+	}
 
 	scripts := workload.SessionScripts(cfg, *seed)
 	trace := workload.OpenLoopTrace(scripts)

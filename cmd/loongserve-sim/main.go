@@ -55,6 +55,14 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
+		if *n < 1 {
+			fmt.Fprintln(os.Stderr, "loongserve-sim: -n must be >= 1")
+			os.Exit(2)
+		}
+		if !(*rate > 0) {
+			fmt.Fprintln(os.Stderr, "loongserve-sim: -rate must be > 0")
+			os.Exit(2)
+		}
 		trace = workload.PoissonTrace(dataset, *rate, *n, *seed)
 	}
 	if *saveTrace != "" {

@@ -95,6 +95,11 @@ func main() {
 		return
 	}
 
+	if *sampleEvery <= 0 {
+		fmt.Fprintln(os.Stderr, "loongserve-trace: -sample must be > 0")
+		os.Exit(2)
+	}
+
 	var dataset workload.Dataset
 	switch strings.ToLower(*ds) {
 	case "sharegpt":
@@ -121,6 +126,14 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
+		if *n < 1 {
+			fmt.Fprintln(os.Stderr, "loongserve-trace: -n must be >= 1")
+			os.Exit(2)
+		}
+		if !(*rate > 0) {
+			fmt.Fprintln(os.Stderr, "loongserve-trace: -rate must be > 0")
+			os.Exit(2)
+		}
 		trace = workload.PoissonTrace(dataset, *rate, *n, *seed)
 	}
 

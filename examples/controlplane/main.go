@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 
 	"loongserve/internal/controlplane"
 	"loongserve/internal/kvcache"
@@ -20,25 +19,13 @@ import (
 func main() {
 	const n = 4
 	mgr := controlplane.NewManager()
+	defer mgr.Close()
 	mirrors := make([]*controlplane.MirrorHandler, n)
-	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		mc, ic := controlplane.Pipe()
 		mirrors[i] = controlplane.NewMirrorHandler(kvcache.InstanceID(i), 100_000)
-		srv := controlplane.NewInstanceServer(kvcache.InstanceID(i), ic, mirrors[i])
-		mgr.AddInstance(kvcache.InstanceID(i), mc)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := srv.Serve(); err != nil {
-				log.Printf("instance: %v", err)
-			}
-		}()
+		srv := controlplane.NewInstanceServer(kvcache.InstanceID(i), mirrors[i])
+		mgr.AddInstance(kvcache.InstanceID(i), controlplane.Inline(srv))
 	}
-	defer func() {
-		mgr.Close()
-		wg.Wait()
-	}()
 
 	show := func(stage string) {
 		fmt.Printf("%-34s", stage)

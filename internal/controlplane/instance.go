@@ -28,21 +28,21 @@ type Handler interface {
 
 // InstanceServer is the control-plane endpoint living on each elastic
 // instance's rank 0. It maintains the ESP metadata cache and answers the
-// manager's commands.
+// manager's commands. It owns no transport: Handle answers one message, and
+// a connection reaches it either through Serve (a Recv-Handle-Send loop, as
+// over TCP) or through Inline, which calls Handle on the sender's stack.
 type InstanceServer struct {
 	ID      kvcache.InstanceID
-	conn    Conn
 	handler Handler
 
 	mu    sync.Mutex
 	cache map[GroupID]*GroupConfig
 }
 
-// NewInstanceServer builds a server for one instance over conn.
-func NewInstanceServer(id kvcache.InstanceID, conn Conn, h Handler) *InstanceServer {
+// NewInstanceServer builds a server for one instance.
+func NewInstanceServer(id kvcache.InstanceID, h Handler) *InstanceServer {
 	return &InstanceServer{
 		ID:      id,
-		conn:    conn,
 		handler: h,
 		cache:   make(map[GroupID]*GroupConfig),
 	}
@@ -71,19 +71,23 @@ func (s *InstanceServer) DropCaches() {
 	s.mu.Unlock()
 }
 
-// Serve processes commands until the connection closes. It returns nil on
-// clean shutdown (manager closed the channel) and the first transport error
-// otherwise.
-func (s *InstanceServer) Serve() error {
+// Serve answers the commands arriving on conn until it closes. It returns
+// nil on clean shutdown (manager closed the channel) and the first
+// transport or protocol error otherwise.
+func (s *InstanceServer) Serve(conn Conn) error {
 	for {
-		msg, err := s.conn.Recv()
+		msg, err := conn.Recv()
 		if err != nil {
 			if err == io.EOF {
 				return nil
 			}
 			return err
 		}
-		if err := s.dispatch(msg); err != nil {
+		reply, err := s.Handle(msg)
+		if err != nil {
+			return err
+		}
+		if err := conn.Send(reply); err != nil {
 			return err
 		}
 	}
@@ -109,15 +113,19 @@ func (s *InstanceServer) lookup(ref Epoched) (*GroupConfig, NakCode, bool) {
 	}
 }
 
-func (s *InstanceServer) ack(seq uint64) error {
-	return s.conn.Send(&Ack{Seq: seq, Instance: s.ID})
+func (s *InstanceServer) ack(seq uint64) (Message, error) {
+	return &Ack{Seq: seq, Instance: s.ID}, nil
 }
 
-func (s *InstanceServer) nak(seq uint64, code NakCode, ref Epoched) error {
-	return s.conn.Send(&Nak{Seq: seq, Instance: s.ID, Code: code, Group: ref})
+func (s *InstanceServer) nak(seq uint64, code NakCode, ref Epoched) (Message, error) {
+	return &Nak{Seq: seq, Instance: s.ID, Code: code, Group: ref}, nil
 }
 
-func (s *InstanceServer) dispatch(msg Message) error {
+// Handle executes one manager message against the metadata cache and the
+// handler, and returns the instance's reply: an Ack, or a Nak naming why
+// the message was refused. A message the manager never sends an instance
+// (an Ack or a Nak) is an error.
+func (s *InstanceServer) Handle(msg Message) (Message, error) {
 	switch m := msg.(type) {
 	case *GroupConfig:
 		if err := m.Validate(); err != nil {
@@ -204,7 +212,7 @@ func (s *InstanceServer) dispatch(msg Message) error {
 		}
 		return s.ack(m.Seq)
 	}
-	return fmt.Errorf("controlplane: instance %d received unexpected %v", s.ID, msg.Type())
+	return nil, fmt.Errorf("controlplane: instance %d received unexpected %v", s.ID, msg.Type())
 }
 
 // NopHandler accepts every command without side effects; useful for

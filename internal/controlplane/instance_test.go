@@ -6,22 +6,14 @@ import (
 	"loongserve/internal/kvcache"
 )
 
-// rawInstance runs an InstanceServer over a pipe and hands the test the
-// manager-side conn for scripted, message-level protocol checks that the
-// Manager's validation would otherwise never let onto the wire.
+// rawInstance hands the test an in-line conn to an InstanceServer for
+// scripted, message-level protocol checks that the Manager's validation
+// would otherwise never let onto the wire.
 func rawInstance(t *testing.T, id kvcache.InstanceID, h Handler) Conn {
 	t.Helper()
-	mc, ic := Pipe()
-	srv := NewInstanceServer(id, ic, h)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve() }()
-	t.Cleanup(func() {
-		mc.Close()
-		if err := <-done; err != nil {
-			t.Errorf("instance serve: %v", err)
-		}
-	})
-	return mc
+	c := Inline(NewInstanceServer(id, h))
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 func rpc(t *testing.T, c Conn, msg Message) Message {

@@ -67,15 +67,6 @@ func (m *Manager) RemoveInstance(id kvcache.InstanceID) {
 	}
 }
 
-// instLock returns the per-connection lock; operations on disjoint groups
-// proceed concurrently, while two commands to the same instance serialize
-// so request/reply pairs never interleave on one conn.
-func (m *Manager) instLock(id kvcache.InstanceID) *sync.Mutex {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.locks[id]
-}
-
 // Stats returns a snapshot of the traffic counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
@@ -136,50 +127,34 @@ func (m *Manager) CreateGroup(id GroupID, members []kvcache.InstanceID, tp int) 
 	return m.pushConfigs(cfg, members)
 }
 
-// pushConfigs sends cfg to every listed instance that does not already
-// cache its epoch, and waits for acks. Instances with no registered
-// connection (crashed, RemoveInstance'd) are skipped — a dead instance
-// cannot cache anything, and failing the whole push would wedge the
-// survivors.
+// pushConfigs sends cfg, in member order, to every listed instance that
+// does not already cache its epoch, and waits for each ack. Instances with
+// no registered connection (crashed, RemoveInstance'd) are skipped — a
+// dead instance cannot cache anything, and failing the whole push would
+// wedge the survivors. Every live stale member is pushed to; the first
+// error is returned.
 func (m *Manager) pushConfigs(cfg *GroupConfig, members []kvcache.InstanceID) error {
-	var stale []kvcache.InstanceID
-	m.mu.Lock()
+	var first error
 	for _, inst := range members {
-		if m.conns[inst] == nil {
+		m.mu.Lock()
+		lk := m.locks[inst]
+		stale := lk != nil && m.known[inst][cfg.Group.ID] != cfg.Group.Epoch
+		m.mu.Unlock()
+		if !stale {
 			continue
 		}
-		if m.known[inst][cfg.Group.ID] != cfg.Group.Epoch {
-			stale = append(stale, inst)
+		lk.Lock()
+		err := m.sendConfig(inst, cfg)
+		lk.Unlock()
+		if err != nil && first == nil {
+			first = err
 		}
 	}
-	m.mu.Unlock()
-	var wg sync.WaitGroup
-	errs := make([]error, len(stale))
-	for i, inst := range stale {
-		wg.Add(1)
-		go func(i int, inst kvcache.InstanceID) {
-			defer wg.Done()
-			lk := m.instLock(inst)
-			if lk == nil { // removed since the stale scan: dead, skip
-				return
-			}
-			lk.Lock()
-			defer lk.Unlock()
-			errs[i] = m.sendConfig(inst, cfg)
-		}(i, inst)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return first
 }
 
 // sendConfig pushes one config to one instance and awaits the ack. The
-// caller must hold the instance lock (command does; pushConfigs locks
-// explicitly via sendConfigLocked).
+// caller must hold the instance lock (command and pushConfigs do).
 func (m *Manager) sendConfig(inst kvcache.InstanceID, cfg *GroupConfig) error {
 	m.mu.Lock()
 	conn := m.conns[inst]
@@ -271,33 +246,25 @@ func (m *Manager) command(inst kvcache.InstanceID, cfg *GroupConfig, msg Message
 	}
 }
 
-// broadcast sends msg to every member concurrently and collects the first
-// error. Members with no registered connection (crashed instances removed
-// via RemoveInstance) are skipped: the fleet survives a member's death,
-// and the caller repairs the membership with Scale.
+// broadcast sends msg to every member in order and returns the first
+// error, after every live member has received it. Members with no
+// registered connection (crashed instances removed via RemoveInstance) are
+// skipped: the fleet survives a member's death, and the caller repairs the
+// membership with Scale.
 func (m *Manager) broadcast(cfg *GroupConfig, members []kvcache.InstanceID, msg Message, seq uint64) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(members))
-	for i, inst := range members {
+	var first error
+	for _, inst := range members {
 		m.mu.Lock()
 		alive := m.conns[inst] != nil
 		m.mu.Unlock()
 		if !alive {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, inst kvcache.InstanceID) {
-			defer wg.Done()
-			errs[i] = m.command(inst, cfg, msg, seq)
-		}(i, inst)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+		if err := m.command(inst, cfg, msg, seq); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // lookupGroup fetches the authoritative config.

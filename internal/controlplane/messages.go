@@ -15,9 +15,9 @@
 //   - an explicit ESP-metadata cache protocol: group membership is sent once
 //     per epoch and later commands carry only a (group, epoch) reference,
 //     with a NAK/resend path for cache misses (instance.go, manager.go);
-//   - two interchangeable transports, an in-process pipe and framed TCP
-//     (transport.go), so the same protocol runs in tests and across real
-//     sockets.
+//   - two interchangeable transports (transport.go): an in-line conn that
+//     calls the instance server on the sender's stack, and framed TCP, so
+//     the same protocol bytes drive in-process runs and real sockets.
 package controlplane
 
 import (

@@ -8,39 +8,24 @@ import (
 	"loongserve/internal/kvcache"
 )
 
-// testCluster wires a manager to n mirror instances over pipes and runs
-// each instance server in a goroutine.
+// testCluster wires a manager to n mirror instances over in-line conns.
 type testCluster struct {
 	m       *Manager
 	mirrors []*MirrorHandler
 	servers []*InstanceServer
-	conns   []Conn // manager-side handles, for restart tests
-	wg      sync.WaitGroup
 }
 
 func newTestCluster(t *testing.T, n, capacity int) *testCluster {
 	t.Helper()
 	tc := &testCluster{m: NewManager()}
 	for i := 0; i < n; i++ {
-		mc, ic := Pipe()
 		mir := NewMirrorHandler(kvcache.InstanceID(i), capacity)
-		srv := NewInstanceServer(kvcache.InstanceID(i), ic, mir)
-		tc.m.AddInstance(kvcache.InstanceID(i), mc)
+		srv := NewInstanceServer(kvcache.InstanceID(i), mir)
+		tc.m.AddInstance(kvcache.InstanceID(i), Inline(srv))
 		tc.mirrors = append(tc.mirrors, mir)
 		tc.servers = append(tc.servers, srv)
-		tc.conns = append(tc.conns, ic)
-		tc.wg.Add(1)
-		go func(s *InstanceServer) {
-			defer tc.wg.Done()
-			if err := s.Serve(); err != nil {
-				t.Errorf("instance %d: %v", s.ID, err)
-			}
-		}(srv)
 	}
-	t.Cleanup(func() {
-		tc.m.Close()
-		tc.wg.Wait()
-	})
+	t.Cleanup(func() { tc.m.Close() })
 	return tc
 }
 
@@ -302,12 +287,12 @@ func TestProtocolOverTCP(t *testing.T) {
 		}
 		ic := <-accepted
 		mirrors[i] = NewMirrorHandler(kvcache.InstanceID(i), 10_000)
-		srv := NewInstanceServer(kvcache.InstanceID(i), ic, mirrors[i])
+		srv := NewInstanceServer(kvcache.InstanceID(i), mirrors[i])
 		m.AddInstance(kvcache.InstanceID(i), mc)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = srv.Serve() // exits with a transport error after Close
+			_ = srv.Serve(ic) // exits with a transport error after Close
 		}()
 	}
 	defer func() {

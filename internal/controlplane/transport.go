@@ -11,12 +11,14 @@ import (
 
 // Conn is a reliable, ordered, message-oriented duplex channel between the
 // global manager and one elastic instance (rank 0). The paper runs this
-// over Ray RPC; tests and single-process deployments use Pipe, while
-// multi-process deployments use the TCP framing below.
+// over Ray RPC; in-process deployments, the fleet simulator among them,
+// use Inline, while multi-process deployments use the TCP framing below.
 type Conn interface {
 	// Send transmits one encoded message.
 	Send(msg Message) error
-	// Recv blocks for the next message. It returns io.EOF after Close.
+	// Recv returns the next message, waiting for it where the transport
+	// can (Inline's Recv never waits). After Close it returns io.EOF once
+	// nothing is queued.
 	Recv() (Message, error)
 	// Close releases the channel; pending Recvs unblock with io.EOF.
 	Close() error
@@ -26,91 +28,83 @@ type Conn interface {
 // retention plan encodes in well under 8 MiB.
 const maxFrame = 16 << 20
 
-// --- in-process pipe -------------------------------------------------------
+// --- in-line --------------------------------------------------------------
 
-type pipeConn struct {
-	out chan<- []byte
-	in  <-chan []byte
+// inlineConn is the manager's end of a connection whose instance server
+// runs on the sender's stack.
+type inlineConn struct {
+	srv *InstanceServer
 
+	// mu serializes Sends, so the server answers one message at a time as
+	// its Serve loop would. It also guards the fields below, because
+	// Manager.RemoveInstance closes a conn without the instance's lock.
 	mu     sync.Mutex
 	closed bool
-	done   chan struct{}
-	peer   *pipeConn
+	buf    []byte    // encode buffer, reused: Decode copies out of it
+	queue  []Message // replies not yet Recv'd
 }
 
-// Pipe returns a connected pair of in-process Conns. Messages are encoded
-// through the wire codec even in-process so tests exercise exactly the
-// bytes the TCP transport would carry.
-func Pipe() (Conn, Conn) {
-	ab := make(chan []byte, 64)
-	ba := make(chan []byte, 64)
-	a := &pipeConn{out: ab, in: ba, done: make(chan struct{})}
-	b := &pipeConn{out: ba, in: ab, done: make(chan struct{})}
-	a.peer, b.peer = b, a
-	return a, b
+// Inline returns a Conn to srv that needs no goroutine. Send encodes the
+// message through the wire codec and decodes it again, calls srv.Handle on
+// the caller's stack, round-trips the reply through the codec too, and
+// queues it for Recv, so in-process runs carry exactly the bytes the TCP
+// transport would. Recv never blocks: with no reply pending it returns an
+// error, because nothing can arrive later.
+func Inline(srv *InstanceServer) Conn {
+	return &inlineConn{srv: srv}
 }
 
-func (c *pipeConn) Send(msg Message) error {
-	buf, err := Encode(nil, msg)
+func (c *inlineConn) Send(msg Message) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return fmt.Errorf("controlplane: send on closed inline conn to instance %d", c.srv.ID)
+	}
+	in, err := c.wire(msg)
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return fmt.Errorf("controlplane: send on closed pipe")
+	reply, err := c.srv.Handle(in)
+	if err != nil {
+		return err
 	}
-	// Check the done channels before the blocking select: with buffer room
-	// available, the three-way select below would otherwise pick the send
-	// arm at random even when a close already happened, letting a message
-	// slip into a pipe whose reader has given up.
-	select {
-	case <-c.done:
-		return fmt.Errorf("controlplane: send on closed pipe")
-	case <-c.peer.done:
-		return fmt.Errorf("controlplane: peer closed")
-	default:
+	if reply, err = c.wire(reply); err != nil {
+		return err
 	}
-	select {
-	case c.out <- buf:
-		return nil
-	case <-c.done:
-		return fmt.Errorf("controlplane: send on closed pipe")
-	case <-c.peer.done:
-		return fmt.Errorf("controlplane: peer closed")
-	}
+	c.queue = append(c.queue, reply)
+	return nil
 }
 
-func (c *pipeConn) Recv() (Message, error) {
-	select {
-	case buf := <-c.in:
-		return Decode(buf)
-	case <-c.done:
-		// Drain anything already queued before reporting EOF.
-		select {
-		case buf := <-c.in:
-			return Decode(buf)
-		default:
-			return nil, io.EOF
-		}
-	case <-c.peer.done:
-		select {
-		case buf := <-c.in:
-			return Decode(buf)
-		default:
-			return nil, io.EOF
-		}
+// wire round-trips msg through the codec.
+func (c *inlineConn) wire(msg Message) (Message, error) {
+	buf, err := Encode(c.buf[:0], msg)
+	if err != nil {
+		return nil, err
 	}
+	c.buf = buf
+	return Decode(buf)
 }
 
-func (c *pipeConn) Close() error {
+func (c *inlineConn) Recv() (Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.closed {
-		c.closed = true
-		close(c.done)
+	if len(c.queue) == 0 {
+		if c.closed {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("controlplane: recv on inline conn to instance %d with no reply pending", c.srv.ID)
 	}
+	msg := c.queue[0]
+	n := copy(c.queue, c.queue[1:])
+	c.queue[n] = nil
+	c.queue = c.queue[:n]
+	return msg, nil
+}
+
+func (c *inlineConn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
 	return nil
 }
 

@@ -1,9 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-	"sync"
-
 	"loongserve/internal/controlplane"
 	"loongserve/internal/kvcache"
 )
@@ -15,43 +12,33 @@ const fleetGroup controlplane.GroupID = 1
 
 // fleetControl is the gateway's control plane: one controlplane.Manager on
 // the fleet side, one controlplane.InstanceServer per replica, connected by
-// in-process pipes carrying the real wire encoding. Replica lifecycle
+// in-line conns carrying the real wire encoding. Replica lifecycle
 // transitions are not direct field writes — they are the instance servers'
 // reaction to ScalePlans, so epochs, acks/naks and metadata-cache resends
 // are exercised by every fleet run, and fault injection (DropCaches,
 // RemoveInstance) perturbs exactly the state a real deployment would lose.
 //
-// Concurrency: each instance server runs on its own goroutine, but the sim
-// goroutine blocks inside Manager.Scale until every member has acked, and
-// the ack rides the same pipe the handler's state write preceded — so
-// replica state read after scale() returns is happens-after the handler's
-// write, with no extra locking.
+// Everything runs on the simulation goroutine: Manager.Scale hands each
+// ScalePlan to every member's handler on the caller's stack, so replica
+// state has changed by the time scale() returns, and the control plane
+// starts no goroutine.
 type fleetControl struct {
 	mgr     *controlplane.Manager
 	servers []*controlplane.InstanceServer
-	wg      sync.WaitGroup
-	closed  bool
 }
 
 func newFleetControl() *fleetControl {
 	return &fleetControl{mgr: controlplane.NewManager()}
 }
 
-// register wires a new replica into the control plane: a pipe pair, the
-// manager-side registration, and the replica's instance server with a
-// lifecycle handler that flips the replica's state on ScalePlans.
+// register wires a new replica into the control plane: its instance
+// server, with a lifecycle handler that flips the replica's state on
+// ScalePlans, and the manager-side registration of an in-line conn to it.
 func (fc *fleetControl) register(rep *replica) {
-	mc, ic := controlplane.Pipe()
-	fc.mgr.AddInstance(kvcache.InstanceID(rep.index), mc)
-	srv := controlplane.NewInstanceServer(kvcache.InstanceID(rep.index), ic, &lifecycleHandler{rep: rep})
+	id := kvcache.InstanceID(rep.index)
+	srv := controlplane.NewInstanceServer(id, &lifecycleHandler{rep: rep})
+	fc.mgr.AddInstance(id, controlplane.Inline(srv))
 	fc.servers = append(fc.servers, srv)
-	fc.wg.Add(1)
-	go func() {
-		defer fc.wg.Done()
-		if err := srv.Serve(); err != nil {
-			panic(fmt.Sprintf("fleet: instance server %d: %v", rep.index, err))
-		}
-	}()
 }
 
 // createGroup installs the initial membership at epoch 1.
@@ -66,7 +53,7 @@ func (fc *fleetControl) scale(kind controlplane.ScaleKind, members []kvcache.Ins
 }
 
 // remove tears down a crashed replica's connection: the manager stops
-// commanding it, and its serve loop exits on EOF.
+// commanding it.
 func (fc *fleetControl) remove(idx int) {
 	fc.mgr.RemoveInstance(kvcache.InstanceID(idx))
 }
@@ -79,17 +66,6 @@ func (fc *fleetControl) dropCaches(idx int) {
 }
 
 func (fc *fleetControl) stats() controlplane.Stats { return fc.mgr.Stats() }
-
-// close shuts every connection down and waits for the serve loops to exit.
-// Idempotent: Finalize and constructor error paths both call it.
-func (fc *fleetControl) close() {
-	if fc.closed {
-		return
-	}
-	fc.closed = true
-	fc.mgr.Close()
-	fc.wg.Wait()
-}
 
 // lifecycleHandler reacts to control-plane messages on behalf of one
 // replica. Only ScalePlans matter to the lifecycle: a plan listing the

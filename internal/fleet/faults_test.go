@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -334,6 +336,55 @@ func TestControlPlaneLifecycleStats(t *testing.T) {
 				t.Fatalf("control-plane stats = %+v, want %+v", st, tc.want)
 			}
 			g.Finalize()
+		})
+	}
+}
+
+// TestFleetRunStartsNoGoroutines holds DESIGN.md's "no goroutines in the
+// simulated path": a fleet run on the inline runner (Shards 0 or 1), with a
+// replica scaled up and another drained through the control plane, has no
+// more goroutines mid-run than before its gateway was built.
+func TestFleetRunStartsNoGoroutines(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			sim := simevent.New()
+			g, err := NewGateway(Config{Groups: toyFleet(3), Policy: NewRoundRobin(), Shards: shards}, sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 30 requests of 300us each keep every replica busy for ~3ms.
+			for i := 1; i <= 30; i++ {
+				submitAt(sim, g, i, workload.Entry{InputLen: 100, OutputLen: 10}, 0)
+			}
+			sim.At(0, func() {
+				if _, err := g.AddReplica(g.refKind, 100*time.Microsecond); err != nil {
+					t.Errorf("add: %v", err)
+				}
+			})
+			sim.At(simevent.Time(200*time.Microsecond), func() {
+				if err := g.DrainReplica(0); err != nil {
+					t.Errorf("drain: %v", err)
+				}
+			})
+			mid := -1
+			sim.At(simevent.Time(500*time.Microsecond), func() {
+				if g.replicas[3].state != ReplicaActive || g.replicas[0].state != ReplicaDraining {
+					t.Errorf("replica states %v/%v mid-run, want active/draining",
+						g.replicas[3].state, g.replicas[0].state)
+				}
+				mid = runtime.NumGoroutine()
+			})
+			if err := g.Run(); err != nil {
+				t.Fatal(err)
+			}
+			g.Finalize()
+			if g.Completed() != 30 {
+				t.Fatalf("%d of 30 requests completed", g.Completed())
+			}
+			if mid != before {
+				t.Fatalf("%d goroutines mid-run, %d before NewGateway", mid, before)
+			}
 		})
 	}
 }

@@ -484,7 +484,6 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 		for i := 0; i < gr.Count; i++ {
 			rep, err := g.newReplica(gr.Kind)
 			if err != nil {
-				g.ctl.close()
 				return nil, err
 			}
 			rep.state = ReplicaActive
@@ -494,20 +493,17 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	// membership (construction is not a lifecycle *change*; every scale-up,
 	// drain and crash repair after this travels as a ScalePlan).
 	if err := g.ctl.createGroup(g.activeIDs()); err != nil {
-		g.ctl.close()
 		return nil, fmt.Errorf("fleet: control-plane group creation: %w", err)
 	}
 	// The reference kind may have provisioned no replica yet (a zero-count
 	// first group under autoscaling); resolve it — and the SLO override —
 	// by probe so pricing is available before the first scale-up.
 	if err := g.refKind.Resolve(); err != nil {
-		g.ctl.close()
 		return nil, err
 	}
 	g.sloKind = g.refKind
 	if cfg.SLOKind != nil {
 		if err := cfg.SLOKind.Resolve(); err != nil {
-			g.ctl.close()
 			return nil, err
 		}
 		g.sloKind = cfg.SLOKind
@@ -1281,7 +1277,6 @@ func (g *Gateway) SessionLocations(sessionID int64) map[int]int {
 // Finalize assembles the run's Result: per-replica stats, replica-seconds
 // and the makespan. Call after Run.
 func (g *Gateway) Finalize() *Result {
-	g.ctl.close()
 	// Replica heaps are private: the makespan is the latest clock anywhere
 	// (ghost engines keep draining past the last gateway event) and the
 	// event count sums every heap.
