@@ -30,7 +30,7 @@ func main() {
 	show := func(stage string) {
 		fmt.Printf("%-34s", stage)
 		for i, m := range mirrors {
-			fmt.Printf("  inst%d=%5d", i, m.Pool.Used())
+			fmt.Printf("  inst%d=%5d", i, m.Pool.TotalUsed())
 		}
 		st := mgr.Stats()
 		fmt.Printf("   [configs=%d cmds=%d naks=%d]\n", st.ConfigsSent, st.Commands, st.Naks)

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"strings"
 	"testing"
 
 	"loongserve/internal/cluster"
@@ -404,5 +405,36 @@ func TestEngineCapabilities(t *testing.T) {
 	}
 	if got := spread.Capability().MaxSeqTokens; got != total {
 		t.Fatalf("spread engine envelope %d, want whole group %d", got, total)
+	}
+}
+
+// The baselines index the KV pool by InstanceID, so like core they refuse
+// a cluster whose IDs are not 0..n-1 in order, before any arrival could
+// reach an instance the pool does not have.
+func TestInitRejectsSparseInstanceIDs(t *testing.T) {
+	m := model.LWM1MText()
+	hw := cluster.A800()
+	for _, tc := range []struct {
+		name string
+		eng  serving.Engine
+		tp   int
+	}{
+		{"vllm", NewVLLM(8), 8},
+		{"statichybrid", NewStaticHybrid(4, 2), 2},
+		{"replicated", NewReplicated(2), 2},
+		{"splitfuse", NewSplitFuse(8, 512), 8},
+		{"distserve", NewDistServe(4), 4},
+	} {
+		c, err := cluster.New(m, hw, 1, 8, tc.tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := c.Instances[len(c.Instances)-1]
+		last.ID += 5
+		_, err = serving.Run(tc.eng, c, costmodel.New(m, hw),
+			workload.PoissonTrace(workload.ShareGPT(), 1, 1, 1), serving.DefaultRunConfig())
+		if err == nil || !strings.Contains(err.Error(), "instance IDs must be 0..n-1") {
+			t.Errorf("%s: sparse instance IDs: err %v", tc.name, err)
+		}
 	}
 }

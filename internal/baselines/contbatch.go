@@ -108,6 +108,9 @@ func (e *ContBatch) Name() string { return e.Label }
 func (e *ContBatch) Init(env *serving.Env) error {
 	e.env = env
 	e.recompute = make(map[kvcache.RequestID]int)
+	if err := env.Cluster.CheckIDs(); err != nil {
+		return fmt.Errorf("%s: %w", e.Label, err)
+	}
 	if len(e.Instances) == 0 {
 		for _, inst := range env.Cluster.Instances {
 			e.Instances = append(e.Instances, inst.ID)
@@ -171,10 +174,9 @@ func (e *ContBatch) freeTokens() int {
 // alloc reserves n tokens for r under the placement discipline.
 func (e *ContBatch) alloc(r *serving.Request, n int) error {
 	if e.Spread {
-		_, err := e.env.Pool.PlaceSpread(r.ID, n, e.Instances)
-		return err
+		return e.env.Pool.PlaceSpread(r.ID, n, e.Instances)
 	}
-	return e.env.Pool.AllocAt(r.ID, e.Instances[0], n)
+	return e.env.Pool.AllocRef(&r.KV, r.ID, e.Instances[0], n)
 }
 
 // step launches the next iteration if the group is idle: prefills first

@@ -74,6 +74,9 @@ func (e *DistServe) Init(env *serving.Env) error {
 		return fmt.Errorf("%s: wants exactly 2 instances (prefill pool, decode pool), got %d",
 			e.Label, len(env.Cluster.Instances))
 	}
+	if err := env.Cluster.CheckIDs(); err != nil {
+		return fmt.Errorf("%s: %w", e.Label, err)
+	}
 	for _, inst := range env.Cluster.Instances {
 		if inst.TP != e.TP {
 			return fmt.Errorf("%s: instance %d has TP=%d, engine wants %d", e.Label, inst.ID, inst.TP, e.TP)
@@ -127,7 +130,7 @@ func (e *DistServe) stepPrefill() {
 		if reserve+watermark > poolP.Free() {
 			break
 		}
-		if err := e.env.Pool.AllocAt(r.ID, e.prefillInst, reserve); err != nil {
+		if err := e.env.Pool.AllocRef(&r.KV, r.ID, e.prefillInst, reserve); err != nil {
 			break
 		}
 		e.waiting = e.waiting[1:]
@@ -172,7 +175,7 @@ func (e *DistServe) tryMigrate() {
 		if need > poolD.Free() {
 			return // head-of-line: decode pool full
 		}
-		if err := e.env.Pool.AllocAt(r.ID, e.decodeInst, need); err != nil {
+		if err := e.env.Pool.AllocRef(&r.KV, r.ID, e.decodeInst, need); err != nil {
 			return
 		}
 		e.awaitMigrate = e.awaitMigrate[1:]
@@ -213,7 +216,7 @@ func (e *DistServe) stepDecode() {
 	// Reserve the batch's growth now: migrations land on the decode pool
 	// concurrently with this iteration and must not steal these slots.
 	for _, r := range batch {
-		if err := e.env.Pool.AllocAt(r.ID, e.decodeInst, 1); err != nil {
+		if err := e.env.Pool.AllocRef(&r.KV, r.ID, e.decodeInst, 1); err != nil {
 			panic(fmt.Sprintf("%s: decode growth reservation failed: %v", e.Label, err))
 		}
 	}

@@ -94,6 +94,9 @@ func (e *SplitFuse) Init(env *serving.Env) error {
 	e.env = env
 	e.progress = make(map[kvcache.RequestID]int)
 	e.target = make(map[kvcache.RequestID]int)
+	if err := env.Cluster.CheckIDs(); err != nil {
+		return fmt.Errorf("%s: %w", e.Label, err)
+	}
 	idx := e.InstanceIndex
 	if idx < 0 {
 		if len(env.Cluster.Instances) != 1 {
@@ -150,7 +153,7 @@ func (e *SplitFuse) admit() {
 		if reserve+watermark > e.free() {
 			return
 		}
-		if err := e.env.Pool.AllocAt(r.ID, e.inst, reserve); err != nil {
+		if err := e.env.Pool.AllocRef(&r.KV, r.ID, e.inst, reserve); err != nil {
 			return
 		}
 		e.waiting = e.waiting[1:]
@@ -213,7 +216,7 @@ func (e *SplitFuse) step() {
 		}
 		for _, r := range decodeBatch {
 			r.Generated++
-			if err := e.env.Pool.AllocAt(r.ID, e.inst, 1); err != nil {
+			if err := e.env.Pool.AllocRef(&r.KV, r.ID, e.inst, 1); err != nil {
 				panic(fmt.Sprintf("%s: decode alloc failed: %v", e.Label, err))
 			}
 		}
@@ -251,7 +254,7 @@ func (e *SplitFuse) preemptYoungest() {
 	e.progress[victim.ID] = 0
 	e.target[victim.ID] = ctx
 	watermark := e.env.Pool.Pool(e.inst).Capacity()/100 + len(e.running)
-	if ctx+watermark > e.free() || e.env.Pool.AllocAt(victim.ID, e.inst, ctx) != nil {
+	if ctx+watermark > e.free() || e.env.Pool.AllocRef(&victim.KV, victim.ID, e.inst, ctx) != nil {
 		// No headroom for an in-place recompute: fully requeue; admit()
 		// re-reserves once the running batch's growth has room.
 		delete(e.progress, victim.ID)

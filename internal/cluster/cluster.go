@@ -164,12 +164,24 @@ func (c *Cluster) Instance(id kvcache.InstanceID) *Instance {
 	return c.Instances[i]
 }
 
-// Capacities returns the per-instance KV capacities keyed by instance ID,
-// in the form kvcache.NewDistributedPool consumes.
-func (c *Cluster) Capacities() map[kvcache.InstanceID]int {
-	out := make(map[kvcache.InstanceID]int, len(c.Instances))
-	for _, inst := range c.Instances {
-		out[inst.ID] = inst.KVCapacity
+// CheckIDs reports an error unless the instance IDs are 0..n-1 in order:
+// the KV pool and the engines index per-instance state by InstanceID.
+func (c *Cluster) CheckIDs() error {
+	for i, inst := range c.Instances {
+		if inst.ID != kvcache.InstanceID(i) {
+			return fmt.Errorf("instance %d at position %d; instance IDs must be 0..n-1", inst.ID, i)
+		}
+	}
+	return nil
+}
+
+// Capacities returns the per-instance KV capacities indexed by instance ID
+// (New numbers instances 0..n-1), in the form kvcache.NewDistributedPool
+// consumes.
+func (c *Cluster) Capacities() []int {
+	out := make([]int, len(c.Instances))
+	for i, inst := range c.Instances {
+		out[i] = inst.KVCapacity
 	}
 	return out
 }

@@ -15,8 +15,10 @@ import (
 // (§4). End-to-end tests drive a manager against mirror instances and
 // check the distributed accounting stays consistent with the global view.
 type MirrorHandler struct {
-	ID   kvcache.InstanceID
-	Pool *kvcache.Pool
+	ID kvcache.InstanceID
+	// Pool is the instance's token pool: a one-instance distributed pool,
+	// whose only instance is slot 0.
+	Pool *kvcache.DistributedPool
 
 	mu       sync.Mutex
 	prefills int
@@ -28,7 +30,7 @@ type MirrorHandler struct {
 // NewMirrorHandler builds a mirror over a token pool with the given
 // capacity.
 func NewMirrorHandler(id kvcache.InstanceID, capacity int) *MirrorHandler {
-	return &MirrorHandler{ID: id, Pool: kvcache.NewPool(id, capacity)}
+	return &MirrorHandler{ID: id, Pool: kvcache.NewDistributedPool([]int{capacity})}
 }
 
 // Counts returns (prefills, decodes, scales, releases) executed.
@@ -71,7 +73,7 @@ func (h *MirrorHandler) Prefill(cfg *GroupConfig, cmd *PrefillCommand) error {
 		}
 		off += r.Len
 		if mine > 0 {
-			if err := h.Pool.Alloc(r.ID, mine); err != nil {
+			if err := h.Pool.AllocAt(r.ID, 0, mine); err != nil {
 				return err
 			}
 		}
@@ -93,7 +95,7 @@ func (h *MirrorHandler) Decode(cfg *GroupConfig, cmd *DecodeCommand) error {
 		if int(cmd.Masters[i]) != me {
 			continue
 		}
-		if err := h.Pool.Alloc(r.ID, 1); err != nil {
+		if err := h.Pool.AllocAt(r.ID, 0, 1); err != nil {
 			return err
 		}
 	}
@@ -115,7 +117,7 @@ func (h *MirrorHandler) Scale(cfg *GroupConfig, plan *ScalePlan) error {
 // here.
 func (h *MirrorHandler) Release(cfg *GroupConfig, cmd *ReleaseCommand) error {
 	for _, id := range cmd.Requests {
-		h.Pool.ReleaseAll(id)
+		h.Pool.ReleaseRequest(id)
 	}
 	h.mu.Lock()
 	h.releases++

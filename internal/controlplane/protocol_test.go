@@ -59,17 +59,17 @@ func TestProtocolLifecycle(t *testing.T) {
 	}
 	// Request 100 holds tokens 0-6: 7 on pos 0. Request 101 holds tokens
 	// 7-11: 1 on pos 0, 4 on pos 1.
-	if got := tc.mirrors[0].Pool.Held(100); got != 7 {
+	if got := tc.mirrors[0].Pool.HeldBy(100); got != 7 {
 		t.Errorf("instance 0 holds %d tokens of r100, want 7", got)
 	}
-	if got := tc.mirrors[0].Pool.Held(101); got != 1 {
+	if got := tc.mirrors[0].Pool.HeldBy(101); got != 1 {
 		t.Errorf("instance 0 holds %d tokens of r101, want 1", got)
 	}
-	if got := tc.mirrors[1].Pool.Held(101); got != 4 {
+	if got := tc.mirrors[1].Pool.HeldBy(101); got != 4 {
 		t.Errorf("instance 1 holds %d tokens of r101, want 4", got)
 	}
 	for _, i := range []int{2, 3} {
-		if got := tc.mirrors[i].Pool.Used(); got != 0 {
+		if got := tc.mirrors[i].Pool.TotalUsed(); got != 0 {
 			t.Errorf("instance %d holds %d tokens after proactive scale-down, want 0", i, got)
 		}
 	}
@@ -92,10 +92,10 @@ func TestProtocolLifecycle(t *testing.T) {
 			t.Fatalf("Decode %d: %v", i, err)
 		}
 	}
-	if got := tc.mirrors[0].Pool.Held(100); got != 10 {
+	if got := tc.mirrors[0].Pool.HeldBy(100); got != 10 {
 		t.Errorf("instance 0 holds %d tokens of r100 after 3 decodes, want 10", got)
 	}
-	if got := tc.mirrors[1].Pool.Held(101); got != 7 {
+	if got := tc.mirrors[1].Pool.HeldBy(101); got != 7 {
 		t.Errorf("instance 1 holds %d tokens of r101 after 3 decodes, want 7", got)
 	}
 
@@ -103,14 +103,14 @@ func TestProtocolLifecycle(t *testing.T) {
 	if err := tc.m.Scale(1, ScaleUp, ids(0, 1, 2)); err != nil {
 		t.Fatalf("Scale up: %v", err)
 	}
-	if got := tc.mirrors[2].Pool.Used(); got != 0 {
+	if got := tc.mirrors[2].Pool.TotalUsed(); got != 0 {
 		t.Errorf("scale-up migrated %d tokens onto instance 2, want 0", got)
 	}
 	// New master lands on the fresh instance.
 	if err := tc.m.Decode(1, []RequestSpec{{ID: 100, Len: 10}, {ID: 101, Len: 7}}, []int32{2, 2}); err != nil {
 		t.Fatalf("Decode after scale-up: %v", err)
 	}
-	if got := tc.mirrors[2].Pool.Used(); got != 2 {
+	if got := tc.mirrors[2].Pool.TotalUsed(); got != 2 {
 		t.Errorf("instance 2 holds %d tokens after mastering 2 requests, want 2", got)
 	}
 
@@ -119,7 +119,7 @@ func TestProtocolLifecycle(t *testing.T) {
 		t.Fatalf("Release: %v", err)
 	}
 	for i, mir := range tc.mirrors {
-		if got := mir.Pool.Used(); got != 0 {
+		if got := mir.Pool.TotalUsed(); got != 0 {
 			t.Errorf("instance %d still holds %d tokens after release", i, got)
 		}
 	}
@@ -181,7 +181,7 @@ func TestProtocolCacheMissRecovery(t *testing.T) {
 	if st.Resends != 1 {
 		t.Errorf("Resends = %d, want 1", st.Resends)
 	}
-	if got := tc.mirrors[1].Pool.Held(1); got != 1+2 {
+	if got := tc.mirrors[1].Pool.HeldBy(1); got != 1+2 {
 		// 2 tokens from the uniform prefill of 4 over 2 instances, +1
 		// from the mastered decode.
 		t.Errorf("instance 1 holds %d tokens, want 3", got)
@@ -247,10 +247,10 @@ func TestProtocolTwoGroupsDisjointInstances(t *testing.T) {
 			t.Fatalf("concurrent prefill %d: %v", i+1, err)
 		}
 	}
-	if got := tc.mirrors[0].Pool.Held(1) + tc.mirrors[1].Pool.Held(1); got != 10 {
+	if got := tc.mirrors[0].Pool.HeldBy(1) + tc.mirrors[1].Pool.HeldBy(1); got != 10 {
 		t.Errorf("group 1 retained %d tokens of r1, want 10", got)
 	}
-	if got := tc.mirrors[2].Pool.Held(2) + tc.mirrors[3].Pool.Held(2); got != 10 {
+	if got := tc.mirrors[2].Pool.HeldBy(2) + tc.mirrors[3].Pool.HeldBy(2); got != 10 {
 		t.Errorf("group 2 retained %d tokens of r2, want 10", got)
 	}
 }
@@ -308,7 +308,7 @@ func TestProtocolOverTCP(t *testing.T) {
 	}
 	total := 0
 	for _, mir := range mirrors {
-		total += mir.Pool.Held(1)
+		total += mir.Pool.HeldBy(1)
 	}
 	if total != 9 {
 		t.Errorf("cluster retains %d tokens, want 9", total)
@@ -322,7 +322,7 @@ func TestProtocolOverTCP(t *testing.T) {
 	if err := m.Release(1, []kvcache.RequestID{1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := mirrors[0].Pool.Used(); got != 0 {
+	if got := mirrors[0].Pool.TotalUsed(); got != 0 {
 		t.Errorf("instance 0 holds %d tokens after release", got)
 	}
 }

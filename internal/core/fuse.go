@@ -146,7 +146,7 @@ func (e *Engine) applyFused(g *group, upto int) {
 	}
 	for i, r := range g.reqs[:g.iterN] {
 		r.Generated += delta
-		if err := e.env.Pool.AllocAt(r.ID, g.masters[i], delta); err != nil {
+		if err := e.env.Pool.AllocRef(&r.KV, r.ID, g.masters[i], delta); err != nil {
 			panic(err)
 		}
 	}

@@ -243,13 +243,13 @@ func (e *Engine) Init(env *serving.Env) error {
 	if n == 0 {
 		return fmt.Errorf("%s: empty cluster", e.Label)
 	}
-	for i, inst := range env.Cluster.Instances {
+	for _, inst := range env.Cluster.Instances {
 		if inst.TP != e.TP {
 			return fmt.Errorf("%s: instance %d has TP=%d, engine wants %d", e.Label, inst.ID, inst.TP, e.TP)
 		}
-		if inst.ID != kvcache.InstanceID(i) {
-			return fmt.Errorf("%s: instance %d at position %d; instance IDs must be 0..n-1", e.Label, inst.ID, i)
-		}
+	}
+	if err := env.Cluster.CheckIDs(); err != nil {
+		return fmt.Errorf("%s: %w", e.Label, err)
 	}
 	e.byInst = make([]*group, n)
 	e.inUse = make([]bool, n)
@@ -501,7 +501,7 @@ func (e *Engine) launchPrefill(reqs []*serving.Request, lens []int, insts []kvca
 	g.retain = retain
 	for _, r := range reqs {
 		r.Phase = serving.Prefilling
-		if _, err := e.env.Pool.PlaceSpread(r.ID, e.reserveLen(r), retain); err != nil {
+		if err := e.env.Pool.PlaceSpread(r.ID, e.reserveLen(r), retain); err != nil {
 			panic(fmt.Sprintf("%s: prefill reservation failed after planning: %v", e.Label, err))
 		}
 	}

@@ -577,7 +577,7 @@ func (e *Engine) decodeIterDone(g *group) {
 	} else {
 		for i, r := range g.reqs[:g.iterN] {
 			r.Generated++
-			if err := e.env.Pool.AllocAt(r.ID, g.masters[i], 1); err != nil {
+			if err := e.env.Pool.AllocRef(&r.KV, r.ID, g.masters[i], 1); err != nil {
 				panic(fmt.Sprintf("%s: decode alloc on instance %d failed: %v", e.Label, g.masters[i], err))
 			}
 		}
@@ -807,7 +807,7 @@ func (e *Engine) allInUse(g *group) bool {
 		return true
 	}
 	for _, r := range g.reqs {
-		e.env.Pool.EachPlacement(r.ID, e.markPlaced)
+		e.env.Pool.EachPlacement(&r.KV, r.ID, e.markPlaced)
 	}
 	for _, id := range g.instances {
 		if !e.inUse[id] {

@@ -236,7 +236,7 @@ func TestEvacuateShrinksGroup(t *testing.T) {
 	if e.byInst[1] != nil {
 		t.Fatal("instance 1 still owned after evacuation")
 	}
-	if got := e.env.Pool.Placement(r.ID)[0]; got != 2_000 {
+	if got := e.env.Pool.HeldOn(r.ID, 0); got != 2_000 {
 		t.Fatalf("KV on instance 0 = %d, want 2000", got)
 	}
 	if g.masters[0] != 0 || g.mastered[1] != 0 || g.distinct != 1 {
@@ -272,8 +272,8 @@ func TestEvacuateSingleInstanceGroupMerges(t *testing.T) {
 	if len(g2.reqs) != 2 {
 		t.Fatalf("target group has %d requests, want 2", len(g2.reqs))
 	}
-	if e.env.Pool.Placement(1)[1] != 5_000 {
-		t.Fatalf("merged KV placement wrong: %v", e.env.Pool.Placement(1))
+	if got := e.env.Pool.HeldOn(1, 1); got != 5_000 || e.env.Pool.HeldBy(1) != 5_000 {
+		t.Fatalf("merged KV placement wrong: %d on instance 1 of %d held", got, e.env.Pool.HeldBy(1))
 	}
 	if err := e.env.Pool.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package kvcache provides key-value cache *accounting*: fixed-capacity
-// token-slot pools per elastic instance, per-request placement maps, and the
-// cluster-wide unified distributed pool view.
+// token-slot pools per elastic instance and one placement record per
+// request, which together form the cluster-wide unified distributed pool.
 //
 // LoongServe's central memory idea (§4) is that KV tensors are managed at
 // the granularity of a single token with no locality constraint: a
@@ -11,14 +11,22 @@
 // unified placement via DistributedPool.PlaceSpread, locality via
 // PlaceSingle.
 //
+// The accounting is dense. Pools sit in a slice indexed by InstanceID and
+// keep only a capacity and a used count. A request's placement record is
+// the only record of where its tokens are; HeldOn, HeldBy and
+// CheckInvariants derive from it. An engine that keeps a Ref to the record
+// on its request pays a slice index and a pointer write per decode token,
+// with no map operation.
+//
 // This package tracks only slot counts and placements; the actual tensor
 // payloads live in internal/model.KVCache (functional layer) or are purely
 // simulated (timing layer).
 package kvcache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RequestID identifies a serving request.
@@ -27,20 +35,12 @@ type RequestID int64
 // InstanceID identifies an elastic instance.
 type InstanceID int
 
-// Pool is the token-slot pool of a single elastic instance.
+// Pool is the token-slot pool of a single elastic instance: a capacity and
+// a used count. Which requests hold the used slots is recorded only in
+// their placement records.
 type Pool struct {
-	Instance InstanceID
 	capacity int
 	used     int
-	held     map[RequestID]int
-}
-
-// NewPool returns an empty pool with the given capacity in token slots.
-func NewPool(inst InstanceID, capacity int) *Pool {
-	if capacity < 0 {
-		panic(fmt.Sprintf("kvcache: negative capacity %d", capacity))
-	}
-	return &Pool{Instance: inst, capacity: capacity, held: make(map[RequestID]int)}
 }
 
 // Capacity returns the total slot count.
@@ -52,116 +52,20 @@ func (p *Pool) Used() int { return p.used }
 // Free returns the number of unoccupied slots.
 func (p *Pool) Free() int { return p.capacity - p.used }
 
-// Held returns the slots held by one request.
-func (p *Pool) Held(r RequestID) int { return p.held[r] }
-
-// Requests returns the IDs holding slots, in ascending order.
-func (p *Pool) Requests() []RequestID {
-	ids := make([]RequestID, 0, len(p.held))
-	for id := range p.held {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Alloc reserves n slots for request r. It fails without side effects when
-// fewer than n slots are free.
-func (p *Pool) Alloc(r RequestID, n int) error {
-	if n < 0 {
-		return fmt.Errorf("kvcache: instance %d: negative alloc %d", p.Instance, n)
-	}
-	if p.Free() < n {
-		return fmt.Errorf("kvcache: instance %d: alloc %d exceeds %d free", p.Instance, n, p.Free())
-	}
-	p.used += n
-	if n > 0 {
-		p.held[r] += n
-	}
-	return nil
-}
-
-// Release returns n of request r's slots to the pool.
-func (p *Pool) Release(r RequestID, n int) error {
-	if n < 0 {
-		return fmt.Errorf("kvcache: instance %d: negative release %d", p.Instance, n)
-	}
-	have := p.held[r]
-	if n > have {
-		return fmt.Errorf("kvcache: instance %d: release %d > held %d for request %d", p.Instance, n, have, r)
-	}
-	p.used -= n
-	if have == n {
-		delete(p.held, r)
-	} else {
-		p.held[r] = have - n
-	}
-	return nil
-}
-
-// ReleaseAll frees every slot held by request r and returns how many were
-// freed.
-func (p *Pool) ReleaseAll(r RequestID) int {
-	n := p.held[r]
-	p.used -= n
-	delete(p.held, r)
-	return n
-}
-
-// Placement records where a request's KV tokens live: token counts per
-// instance. The zero value is an empty placement.
-type Placement map[InstanceID]int
-
-// Total returns the token count across all instances.
-func (pl Placement) Total() int {
-	t := 0
-	for _, n := range pl {
-		t += n
-	}
-	return t
-}
-
-// Instances returns the instance IDs with a non-zero share, ascending.
-func (pl Placement) Instances() []InstanceID {
-	ids := make([]InstanceID, 0, len(pl))
-	for id, n := range pl {
-		if n > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Clone returns a copy of the placement.
-func (pl Placement) Clone() Placement {
-	c := make(Placement, len(pl))
-	for id, n := range pl {
-		c[id] = n
-	}
-	return c
-}
-
-// Add merges another placement into pl.
-func (pl Placement) Add(other Placement) {
-	for id, n := range other {
-		pl[id] += n
-	}
-}
-
 // instShare is one (instance, token count) component of a request's
-// placement. Requests touch few instances, so placements are stored as
-// small slices: updating one is a scan and an in-place increment instead
-// of an inner map assignment — the difference is measurable because every
-// decode iteration allocates one slot per running request.
+// placement. Requests touch few instances, so a placement is a small slice:
+// updating one is a scan and an in-place increment.
 type instShare struct {
 	id InstanceID
 	n  int
 }
 
-// reqPlacement is the mutable placement record of one request. Retired
-// records are recycled through the pool's free list.
+// reqPlacement is the placement record of one request. owner and pool say
+// whose record it is; recycling clears pool, so a Ref kept past the
+// request's release no longer validates.
 type reqPlacement struct {
+	owner  RequestID
+	pool   *DistributedPool // nil while the record is on the free list
 	shares []instShare
 }
 
@@ -174,6 +78,14 @@ func (pl *reqPlacement) idx(id InstanceID) int {
 	return -1
 }
 
+func (pl *reqPlacement) add(id InstanceID, n int) {
+	if i := pl.idx(id); i >= 0 {
+		pl.shares[i].n += n
+		return
+	}
+	pl.shares = append(pl.shares, instShare{id, n})
+}
+
 func (pl *reqPlacement) total() int {
 	t := 0
 	for i := range pl.shares {
@@ -182,62 +94,116 @@ func (pl *reqPlacement) total() int {
 	return t
 }
 
-// DistributedPool is the unified distributed KV cache pool: the pools of
-// every elastic instance plus the per-request placement index.
-type DistributedPool struct {
-	pools      map[InstanceID]*Pool
-	placements map[RequestID]*reqPlacement
-	plFree     []*reqPlacement // recycled placement records
+// Ref is a request's cached handle on its placement record, kept by the
+// engine on the request (serving.Request.KV) and passed to AllocRef and
+// EachPlacement. The zero Ref refers to nothing. A Ref is only a hint:
+// the pool validates it on every use and refreshes it when it is stale.
+type Ref struct {
+	pool *DistributedPool
+	pl   *reqPlacement
 }
 
-// NewDistributedPool builds a pool set from per-instance capacities.
-func NewDistributedPool(capacities map[InstanceID]int) *DistributedPool {
+// DistributedPool is the unified distributed KV cache pool: the pools of
+// every elastic instance plus the per-request placement records.
+type DistributedPool struct {
+	pools      []Pool       // indexed by InstanceID
+	all        []InstanceID // 0..n-1: the subset a nil subset means
+	placements map[RequestID]*reqPlacement
+	plFree     []*reqPlacement // recycled placement records
+	order      []InstanceID    // PlaceSpread's sort scratch
+	mostFree   func(a, b InstanceID) int
+}
+
+// NewDistributedPool builds a pool set from per-instance capacities,
+// indexed by InstanceID.
+func NewDistributedPool(capacities []int) *DistributedPool {
 	d := &DistributedPool{
-		pools:      make(map[InstanceID]*Pool, len(capacities)),
+		pools:      make([]Pool, len(capacities)),
+		all:        make([]InstanceID, len(capacities)),
 		placements: make(map[RequestID]*reqPlacement),
 	}
 	for id, c := range capacities {
-		d.pools[id] = NewPool(id, c)
+		if c < 0 {
+			panic(fmt.Sprintf("kvcache: instance %d: negative capacity %d", id, c))
+		}
+		d.pools[id].capacity = c
+		d.all[id] = InstanceID(id)
+	}
+	// Most free first, ties by ID: a total order, so the sort's result does
+	// not depend on its algorithm.
+	d.mostFree = func(a, b InstanceID) int {
+		if c := cmp.Compare(d.pools[b].Free(), d.pools[a].Free()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	}
 	return d
 }
 
-func (d *DistributedPool) newPlacement() *reqPlacement {
-	if k := len(d.plFree); k > 0 {
-		pl := d.plFree[k-1]
-		d.plFree[k-1] = nil
-		d.plFree = d.plFree[:k-1]
+// record returns r's live placement record, creating it if r holds
+// nothing.
+func (d *DistributedPool) record(r RequestID) *reqPlacement {
+	if pl := d.placements[r]; pl != nil {
 		return pl
 	}
-	return &reqPlacement{}
+	var pl *reqPlacement
+	if k := len(d.plFree); k > 0 {
+		pl = d.plFree[k-1]
+		d.plFree[k-1] = nil
+		d.plFree = d.plFree[:k-1]
+	} else {
+		pl = &reqPlacement{}
+	}
+	pl.owner, pl.pool = r, d
+	d.placements[r] = pl
+	return pl
 }
 
-func (d *DistributedPool) recyclePlacement(pl *reqPlacement) {
+// resolve returns r's live record, nil if r holds nothing. The cached
+// record is used only while it is in this pool and still belongs to r;
+// otherwise resolve goes through the index and points ref at r's record.
+// A ref therefore never reaches another request's record: not after its
+// request was preempted or released, and not after the request moved to
+// another pool.
+func (d *DistributedPool) resolve(ref *Ref, r RequestID) *reqPlacement {
+	if ref.pool == d && ref.pl.pool == d && ref.pl.owner == r {
+		return ref.pl
+	}
+	pl := d.placements[r]
+	if pl != nil {
+		*ref = Ref{pool: d, pl: pl}
+	}
+	return pl
+}
+
+// retire drops r's emptied record from the index and recycles it.
+func (d *DistributedPool) retire(r RequestID, pl *reqPlacement) {
+	delete(d.placements, r)
+	pl.pool = nil
 	pl.shares = pl.shares[:0]
 	d.plFree = append(d.plFree, pl)
 }
 
-// Pool returns the pool of one instance (nil if unknown).
-func (d *DistributedPool) Pool(id InstanceID) *Pool { return d.pools[id] }
-
-// Instances returns all instance IDs, ascending.
-func (d *DistributedPool) Instances() []InstanceID {
-	ids := make([]InstanceID, 0, len(d.pools))
-	for id := range d.pools {
-		ids = append(ids, id)
+// Pool returns the pool of one instance, or nil for an unknown ID.
+func (d *DistributedPool) Pool(id InstanceID) *Pool {
+	if id < 0 || int(id) >= len(d.pools) {
+		return nil
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return &d.pools[id]
+}
+
+func (d *DistributedPool) orAll(subset []InstanceID) []InstanceID {
+	if subset == nil {
+		return d.all
+	}
+	return subset
 }
 
 // TotalFree returns free slots summed over a subset of instances (all when
 // subset is nil).
 func (d *DistributedPool) TotalFree(subset []InstanceID) int {
-	if subset == nil {
-		subset = d.Instances()
-	}
 	t := 0
-	for _, id := range subset {
+	for _, id := range d.orAll(subset) {
 		t += d.pools[id].Free()
 	}
 	return t
@@ -246,8 +212,8 @@ func (d *DistributedPool) TotalFree(subset []InstanceID) int {
 // TotalCapacity returns capacity summed over all instances.
 func (d *DistributedPool) TotalCapacity() int {
 	t := 0
-	for _, p := range d.pools {
-		t += p.Capacity()
+	for i := range d.pools {
+		t += d.pools[i].capacity
 	}
 	return t
 }
@@ -255,8 +221,8 @@ func (d *DistributedPool) TotalCapacity() int {
 // TotalUsed returns used slots summed over all instances.
 func (d *DistributedPool) TotalUsed() int {
 	t := 0
-	for _, p := range d.pools {
-		t += p.Used()
+	for i := range d.pools {
+		t += d.pools[i].used
 	}
 	return t
 }
@@ -265,11 +231,8 @@ func (d *DistributedPool) TotalUsed() int {
 // when nil) and the instance achieving it. Ties break toward the lower ID
 // for determinism.
 func (d *DistributedPool) MaxFree(subset []InstanceID) (InstanceID, int) {
-	if subset == nil {
-		subset = d.Instances()
-	}
 	best, bestFree := InstanceID(-1), -1
-	for _, id := range subset {
+	for _, id := range d.orAll(subset) {
 		f := d.pools[id].Free()
 		if f > bestFree {
 			best, bestFree = id, f
@@ -304,20 +267,7 @@ func (d *DistributedPool) Fragmentation() float64 {
 	return 1 - float64(max)/float64(total)
 }
 
-// Placement returns (a copy of) the placement of request r.
-func (d *DistributedPool) Placement(r RequestID) Placement {
-	pl := d.placements[r]
-	out := make(Placement, 2)
-	if pl != nil {
-		for _, s := range pl.shares {
-			out[s.id] = s.n
-		}
-	}
-	return out
-}
-
-// HeldOn returns the tokens request r holds on one instance, without
-// materializing the placement map.
+// HeldOn returns the tokens request r holds on one instance.
 func (d *DistributedPool) HeldOn(r RequestID, id InstanceID) int {
 	pl := d.placements[r]
 	if pl == nil {
@@ -330,12 +280,12 @@ func (d *DistributedPool) HeldOn(r RequestID, id InstanceID) int {
 }
 
 // EachPlacement calls f for every (instance, tokens) share of request r,
-// without materializing the placement map. Share order is deterministic
-// for a given operation history but otherwise unspecified (partial
-// releases compact the share list); callers must not mutate the pool
-// during iteration.
-func (d *DistributedPool) EachPlacement(r RequestID, f func(InstanceID, int)) {
-	pl := d.placements[r]
+// reached through the request's handle as in AllocRef. Every share is
+// positive. Share order is deterministic for a given operation history but
+// otherwise unspecified (partial releases compact the share list); callers
+// must not mutate the pool during iteration.
+func (d *DistributedPool) EachPlacement(ref *Ref, r RequestID, f func(InstanceID, int)) {
+	pl := d.resolve(ref, r)
 	if pl == nil {
 		return
 	}
@@ -355,80 +305,85 @@ func (d *DistributedPool) HeldBy(r RequestID) int {
 
 // AllocAt reserves n slots for r on a specific instance.
 func (d *DistributedPool) AllocAt(r RequestID, id InstanceID, n int) error {
-	p, ok := d.pools[id]
-	if !ok {
+	var ref Ref
+	return d.AllocRef(&ref, r, id, n)
+}
+
+// AllocRef reserves n slots for r on a specific instance through the
+// request's handle: on a live ref, a slice index and a pointer write. A
+// stale ref is refreshed from the index and never writes into another
+// request's record (see resolve). It fails without side effects on an
+// unknown instance, a negative n or too few free slots.
+func (d *DistributedPool) AllocRef(ref *Ref, r RequestID, id InstanceID, n int) error {
+	p := d.Pool(id)
+	if p == nil {
 		return fmt.Errorf("kvcache: unknown instance %d", id)
 	}
-	if err := p.Alloc(r, n); err != nil {
-		return err
+	if n < 0 {
+		return fmt.Errorf("kvcache: instance %d: negative alloc %d", id, n)
 	}
-	if n > 0 {
-		pl := d.placements[r]
-		if pl == nil {
-			pl = d.newPlacement()
-			d.placements[r] = pl
-		}
-		if i := pl.idx(id); i >= 0 {
-			pl.shares[i].n += n
-		} else {
-			pl.shares = append(pl.shares, instShare{id, n})
-		}
+	if p.Free() < n {
+		return fmt.Errorf("kvcache: instance %d: alloc %d exceeds %d free", id, n, p.Free())
 	}
+	if n == 0 {
+		return nil
+	}
+	pl := d.resolve(ref, r)
+	if pl == nil {
+		pl = d.record(r)
+		*ref = Ref{pool: d, pl: pl}
+	}
+	p.used += n
+	pl.add(id, n)
 	return nil
 }
 
 // PlaceSpread allocates n tokens for r across subset (all instances when
 // nil) with no locality constraint, most-free-first — LoongServe's unified
 // placement. On failure nothing is allocated.
-func (d *DistributedPool) PlaceSpread(r RequestID, n int, subset []InstanceID) (Placement, error) {
-	if subset == nil {
-		subset = d.Instances()
+func (d *DistributedPool) PlaceSpread(r RequestID, n int, subset []InstanceID) error {
+	subset = d.orAll(subset)
+	if n < 0 {
+		return fmt.Errorf("kvcache: negative spread %d", n)
 	}
-	if !d.FitsUnified(n, subset) {
-		return nil, fmt.Errorf("kvcache: %d tokens exceed %d free across %d instances", n, d.TotalFree(subset), len(subset))
-	}
-	// Most-free first, ties by ID for determinism.
-	order := append([]InstanceID(nil), subset...)
-	sort.Slice(order, func(i, j int) bool {
-		fi, fj := d.pools[order[i]].Free(), d.pools[order[j]].Free()
-		if fi != fj {
-			return fi > fj
+	free := 0
+	for _, id := range subset {
+		p := d.Pool(id)
+		if p == nil {
+			return fmt.Errorf("kvcache: unknown instance %d", id)
 		}
-		return order[i] < order[j]
-	})
-	got := make(Placement)
-	remaining := n
+		free += p.Free()
+	}
+	if free < n {
+		return fmt.Errorf("kvcache: %d tokens exceed %d free across %d instances", n, free, len(subset))
+	}
+	order := append(d.order[:0], subset...)
+	slices.SortFunc(order, d.mostFree)
+	d.order = order
+	var pl *reqPlacement
 	for _, id := range order {
-		if remaining == 0 {
+		if n == 0 {
 			break
 		}
-		take := d.pools[id].Free()
-		if take > remaining {
-			take = remaining
-		}
+		p := &d.pools[id]
+		take := min(p.Free(), n)
 		if take == 0 {
 			continue
 		}
-		if err := d.AllocAt(r, id, take); err != nil {
-			// Roll back; cannot happen given the checks above, but keep the
-			// pool consistent if it ever does.
-			for rid, cnt := range got {
-				_ = d.ReleaseAt(r, rid, cnt)
-			}
-			return nil, err
+		if pl == nil {
+			pl = d.record(r)
 		}
-		got[id] = take
-		remaining -= take
+		p.used += take
+		pl.add(id, take)
+		n -= take
 	}
-	return got, nil
+	return nil
 }
 
 // PlaceSingle allocates n tokens for r on one instance (the fullest that
 // still fits, for best packing) — the locality discipline of the baselines.
 func (d *DistributedPool) PlaceSingle(r RequestID, n int, subset []InstanceID) (InstanceID, error) {
-	if subset == nil {
-		subset = d.Instances()
-	}
+	subset = d.orAll(subset)
 	best, bestFree := InstanceID(-1), -1
 	for _, id := range subset {
 		f := d.pools[id].Free()
@@ -437,7 +392,8 @@ func (d *DistributedPool) PlaceSingle(r RequestID, n int, subset []InstanceID) (
 		}
 	}
 	if best == -1 {
-		return -1, fmt.Errorf("kvcache: no single instance fits %d tokens (max free %d)", n, func() int { _, f := d.MaxFree(subset); return f }())
+		_, maxFree := d.MaxFree(subset)
+		return -1, fmt.Errorf("kvcache: no single instance fits %d tokens (max free %d)", n, maxFree)
 	}
 	if err := d.AllocAt(r, best, n); err != nil {
 		return -1, err
@@ -445,30 +401,38 @@ func (d *DistributedPool) PlaceSingle(r RequestID, n int, subset []InstanceID) (
 	return best, nil
 }
 
-// ReleaseAt frees n of r's slots on one instance.
+// ReleaseAt frees n of r's slots on one instance. It fails without side
+// effects on an unknown instance, a negative n or more than r holds there.
 func (d *DistributedPool) ReleaseAt(r RequestID, id InstanceID, n int) error {
-	p, ok := d.pools[id]
-	if !ok {
+	p := d.Pool(id)
+	if p == nil {
 		return fmt.Errorf("kvcache: unknown instance %d", id)
 	}
-	if err := p.Release(r, n); err != nil {
-		return err
+	if n < 0 {
+		return fmt.Errorf("kvcache: instance %d: negative release %d", id, n)
 	}
-	pl := d.placements[r]
-	if pl == nil {
-		return nil // n == 0 on an unknown request
-	}
-	if i := pl.idx(id); i >= 0 {
-		pl.shares[i].n -= n
-		if pl.shares[i].n == 0 {
-			last := len(pl.shares) - 1
-			pl.shares[i] = pl.shares[last]
-			pl.shares = pl.shares[:last]
+	pl, i, have := d.placements[r], -1, 0
+	if pl != nil {
+		if i = pl.idx(id); i >= 0 {
+			have = pl.shares[i].n
 		}
 	}
-	if len(pl.shares) == 0 {
-		delete(d.placements, r)
-		d.recyclePlacement(pl)
+	if n > have {
+		return fmt.Errorf("kvcache: instance %d: release %d > held %d for request %d", id, n, have, r)
+	}
+	if n == 0 {
+		return nil
+	}
+	p.used -= n
+	pl.shares[i].n -= n
+	if pl.shares[i].n > 0 {
+		return nil
+	}
+	last := len(pl.shares) - 1
+	pl.shares[i] = pl.shares[last]
+	pl.shares = pl.shares[:last]
+	if last == 0 {
+		d.retire(r, pl)
 	}
 	return nil
 }
@@ -482,21 +446,25 @@ func (d *DistributedPool) ReleaseRequest(r RequestID) int {
 	}
 	total := 0
 	for _, s := range pl.shares {
-		total += d.pools[s.id].ReleaseAll(r)
+		d.pools[s.id].used -= s.n
+		total += s.n
 	}
-	delete(d.placements, r)
-	d.recyclePlacement(pl)
+	d.retire(r, pl)
 	return total
 }
 
 // Move transfers n of r's tokens from src to dst (dst must have room).
 // Returns an error and changes nothing on violation.
 func (d *DistributedPool) Move(r RequestID, src, dst InstanceID, n int) error {
-	if d.HeldOn(r, src) < n {
-		return fmt.Errorf("kvcache: request %d holds %d on instance %d, cannot move %d", r, d.HeldOn(r, src), src, n)
+	pd := d.Pool(dst)
+	if pd == nil {
+		return fmt.Errorf("kvcache: unknown instance %d", dst)
 	}
-	if d.pools[dst].Free() < n {
-		return fmt.Errorf("kvcache: instance %d has %d free, cannot receive %d", dst, d.pools[dst].Free(), n)
+	if have := d.HeldOn(r, src); have < n {
+		return fmt.Errorf("kvcache: request %d holds %d on instance %d, cannot move %d", r, have, src, n)
+	}
+	if pd.Free() < n {
+		return fmt.Errorf("kvcache: instance %d has %d free, cannot receive %d", dst, pd.Free(), n)
 	}
 	if err := d.ReleaseAt(r, src, n); err != nil {
 		return err
@@ -504,34 +472,36 @@ func (d *DistributedPool) Move(r RequestID, src, dst InstanceID, n int) error {
 	return d.AllocAt(r, dst, n)
 }
 
-// CheckInvariants verifies internal consistency: per-pool used == sum of
-// held, placements mirror pool holdings, and no pool exceeds capacity. It
-// is used by tests and property checks.
+// CheckInvariants verifies internal consistency: every placement record
+// belongs to the request it is filed under and holds only positive shares
+// on known instances, each pool's used count equals the sum of the shares
+// on it, and no pool is outside [0, capacity]. It is used by tests and
+// property checks.
 func (d *DistributedPool) CheckInvariants() error {
-	for id, p := range d.pools {
-		sum := 0
-		for _, n := range p.held {
-			sum += n
+	sums := make([]int, len(d.pools))
+	for r, pl := range d.placements {
+		if pl.owner != r || pl.pool != d {
+			return fmt.Errorf("kvcache: request %d filed under a record owned by request %d", r, pl.owner)
 		}
-		if sum != p.used {
-			return fmt.Errorf("kvcache: instance %d used %d != held sum %d", id, p.used, sum)
+		if len(pl.shares) == 0 {
+			return fmt.Errorf("kvcache: request %d has an empty placement record", r)
+		}
+		for _, s := range pl.shares {
+			if s.n <= 0 {
+				return fmt.Errorf("kvcache: request %d holds %d on instance %d", r, s.n, s.id)
+			}
+			if d.Pool(s.id) == nil {
+				return fmt.Errorf("kvcache: request %d holds %d on unknown instance %d", r, s.n, s.id)
+			}
+			sums[s.id] += s.n
+		}
+	}
+	for id, p := range d.pools {
+		if sums[id] != p.used {
+			return fmt.Errorf("kvcache: instance %d used %d != held sum %d", id, p.used, sums[id])
 		}
 		if p.used > p.capacity || p.used < 0 {
 			return fmt.Errorf("kvcache: instance %d used %d out of [0, %d]", id, p.used, p.capacity)
-		}
-	}
-	for r, pl := range d.placements {
-		for _, s := range pl.shares {
-			if d.pools[s.id].Held(r) != s.n {
-				return fmt.Errorf("kvcache: request %d placement says %d on instance %d, pool says %d", r, s.n, s.id, d.pools[s.id].Held(r))
-			}
-		}
-	}
-	for id, p := range d.pools {
-		for r, n := range p.held {
-			if d.HeldOn(r, id) != n {
-				return fmt.Errorf("kvcache: pool %d holds %d for request %d, placement says %d", id, n, r, d.HeldOn(r, id))
-			}
 		}
 	}
 	return nil

@@ -60,6 +60,11 @@ type Request struct {
 	Generated  int // output tokens produced so far
 	FirstToken simevent.Time
 	Finish     simevent.Time
+
+	// KV is the engine's handle on the request's placement record in its
+	// KV pool; engines pass it to DistributedPool.AllocRef so a decode
+	// token skips the placement index.
+	KV kvcache.Ref
 }
 
 // Tokens returns the total sequence length at completion.
