@@ -26,6 +26,12 @@ func main() {
 	jitter := flag.Float64("jitter", 0.01, "relative profiling noise")
 	maxLen := flag.Int("maxlen", 512_000, "largest profiled batch token count")
 	flag.Parse()
+	// Relative noise of 1 or more can scale a profiled time to zero or
+	// below, and the Eq 7 fit's beta with it.
+	if !(*jitter >= 0 && *jitter < 1) {
+		fmt.Fprintln(os.Stderr, "loongserve-profile: -jitter must be in [0, 1)")
+		os.Exit(2)
+	}
 
 	m := model.LWM1MText()
 	hw := cluster.A800()

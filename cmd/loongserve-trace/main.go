@@ -99,6 +99,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loongserve-trace: -sample must be > 0")
 		os.Exit(2)
 	}
+	if *replicas < 1 {
+		fmt.Fprintln(os.Stderr, "loongserve-trace: -replicas must be >= 1")
+		os.Exit(2)
+	}
 
 	var dataset workload.Dataset
 	switch strings.ToLower(*ds) {

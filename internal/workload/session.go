@@ -92,6 +92,12 @@ func (cfg SessionConfig) Validate() error {
 		return fmt.Errorf("workload: bad turn range [%d, %d]", cfg.MinTurns, cfg.MaxTurns)
 	case cfg.PromptGroups <= 0:
 		return fmt.Errorf("workload: SessionConfig.PromptGroups must be > 0, got %d", cfg.PromptGroups)
+	case cfg.SystemTokens < 1:
+		return fmt.Errorf("workload: SessionConfig.SystemTokens must be >= 1, got %d", cfg.SystemTokens)
+	case cfg.UserTokens < 1:
+		return fmt.Errorf("workload: SessionConfig.UserTokens must be >= 1, got %d", cfg.UserTokens)
+	case cfg.ReplyTokens < 1:
+		return fmt.Errorf("workload: SessionConfig.ReplyTokens must be >= 1, got %d", cfg.ReplyTokens)
 	case cfg.SessionRate <= 0:
 		return fmt.Errorf("workload: SessionConfig.SessionRate must be > 0, got %v", cfg.SessionRate)
 	case cfg.ThinkMean < 0:

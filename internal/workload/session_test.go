@@ -120,6 +120,27 @@ func TestSessionTraceValidation(t *testing.T) {
 		{Sessions: 1, MinTurns: 1, MaxTurns: 1, PromptGroups: 0, SessionRate: 1},
 		{Sessions: 1, MinTurns: 1, MaxTurns: 1, PromptGroups: 1, SessionRate: 0},
 	}
+	// Non-positive lengths used to build requests with negative input and
+	// zero output (SystemTokens -5, UserTokens -1, ReplyTokens 0 gave
+	// InputLen -56), because the length clamp returns hi when hi < lo.
+	for _, set := range []func(*SessionConfig){
+		func(c *SessionConfig) { c.SystemTokens = -5 },
+		func(c *SessionConfig) { c.SystemTokens = 0 },
+		func(c *SessionConfig) { c.UserTokens = -1 },
+		func(c *SessionConfig) { c.UserTokens = 0 },
+		func(c *SessionConfig) { c.ReplyTokens = 0 },
+		func(c *SessionConfig) { c.ReplyTokens = -3 },
+	} {
+		cfg := DefaultSessionConfig()
+		set(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", cfg)
+		}
+		bad = append(bad, cfg)
+	}
+	if err := DefaultSessionConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
 	for i, cfg := range bad {
 		func() {
 			defer func() {
