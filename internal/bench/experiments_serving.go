@@ -14,7 +14,8 @@ import (
 )
 
 // Scale controls experiment sizes so the same code serves quick CI
-// benchmarks and the full EXPERIMENTS.md regeneration. Traces are sized by
+// benchmarks and the full-scale tables loongserve-bench prints (recorded in
+// DESIGN.md's "Measured results"). Traces are sized by
 // duration (n = rate x Duration, floored at MinN) so every rate point runs
 // long enough to reach steady state instead of measuring a transient burst.
 type Scale struct {
@@ -74,7 +75,9 @@ type Scale struct {
 	Workers int
 }
 
-// FullScale returns the configuration used to regenerate EXPERIMENTS.md.
+// FullScale returns the configuration behind the full-scale tables
+// loongserve-bench prints without -quick, which DESIGN.md's "Measured
+// results" records.
 func FullScale() Scale {
 	return Scale{
 		MinN:     100,

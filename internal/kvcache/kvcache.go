@@ -98,6 +98,9 @@ func (pl *reqPlacement) total() int {
 // engine on the request (serving.Request.KV) and passed to AllocRef and
 // EachPlacement. The zero Ref refers to nothing. A Ref is only a hint:
 // the pool validates it on every use and refreshes it when it is stale.
+// It names its pool so that a ref from another pool is rejected without
+// reading that pool's record, which another replica's runner may be
+// writing.
 type Ref struct {
 	pool *DistributedPool
 	pl   *reqPlacement

@@ -402,16 +402,17 @@ func TestPropertyPoolInvariantsUnderRandomOps(t *testing.T) {
 					t.Logf("op %d: partial release: %v", op, err)
 					return false
 				}
-			default:
+			default: // 5: AllocAt; 6: AllocRef through r's kept ref; 7: through a ref from another pool
 				allocOK = 0
 				if p := d.Pool(id); p != nil && n >= 0 && p.Free() >= n {
 					allocOK = 1
 				}
-				ref := refs[r]
-				switch kind {
-				case 5:
+				if kind == 5 {
 					err = d.AllocAt(r, id, n)
-				case 7:
+					break
+				}
+				ref := refs[r]
+				if kind == 7 {
 					ref = &Ref{}
 					if err := other.AllocRef(ref, r, 0, 1); err != nil {
 						t.Logf("op %d: foreign alloc: %v", op, err)
@@ -419,26 +420,24 @@ func TestPropertyPoolInvariantsUnderRandomOps(t *testing.T) {
 					}
 					foreignHeld++
 				}
-				if kind != 5 {
-					switch {
-					case ref.pool == nil:
-					case ref.pool != d:
-						foreign++
-					case ref.pl.pool == nil:
-						released++
-					case ref.pl.owner != r:
-						recycled++
-					}
-					err = d.AllocRef(ref, r, id, n)
-					if err == nil && n > 0 && (ref.pool != d || ref.pl != d.placements[r]) {
-						t.Logf("op %d: ref not refreshed to request %d's record", op, r)
-						return false
-					}
+				switch {
+				case ref.pool == nil:
+				case ref.pool != d:
+					foreign++
+				case ref.pl.pool == nil:
+					released++
+				case ref.pl.owner != r:
+					recycled++
 				}
-				if (err == nil) != (allocOK == 1) {
-					t.Logf("op %d: alloc %d on instance %d: err %v, want success %v", op, n, id, err, allocOK == 1)
+				err = d.AllocRef(ref, r, id, n)
+				if err == nil && n > 0 && (ref.pool != d || ref.pl != d.placements[r]) {
+					t.Logf("op %d: ref not refreshed to request %d's record", op, r)
 					return false
 				}
+			}
+			if allocOK >= 0 && (err == nil) != (allocOK == 1) {
+				t.Logf("op %d: alloc %d on instance %d: err %v, want success %v", op, n, id, err, allocOK == 1)
+				return false
 			}
 			if err := d.CheckInvariants(); err != nil {
 				t.Logf("op %d: %v", op, err)
@@ -483,7 +482,8 @@ func TestPropertyPoolInvariantsUnderRandomOps(t *testing.T) {
 		}
 		return d.TotalUsed() == 0 && d.CheckInvariants() == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	// A fixed source keeps the stale-ref coverage check below deterministic.
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(17))}); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("stale refs used: %d released, %d recycled, %d foreign", released, recycled, foreign)

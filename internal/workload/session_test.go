@@ -120,9 +120,9 @@ func TestSessionTraceValidation(t *testing.T) {
 		{Sessions: 1, MinTurns: 1, MaxTurns: 1, PromptGroups: 0, SessionRate: 1},
 		{Sessions: 1, MinTurns: 1, MaxTurns: 1, PromptGroups: 1, SessionRate: 0},
 	}
-	// Non-positive lengths used to build requests with negative input and
-	// zero output (SystemTokens -5, UserTokens -1, ReplyTokens 0 gave
-	// InputLen -56), because the length clamp returns hi when hi < lo.
+	// Lengths below 1 would build requests with negative input and zero
+	// output (SystemTokens -5, UserTokens -1 and ReplyTokens 0 give InputLen
+	// -56), because the length clamp returns hi when hi < lo.
 	for _, set := range []func(*SessionConfig){
 		func(c *SessionConfig) { c.SystemTokens = -5 },
 		func(c *SessionConfig) { c.SystemTokens = 0 },
