@@ -8,7 +8,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"os"
+	"slices"
 	"time"
 
 	"loongserve/internal/cluster"
@@ -49,7 +51,8 @@ func main() {
 	fmt.Printf("served %d requests; elastic event log:\n\n", len(recs))
 	tracer.Timeline(os.Stdout)
 	fmt.Println("\nevent totals:")
-	for kind, n := range tracer.Counts() {
-		fmt.Printf("  %-14s %d\n", kind, n)
+	counts := tracer.Counts()
+	for _, kind := range slices.Sorted(maps.Keys(counts)) {
+		fmt.Printf("  %-14s %d\n", kind, counts[kind])
 	}
 }

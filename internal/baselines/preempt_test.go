@@ -103,11 +103,15 @@ func TestPreemptedRequestsRecomputeFullContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRecords(t, recs, len(trace))
-	pool := 0
-	// Run() builds its own pool; re-run manually to inspect drained state.
-	_ = pool
 	if eng.Preemptions < 1 {
 		t.Fatalf("preemptions = %d", eng.Preemptions)
+	}
+	// Run builds the pool; the engine keeps the Env it was given at Init.
+	if used := eng.env.Pool.TotalUsed(); used != 0 {
+		t.Fatalf("%d KV slots still held after the run", used)
+	}
+	if err := eng.env.Pool.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	// Preempted requests pay recompute: their end-to-end latency exceeds
 	// the unloaded ideal by more than the queueing of the batch.

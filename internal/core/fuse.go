@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"time"
 
 	"loongserve/internal/cluster"
 	"loongserve/internal/kvcache"
+	"loongserve/internal/simevent"
 )
 
 // Decode-iteration fusion: when the engine can prove that the next K decode
@@ -13,18 +15,34 @@ import (
 // into one simulator event and defers the per-iteration token/KV bookkeeping
 // until someone needs it. Long steady decodes (the common state of a
 // long-context workload) then cost O(1) events instead of O(output length).
+// The engine fuses by default; SetDecodeFusion(false) runs the unfused
+// reference.
 //
-// Exactness argument. With fusion enabled the engine fuses only when, at
-// launch time:
+// Exactness argument. The engine fuses only when, at launch time:
 //
-//  1. The group is the engine's only live group and the pending queue is
-//     empty. Then every scheduler pass between iterations
-//     (scheduleOnePrefillRound, considerMerges, wakeIfPending) is a no-op,
-//     and nothing can pause, borrow from, merge into or join the group —
-//     all of those paths begin with a pending request or a second group.
-//  2. The unclamped compute-threshold master demand ceil(bs/threshold) is
-//     already ≤ the distinct master count, so considerComputeScaleUp
-//     returns without touching the group on every interior boundary.
+//  1. g is the engine's only decoding group, every other live group is a
+//     running prefill, and the pending queue is empty. Each step of the
+//     scheduler pass at an interior boundary is then a no-op:
+//     - dispatch returns at once on the empty queue. Only Arrive (which
+//     fissions the window) and preemption (which needs the capacity
+//     deficit condition 5 rules out) add to the queue.
+//     - considerMerges needs two idle decoding groups; g is the only one.
+//     - considerComputeScaleUp returns at once by condition 2.
+//     - schedule calls launchDecode only on decoding groups, so it starts
+//     g's next iteration and skips every prefill group.
+//     - A prefill reserved its KV at launch, on its own instances, which
+//     are disjoint from g's: every instance has one owning group, and a
+//     piggyback prefill borrows only a paused decoding group, which does
+//     not launch a window. g's free slots and placements therefore move
+//     only with g's own tokens, so conditions 3 and 5 keep holding.
+//     Nothing can pause, borrow from, merge into or join g: all of those
+//     begin with a pending request or a finishing prefill. No group is
+//     created or retired inside the window, so MaxDecodeBS and MaxGroups
+//     see at every boundary what they saw at launch.
+//  2. The compute-threshold master demand is met: bs ≤ masters·threshold,
+//     that is ceil(bs/threshold) ≤ the distinct master count, so
+//     considerComputeScaleUp returns without touching the group on every
+//     interior boundary.
 //  3. shrinkDecode would keep every instance (each one masters a request
 //     or holds group KV). Interior iterations only add KV to masters, so a
 //     no-op shrink at launch stays a no-op for the whole window.
@@ -35,56 +53,83 @@ import (
 //     interior AllocAt succeeds and ensureDecodeCapacity finds zero deficit
 //     at every interior boundary (after i iterations Free(m) has dropped by
 //     i·assigned(m), still ≥ (K−i)·assigned(m)).
+//  6. The window ends at the first boundary at or after the earliest
+//     completion time of a running prefill (recorded in launchPrefill), so
+//     a completing prefill discards at most the in-flight iteration.
 //
-// Under 1–5 the unfused engine would execute K identical
+// Under 1–6 the unfused engine would execute K identical
 // decodeIterDone→schedule→launchDecode cycles whose only effects are
 // Generated++ and one AllocAt per request per iteration, with iteration i
 // lasting DecodeIterTime(bs, sumKV + i·bs, …). The fused event fires at the
 // sum of those individually-rounded durations; interior boundary times are
 // kept so deferred state materializes on exactly the unfused schedule.
 //
-// The only external entry points into a running engine are Arrive and the
-// read-only reporter interfaces. Arrive fissions the window first
-// (materialize interior boundaries strictly before now, then re-arm the
-// in-flight iteration's boundary as a normal decode event), so the engine
-// an arrival observes is bit-identical to the unfused one. Load
-// materializes lazily without breaking the window. The one divergence
-// window is an arrival landing at the exact nanosecond of an interior
-// boundary: the canonical order is then arrival-first, where the unfused
-// run's order depends on event sequence numbers. With float-fitted
-// durations summed in nanoseconds such ties do not occur in practice, and
-// the fusion identity property tests would catch one if it did.
+// Two entry points change what the proof assumed, and both fission the
+// window first (materialize interior boundaries strictly before now, then
+// re-arm the in-flight iteration's boundary as a normal decode event), so
+// the engine they observe is bit-identical to the unfused one:
+//
+//   - Arrive. serving.Run stages every arrival before the run starts and
+//     the fleet runner delivers an arrival before any engine event at its
+//     instant, so an arrival at the exact nanosecond of a boundary precedes
+//     that boundary's decode event in the unfused run too.
+//   - finishPrefill. A prefill's completion event was scheduled when the
+//     prefill launched, before the window (no prefill launches inside a
+//     window), so it carries a lower sequence number than the fused event
+//     and than the unfused run's decode event, which was armed at the
+//     previous boundary. At a same-nanosecond tie the prefill fires first
+//     in both runs, and the re-armed boundary fires after it.
+//
+// Nothing else schedules into the engine's heap during a window, and the
+// fission runs before its handler schedules anything, so the re-armed
+// event keeps its unfused place among same-instant events. Load
+// materializes lazily without breaking the window.
+//
+// Event accounting. A window that completes saves its K−1 interior events;
+// a fissioned one saves every iteration it materialized (its in-flight
+// iteration fires as a normal event in both runs). Since Iters counts
+// materialized iterations, unfused events − fused events = Iters − Windows
+// + Fissions, which TestDecodeFusionEventIdentity checks exactly.
 
 // DecodeFusionStats reports fusion effectiveness for one engine.
 type DecodeFusionStats struct {
-	Windows int // fused windows launched
-	Iters   int // decode iterations executed inside fused windows
+	Windows  int // fused windows launched
+	Iters    int // decode iterations materialized from fused windows
+	Fissions int // windows dissolved before their last boundary
 }
 
-// SetDecodeFusion implements serving.DecodeFuser: it enables (or disables)
-// decode-iteration fusion for subsequently launched decode windows.
-// Disabling does not fission an in-flight window.
+// SetDecodeFusion implements serving.DecodeFuser: it enables (the default)
+// or disables decode-iteration fusion for subsequently launched decode
+// windows. Disabling does not fission an in-flight window.
 func (e *Engine) SetDecodeFusion(on bool) { e.fuseDecode = on }
 
 // FusionStats reports how much decoding ran fused.
 func (e *Engine) FusionStats() DecodeFusionStats { return e.fusion }
 
-// fuseEligible checks conditions 1–5 above and returns the window length K
-// (0 when the group must run unfused). bs and masters are the launch-time
-// batch size and distinct master count the caller already computed.
-func (e *Engine) fuseEligible(g *group, bs, masters int) int {
-	if len(e.groupList) != 1 || e.groupList[0] != g || len(e.pending) != 0 {
-		return 0
+// fuseEligible checks conditions 1–5 above. It returns the window length
+// bound K (0 when the group must run unfused) and the earliest completion
+// time of a running prefill (condition 6). bs and masters are the
+// launch-time batch size and distinct master count the caller already
+// computed.
+func (e *Engine) fuseEligible(g *group, bs, masters int) (int, simevent.Time) {
+	limit := simevent.Time(math.MaxInt64)
+	if len(e.pending) != 0 {
+		return 0, limit
 	}
-	threshold := e.sib.DecodeBSThreshold
-	if threshold < 1 {
-		threshold = 1
+	for _, o := range e.groupList {
+		if o == g {
+			continue
+		}
+		if o.phase == phaseDecode {
+			return 0, limit // a second decoding group could merge or be borrowed
+		}
+		limit = min(limit, o.prefillEnd)
 	}
-	if (bs+threshold-1)/threshold > masters {
-		return 0 // compute scale-up would fire on an interior boundary
+	if bs > masters*e.decodeBS {
+		return 0, limit // compute scale-up would fire on an interior boundary
 	}
 	if !e.allInUse(g) {
-		return 0 // shrinkDecode would release an instance
+		return 0, limit // shrinkDecode would release an instance
 	}
 	kfin := 0
 	for _, r := range g.reqs {
@@ -92,11 +137,7 @@ func (e *Engine) fuseEligible(g *group, bs, masters int) int {
 			kfin = left
 		}
 	}
-	k := min(kfin, e.capIterations(g))
-	if k < 2 {
-		return 0 // a 1-iteration window is just a normal iteration
-	}
-	return k
+	return min(kfin, e.capIterations(g)), limit
 }
 
 // capIterations returns K_cap: how many iterations every master can absorb
@@ -111,67 +152,73 @@ func (e *Engine) capIterations(g *group) int {
 	return kcap
 }
 
-// launchFused arms one event covering K iterations, storing every interior
-// boundary so deferred state can materialize on the exact unfused schedule.
-func (e *Engine) launchFused(g *group, k, bs, sumKV, masters int, link cluster.Link) {
-	ends := g.fusedEnds[:0]
-	t := e.env.Sim.Now()
-	for i := 0; i < k; i++ {
+// launchFused arms one event covering the group's next iterations, d being
+// the first one's duration, and stores every boundary in the engine's
+// window buffer so deferred state can materialize on the exact unfused
+// schedule. It reports false, arming nothing, when fewer than two
+// iterations qualify: a 1-iteration window is just a normal iteration.
+func (e *Engine) launchFused(g *group, d time.Duration, bs, sumKV, masters int, link cluster.Link) bool {
+	k, limit := e.fuseEligible(g, bs, masters)
+	t := e.env.Sim.Now().Add(d)
+	if k < 2 || t >= limit {
+		return false
+	}
+	ends := append(e.fusedEnds[:0], t)
+	for i := 1; i < k && t < limit; i++ {
 		t = t.Add(e.env.CM.DecodeIterTime(bs, sumKV+i*bs, len(g.instances), e.TP, masters, link))
 		ends = append(ends, t)
 	}
-	g.fusedEnds = ends
-	g.fused = true
-	g.fusedDone = 0
+	e.fusedEnds = ends
+	e.fusedDone = 0
+	e.fusedGroup = g
 	g.running = true
 	g.iterN = bs
 	if g.decodeEv == nil {
 		g.decodeEv = e.env.Sim.NewEvent(func() { e.decodeIterDone(g) })
 	}
-	e.env.Sim.ScheduleAt(g.decodeEv, ends[k-1])
-	e.fusedGroup = g
+	e.env.Sim.ScheduleAt(g.decodeEv, t)
 	e.fusion.Windows++
-	e.fusion.Iters += k
+	return true
 }
 
-// applyFused materializes deferred iterations up to boundary index upto
-// (exclusive of nothing: iterations fusedDone..upto-1 are applied). Pool
-// state after a batched AllocAt of n tokens is identical to n single-token
-// allocations — the pool is count-based — so materialization order cannot
-// be observed.
-func (e *Engine) applyFused(g *group, upto int) {
-	delta := upto - g.fusedDone
+// applyFused materializes the fused group's deferred iterations
+// fusedDone..upto-1. Pool state after a batched AllocAt of n tokens is
+// identical to n single-token allocations — the pool is count-based — so
+// materialization order cannot be observed.
+func (e *Engine) applyFused(upto int) {
+	delta := upto - e.fusedDone
 	if delta <= 0 {
 		return
 	}
+	g := e.fusedGroup
 	for i, r := range g.reqs[:g.iterN] {
 		r.Generated += delta
 		if err := e.env.Pool.AllocRef(&r.KV, r.ID, g.masters[i], delta); err != nil {
 			panic(err)
 		}
 	}
-	g.fusedDone = upto
+	e.fusedDone = upto
+	e.fusion.Iters += delta
 }
 
 // syncFused brings deferred decode state current for an external reader:
 // every boundary strictly before now has happened.
 func (e *Engine) syncFused() {
-	g := e.fusedGroup
-	if g == nil {
+	if e.fusedGroup == nil {
 		return
 	}
 	now := e.env.Sim.Now()
-	j := g.fusedDone
-	for j < len(g.fusedEnds) && g.fusedEnds[j] < now {
+	j := e.fusedDone
+	for j < len(e.fusedEnds) && e.fusedEnds[j] < now {
 		j++
 	}
-	e.applyFused(g, j)
+	e.applyFused(j)
 }
 
 // fissionFused dissolves an in-flight fused window because the stability
-// conditions are about to break (an arrival). Materialized state is exactly
-// the unfused mid-iteration state; the in-flight iteration's boundary is
-// re-armed as a normal decode event.
+// conditions are about to break (an arrival or a prefill completion).
+// Materialized state is exactly the unfused mid-iteration state; the
+// in-flight iteration's boundary is re-armed as a normal decode event.
 func (e *Engine) fissionFused() {
 	g := e.fusedGroup
 	if g == nil {
@@ -179,8 +226,8 @@ func (e *Engine) fissionFused() {
 	}
 	e.syncFused()
 	e.env.Sim.Cancel(g.decodeEv)
-	next := g.fusedEnds[g.fusedDone]
-	g.fused = false
+	next := e.fusedEnds[e.fusedDone]
 	e.fusedGroup = nil
+	e.fusion.Fissions++
 	e.env.Sim.ScheduleAt(g.decodeEv, next)
 }

@@ -71,3 +71,37 @@ func TestFusedDecodeDrainZeroAllocsPerIteration(t *testing.T) {
 		t.Fatalf("fused drain allocates %.3f objects per interior iteration (%d vs %d mallocs); interior iterations must not allocate", perIter, long, short)
 	}
 }
+
+// TestFusedWindowLaunchAllocatesNothing pins the engine-owned window
+// buffer: once one window has run, fissioning it (what an arrival does
+// first) and launching the next allocates nothing. Each measured run
+// fissions the live window, fires the re-armed in-flight iteration as a
+// normal decode event, and lets schedule relaunch a window over the rest
+// of the decode.
+func TestFusedWindowLaunchAllocatesNothing(t *testing.T) {
+	sim, eng, r := loneLongDecode(t, 5_000)
+	for eng.fusedGroup == nil && sim.Step() {
+	}
+	if eng.fusedGroup == nil || len(eng.fusedGroup.instances) < 2 {
+		t.Fatal("no fused window over a multi-instance group after the prefill")
+	}
+	before, generated := eng.FusionStats(), r.Generated
+	const runs = 100
+	if avg := testing.AllocsPerRun(runs, func() {
+		eng.fissionFused()
+		if !sim.Step() || eng.fusedGroup == nil {
+			t.Fatal("no window relaunched after the in-flight iteration")
+		}
+	}); avg != 0 {
+		t.Fatalf("fission and window relaunch allocate %.2f objects per cycle, want 0", avg)
+	}
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	after := eng.FusionStats()
+	if w, f := after.Windows-before.Windows, after.Fissions-before.Fissions; w != runs+1 || f != runs+1 {
+		t.Fatalf("measured %d window launches and %d fissions, want %d each", w, f, runs+1)
+	}
+	if r.Generated != generated+runs+1 || after.Iters != before.Iters {
+		t.Fatalf("cycles were not one plain iteration each: generated %d→%d, fused iterations %d→%d",
+			generated, r.Generated, before.Iters, after.Iters)
+	}
+}

@@ -108,10 +108,21 @@ type Engine struct {
 
 	tracer *Tracer // optional execution trace (Fig 6 lifecycle)
 
-	// Decode-iteration fusion (fuse.go): enabled via SetDecodeFusion, at
-	// most one group can satisfy the fusion conditions at a time.
+	// decodeBS is the SIB's compute-bound decode batch size, clamped to at
+	// least 1 at Init; the decode scale-up and fusion checks read it on
+	// every iteration.
+	decodeBS int
+
+	// Decode-iteration fusion (fuse.go), on unless SetDecodeFusion(false).
+	// At most one group can satisfy the fusion conditions at a time, so the
+	// live window's state is the engine's: fusedGroup is the group it
+	// covers (nil when none is live), fusedEnds the absolute end time of
+	// each iteration in the window and fusedDone the count already
+	// materialized. The buffer is reused across windows.
 	fuseDecode bool
 	fusedGroup *group
+	fusedEnds  []simevent.Time
+	fusedDone  int
 	fusion     DecodeFusionStats
 
 	// Running averages for the Eq 2 gain estimate.
@@ -144,10 +155,12 @@ type group struct {
 	instances []kvcache.InstanceID
 	running   bool
 
-	// Prefill state.
-	batch  []*serving.Request
-	lens   []int
-	retain []kvcache.InstanceID // proactive scale-down targets
+	// Prefill state. prefillEnd is when the prefill iteration completes,
+	// which bounds any fused decode window beside it.
+	batch      []*serving.Request
+	lens       []int
+	retain     []kvcache.InstanceID // proactive scale-down targets
+	prefillEnd simevent.Time
 
 	// Decode state. masters[i] is the instance that receives reqs[i]'s new
 	// KV; mastered counts requests per master, indexed by InstanceID, and
@@ -170,13 +183,6 @@ type group struct {
 	// Borrowed instances (Eq 1-2): returned to their decoding group after
 	// this prefill iteration.
 	borrowedFrom *group
-
-	// Fused-decode window state (fuse.go): fusedEnds holds the absolute end
-	// time of each iteration in the window; fusedDone counts iterations
-	// already materialized. The slice is reused across windows.
-	fused     bool
-	fusedDone int
-	fusedEnds []simevent.Time
 }
 
 // noMaster marks a request slot with no master instance.
@@ -224,9 +230,10 @@ func New(tp int, opts Options) *Engine {
 		opts.ProfileJitter = 0.01
 	}
 	return &Engine{
-		Label: fmt.Sprintf("LoongServe (TP=%d)", tp),
-		TP:    tp,
-		Opts:  opts,
+		Label:      fmt.Sprintf("LoongServe (TP=%d)", tp),
+		TP:         tp,
+		Opts:       opts,
+		fuseDecode: true,
 	}
 }
 
@@ -271,6 +278,7 @@ func (e *Engine) Init(env *serving.Env) error {
 		prof.ProfileDecode(e.sib, st, sp)
 	}
 	prof.CalibrateThresholds(e.sib, costmodel.Strategy{SP: 1, TP: e.TP})
+	e.decodeBS = max(e.sib.DecodeBSThreshold, 1)
 
 	// Fit every strategy now and build the per-SP tables the scheduler
 	// indexes at decision time (the SIB itself caches fits, but the map
@@ -521,6 +529,7 @@ func (e *Engine) launchPrefill(reqs []*serving.Request, lens []int, insts []kvca
 	if len(retain) < len(insts) {
 		d += e.env.CM.ScaleDownOverhead()
 	}
+	g.prefillEnd = e.env.Sim.Now().Add(d)
 	e.env.Sim.After(d, func() { e.finishPrefill(g) })
 }
 
@@ -549,6 +558,7 @@ func (e *Engine) chooseRetention(reqs []*serving.Request, insts []kvcache.Instan
 // retention subset (the proactive scale-down), or — in the piggyback path —
 // joins the new requests into the donor decoding batch.
 func (e *Engine) finishPrefill(g *group) {
+	e.fissionFused() // the completion can join, merge or create a decoding group
 	now := e.env.Sim.Now()
 	for _, r := range g.batch {
 		if _, preempted := e.recompute[r.ID]; preempted {

@@ -134,11 +134,13 @@ func TestMastershipCountsStayConsistent(t *testing.T) {
 	}
 }
 
-// TestSteadyDecodeStepAllocatesNothing pins the cost of the unfused decode
-// step: once a multi-instance group decodes alone, each event runs
-// decodeIterDone → schedule → launchDecode with no group change and must
-// not allocate.
-func TestSteadyDecodeStepAllocatesNothing(t *testing.T) {
+// loneLongDecode stages one request with a 300K-token prompt on an
+// initialized 8-GPU engine of four TP=2 instances. The prompt needs two
+// instances, so the group decodes with one master beside an instance that
+// only holds KV: every decode launch walks the KV placement to prove the
+// shrink check a no-op.
+func loneLongDecode(t *testing.T, outputLen int) (*simevent.Sim, *Engine, *serving.Request) {
+	t.Helper()
 	m := model.LWM1MText()
 	hw := cluster.A800()
 	c, err := cluster.New(m, hw, 1, 8, 2)
@@ -152,11 +154,18 @@ func TestSteadyDecodeStepAllocatesNothing(t *testing.T) {
 	if err := eng.Init(env); err != nil {
 		t.Fatal(err)
 	}
-	// A 300K-token prompt needs two TP=2 instances, so the group decodes
-	// with one master beside an instance that only holds KV: every step
-	// walks the KV placement to prove the shrink check a no-op.
-	r := &serving.Request{ID: 1, InputLen: 300_000, OutputLen: 1_000}
+	r := &serving.Request{ID: 1, InputLen: 300_000, OutputLen: outputLen}
 	sim.Stage(0, func() { eng.Arrive(r) })
+	return sim, eng, r
+}
+
+// TestSteadyDecodeStepAllocatesNothing pins the cost of the unfused decode
+// step: once a multi-instance group decodes alone, each event runs
+// decodeIterDone → schedule → launchDecode with no group change and must
+// not allocate. Fusion is off, or the lone group would decode in windows.
+func TestSteadyDecodeStepAllocatesNothing(t *testing.T) {
+	sim, eng, r := loneLongDecode(t, 1_000)
+	eng.SetDecodeFusion(false)
 	for r.Generated < 10 && sim.Step() {
 	}
 	if len(eng.groupList) != 1 || eng.groupList[0].phase != phaseDecode {

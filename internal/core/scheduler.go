@@ -546,13 +546,10 @@ func (e *Engine) launchDecode(g *group) {
 	}
 	masters := g.distinct
 	link := e.env.Cluster.GroupLink(g.instances)
-	if e.fuseDecode {
-		if k := e.fuseEligible(g, bs, masters); k >= 2 {
-			e.launchFused(g, k, bs, sumKV, masters, link)
-			return
-		}
-	}
 	d := e.env.CM.DecodeIterTime(bs, sumKV, len(g.instances), e.TP, masters, link)
+	if e.fuseDecode && e.launchFused(g, d, bs, sumKV, masters, link) {
+		return
+	}
 	g.running = true
 	// Fix the iteration's batch (a join can grow g.reqs mid-flight; joined
 	// requests sit out this iteration) and arm the group's reusable event.
@@ -567,12 +564,11 @@ func (e *Engine) launchDecode(g *group) {
 // batched request gains one token on its master, finished requests retire,
 // and the scheduler runs.
 func (e *Engine) decodeIterDone(g *group) {
-	if g.fused {
+	if e.fusedGroup == g {
 		// End of a fused window: materialize every remaining iteration
 		// (including this final boundary) and fall through to the normal
 		// completion epilogue.
-		e.applyFused(g, len(g.fusedEnds))
-		g.fused = false
+		e.applyFused(len(e.fusedEnds))
 		e.fusedGroup = nil
 	} else {
 		for i, r := range g.reqs[:g.iterN] {
@@ -596,14 +592,12 @@ func (e *Engine) decodeIterDone(g *group) {
 // so spreading dense layers over more masters pays. The target is enough
 // masters that each one's share stays at or under the threshold.
 func (e *Engine) considerComputeScaleUp(g *group) {
-	threshold := e.sib.DecodeBSThreshold
-	if threshold < 1 {
-		threshold = 1
-	}
-	desired := (len(g.reqs) + threshold - 1) / threshold
-	if desired <= g.distinct {
+	// len(reqs) ≤ distinct·threshold is ceil(len(reqs)/threshold) ≤
+	// distinct without the division: the common case on every iteration.
+	if len(g.reqs) <= g.distinct*e.decodeBS {
 		return
 	}
+	desired := (len(g.reqs) + e.decodeBS - 1) / e.decodeBS
 	if g.distinct < len(g.instances) {
 		e.rebalanceMasters(g, desired)
 		return
@@ -631,11 +625,7 @@ func (e *Engine) considerComputeScaleUp(g *group) {
 // desiredMasters returns the master count the compute threshold asks for,
 // clamped to the group size.
 func (e *Engine) desiredMasters(g *group) int {
-	threshold := e.sib.DecodeBSThreshold
-	if threshold < 1 {
-		threshold = 1
-	}
-	d := (len(g.reqs) + threshold - 1) / threshold
+	d := (len(g.reqs) + e.decodeBS - 1) / e.decodeBS
 	if d < 1 {
 		d = 1
 	}

@@ -153,8 +153,9 @@ type Config struct {
 	// for every feed (open or closed loop) and every fleet (static, faulty
 	// or autoscaled). Negative counts are rejected.
 	Shards int
-	// FuseDecode enables decode-iteration fusion on every replica engine
-	// implementing serving.DecodeFuser. Fusion is observationally exact —
+	// FuseDecode sets decode-iteration fusion on every replica engine
+	// implementing serving.DecodeFuser: on when set, off otherwise,
+	// whatever the engine's own default. Fusion is observationally exact —
 	// records, traces, obs streams and audits are unchanged; only simulator
 	// event counts drop (see core/fuse.go for the proof).
 	FuseDecode bool

@@ -609,10 +609,8 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 			rep.cache.setObserver(&dirShim{g: g, rep: rep})
 		}
 	}
-	if g.cfg.FuseDecode {
-		if df, ok := rep.engine.(serving.DecodeFuser); ok {
-			df.SetDecodeFusion(true)
-		}
+	if df, ok := rep.engine.(serving.DecodeFuser); ok {
+		df.SetDecodeFusion(g.cfg.FuseDecode)
 	}
 	if g.obsSink != nil {
 		// Engines that can mirror their elastic events pick up the fleet's

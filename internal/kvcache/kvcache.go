@@ -343,26 +343,33 @@ func (d *DistributedPool) AllocRef(ref *Ref, r RequestID, id InstanceID, n int) 
 
 // PlaceSpread allocates n tokens for r across subset (all instances when
 // nil) with no locality constraint, most-free-first — LoongServe's unified
-// placement. On failure nothing is allocated.
+// placement. A subset that names an unknown instance, or one instance
+// twice, is an error. On failure nothing is allocated.
 func (d *DistributedPool) PlaceSpread(r RequestID, n int, subset []InstanceID) error {
 	subset = d.orAll(subset)
 	if n < 0 {
 		return fmt.Errorf("kvcache: negative spread %d", n)
 	}
-	free := 0
 	for _, id := range subset {
-		p := d.Pool(id)
-		if p == nil {
+		if d.Pool(id) == nil {
 			return fmt.Errorf("kvcache: unknown instance %d", id)
 		}
-		free += p.Free()
-	}
-	if free < n {
-		return fmt.Errorf("kvcache: %d tokens exceed %d free across %d instances", n, free, len(subset))
 	}
 	order := append(d.order[:0], subset...)
 	slices.SortFunc(order, d.mostFree)
 	d.order = order
+	// The order is total (most free, then ID), so a repeated ID sorts next
+	// to itself; counted twice, its free slots would pass the fit check.
+	free := 0
+	for i, id := range order {
+		if i > 0 && id == order[i-1] {
+			return fmt.Errorf("kvcache: instance %d named twice in a spread subset", id)
+		}
+		free += d.pools[id].Free()
+	}
+	if free < n {
+		return fmt.Errorf("kvcache: %d tokens exceed %d free across %d instances", n, free, len(subset))
+	}
 	var pl *reqPlacement
 	for _, id := range order {
 		if n == 0 {
@@ -385,11 +392,17 @@ func (d *DistributedPool) PlaceSpread(r RequestID, n int, subset []InstanceID) e
 
 // PlaceSingle allocates n tokens for r on one instance (the fullest that
 // still fits, for best packing) — the locality discipline of the baselines.
+// A subset that names an unknown instance is an error, and nothing is
+// allocated.
 func (d *DistributedPool) PlaceSingle(r RequestID, n int, subset []InstanceID) (InstanceID, error) {
 	subset = d.orAll(subset)
 	best, bestFree := InstanceID(-1), -1
 	for _, id := range subset {
-		f := d.pools[id].Free()
+		p := d.Pool(id)
+		if p == nil {
+			return -1, fmt.Errorf("kvcache: unknown instance %d", id)
+		}
+		f := p.Free()
 		if f >= n && (bestFree == -1 || f < bestFree || (f == bestFree && id < best)) {
 			best, bestFree = id, f
 		}

@@ -196,6 +196,25 @@ func TestPlaceSpreadSubset(t *testing.T) {
 	if d.HeldOn(1, 0)+d.HeldOn(1, 1) != 15 {
 		t.Fatalf("subset placement total %d", d.HeldOn(1, 0)+d.HeldOn(1, 1))
 	}
+
+	// A subset that names an instance twice is rejected whole, whether or
+	// not the tokens would fit: counted twice, two 5-slot instances would
+	// pass the fit check for 8 tokens and place only 5.
+	d = NewDistributedPool([]int{5, 5})
+	for _, sub := range [][]InstanceID{{0, 0}, {1, 0, 1}} {
+		if err := d.PlaceSpread(2, 8, sub); err == nil {
+			t.Fatalf("spread of 8 tokens over %v accepted", sub)
+		}
+		if err := d.PlaceSpread(2, 1, sub); err == nil {
+			t.Fatalf("spread of 1 token over %v accepted", sub)
+		}
+	}
+	if d.HeldBy(2) != 0 || d.TotalUsed() != 0 {
+		t.Fatalf("rejected spreads placed %d tokens (used %d)", d.HeldBy(2), d.TotalUsed())
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPlaceSingleTightestFit(t *testing.T) {
@@ -325,6 +344,14 @@ func TestUnknownInstanceErrors(t *testing.T) {
 	}
 	if err := d.PlaceSpread(1, 1, []InstanceID{0, 99}); err == nil {
 		t.Fatal("spread over an unknown instance accepted")
+	}
+	for _, sub := range [][]InstanceID{{99}, {0, 3}, {-1, 0}} {
+		if id, err := d.PlaceSingle(1, 1, sub); err == nil {
+			t.Fatalf("single placement over %v accepted (on %d)", sub, id)
+		}
+	}
+	if d.TotalUsed() != 0 {
+		t.Fatalf("rejected placements used %d slots", d.TotalUsed())
 	}
 	if err := d.AllocAt(1, 0, 4); err != nil {
 		t.Fatal(err)

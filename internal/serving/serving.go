@@ -163,8 +163,10 @@ type Traceable interface {
 // identical consecutive decode iterations into one simulator event
 // (decode-iteration fusion). Fusion must be observationally exact: request
 // records, load reports and emitted trace events are identical with it on
-// or off — only the simulator event count drops. The fleet layer enables
-// it on every capable replica when Config.FuseDecode is set.
+// or off — only the simulator event count drops. An engine chooses its own
+// default (the LoongServe core fuses); the fleet layer sets it on every
+// capable replica from Config.FuseDecode, so fleets fuse only when they
+// opt in.
 type DecodeFuser interface {
 	SetDecodeFusion(on bool)
 }
