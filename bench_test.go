@@ -14,6 +14,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"loongserve/internal/bench"
 	"loongserve/internal/cluster"
@@ -212,6 +213,25 @@ func BenchmarkCostModelDecodeIterTime(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = cm.DecodeIterTime(128, 128*4096, 4, 2, 4, link)
+	}
+}
+
+// decodeStepSink keeps BenchmarkCostModelDecodeStep's results live.
+var decodeStepSink time.Duration
+
+// BenchmarkCostModelDecodeStep times one fused decode window of 256
+// iterations at BenchmarkCostModelDecodeIterTime's inputs: one DecodeStep,
+// then one At per boundary as the resident KV grows by the batch.
+func BenchmarkCostModelDecodeStep(b *testing.B) {
+	cm := costmodel.New(model.LWM1MText(), cluster.A800())
+	hw := cluster.A800()
+	link := cluster.Link{Bandwidth: hw.NVLinkBandwidth, Latency: hw.NVLinkLatency}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step := cm.DecodeStep(128, 4, 2, 4, link)
+		for j := 0; j < 256; j++ {
+			decodeStepSink += step.At(128*4096 + j*128)
+		}
 	}
 }
 

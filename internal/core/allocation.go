@@ -22,17 +22,21 @@ import (
 // (KV must vacate first), and wantMore: set when a large further speedup
 // exists but the holding groups are mid-iteration — the caller should defer
 // the launch a few milliseconds to the next iteration boundary rather than
-// run a minute-scale prefill under-parallelized.
+// run a minute-scale prefill under-parallelized. The instance set is the
+// engine's scratch, valid until the next dispatch attempt; the batch
+// planner copies what a group keeps.
 func (e *Engine) allocateInstances(rp []*serving.Request, idle []kvcache.InstanceID) ([]kvcache.InstanceID, time.Duration, bool) {
-	insts := append([]kvcache.InstanceID(nil), idle...)
+	insts := append(e.pre.insts[:0], idle...)
 	var delay time.Duration
 	m := len(e.env.Cluster.Instances)
-	lens := make([]int, len(rp))
+	lens := e.pre.lens[:0]
 	invLen := 0.0
-	for i, r := range rp {
-		lens[i] = e.prefillLen(r)
-		invLen += 1 / float64(lens[i])
+	for _, r := range rp {
+		l := e.prefillLen(r)
+		lens = append(lens, l)
+		invLen += 1 / float64(l)
 	}
+	e.pre.lens = lens
 	for len(insts) < m {
 		cur, ok1 := e.prefillCoeffsSP(len(insts))
 		nxt, ok2 := e.prefillCoeffsSP(len(insts) + 1)
@@ -48,6 +52,7 @@ func (e *Engine) allocateInstances(rp []*serving.Request, idle []kvcache.Instanc
 			// A big win may be one busy-group completion away (a decode
 			// iteration or another batch's prefill): wait for it.
 			if deltaT > 5 && e.busyGroupExists() {
+				e.pre.insts = insts
 				return insts, delay, true
 			}
 			break
@@ -68,6 +73,7 @@ func (e *Engine) allocateInstances(rp []*serving.Request, idle []kvcache.Instanc
 		}
 		insts = append(insts, cand)
 	}
+	e.pre.insts = insts
 	return insts, delay, false
 }
 

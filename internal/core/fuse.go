@@ -61,8 +61,10 @@ import (
 // decodeIterDone→schedule→launchDecode cycles whose only effects are
 // Generated++ and one AllocAt per request per iteration, with iteration i
 // lasting DecodeIterTime(bs, sumKV + i·bs, …). The fused event fires at the
-// sum of those individually-rounded durations; interior boundary times are
-// kept so deferred state materializes on exactly the unfused schedule.
+// sum of those individually-rounded durations, each taken from one
+// costmodel.DecodeStep per window (equal to DecodeIterTime bit for bit);
+// interior boundary times are kept so deferred state materializes on
+// exactly the unfused schedule.
 //
 // Two entry points change what the proof assumed, and both fission the
 // window first (materialize interior boundaries strictly before now, then
@@ -163,9 +165,12 @@ func (e *Engine) launchFused(g *group, d time.Duration, bs, sumKV, masters int, 
 	if k < 2 || t >= limit {
 		return false
 	}
+	// Only the resident KV changes between iterations; the step computes
+	// every other term once.
+	step := e.env.CM.DecodeStep(bs, len(g.instances), e.TP, masters, link)
 	ends := append(e.fusedEnds[:0], t)
 	for i := 1; i < k && t < limit; i++ {
-		t = t.Add(e.env.CM.DecodeIterTime(bs, sumKV+i*bs, len(g.instances), e.TP, masters, link))
+		t = t.Add(step.At(sumKV + i*bs))
 		ends = append(ends, t)
 	}
 	e.fusedEnds = ends

@@ -103,6 +103,7 @@ type Engine struct {
 	orderScratch []kvcache.InstanceID          // rebalanceMasters instance order
 	inUse        []bool                        // allInUse verdicts, indexed by InstanceID
 	markPlaced   func(kvcache.InstanceID, int) // bound EachPlacement visitor for allInUse
+	pre          prefillScratch                // dispatch, allocation and piggyback buffers
 	dp           dpScratch                     // Eq 5 DP inputs and matrices
 	scheduleFn   func()                        // bound e.schedule, for After(0, ...)
 

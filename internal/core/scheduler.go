@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"loongserve/internal/costmodel"
@@ -46,23 +45,25 @@ func (e *Engine) scheduleOnePrefillRound() bool {
 		}
 	}
 	if len(idle) > 0 {
-		if rp := e.dispatch(e.freeOn(idle), len(idle)); len(rp) > 0 {
+		if k := e.dispatch(e.freeOn(idle), len(idle)); k > 0 {
 			// Step 2 (Eq 3-4): grow E_p by evacuating decode instances
 			// while the predicted prefill speedup beats the migration.
-			insts, delay, wantMore := e.allocateInstances(rp, idle)
+			insts, delay, wantMore := e.allocateInstances(e.pending[:k], idle)
 			if wantMore {
 				// Defer to the next decode iteration boundary (milliseconds
 				// away) where the evacuation can actually happen.
-				e.requeue(rp)
+				e.refuseDispatch(k)
 				return launched
 			}
 			if memDelay > delay {
 				delay = memDelay
 			}
+			rp := append(e.pre.rp[:0], e.pending[:k]...)
+			e.pre.rp = rp
 			plans, dropped := e.planBatches(rp, insts)
 			// Requests the batcher could not place return to the head of
 			// the pending queue in arrival order.
-			e.requeue(dropped)
+			e.commitDispatch(k, dropped)
 			for _, p := range plans {
 				e.launchPrefill(p.reqs, p.lens, p.insts, nil, delay)
 				launched = true
@@ -87,27 +88,35 @@ func (e *Engine) piggybackRound(idle []kvcache.InstanceID) bool {
 	if donor == nil {
 		return false
 	}
-	memInsts := donor.instances
 	insts := donor.instances
-	if !e.Opts.DisableScaleUp && len(idle) > 0 {
+	grown := !e.Opts.DisableScaleUp && len(idle) > 0
+	if grown {
 		// Idle instances may carry KV too; they join the decode group at
 		// completion (a scale-up). With scale-up disabled the group cannot
 		// grow, so only the donor's own memory counts.
-		memInsts = append(append([]kvcache.InstanceID(nil), donor.instances...), idle...)
-		insts = memInsts
+		insts = append(append(e.pre.insts[:0], donor.instances...), idle...)
+		e.pre.insts = insts
 	}
-	rp := e.dispatch(e.freeOn(memInsts), len(insts))
-	if len(rp) == 0 {
+	k := e.dispatch(e.freeOn(insts), len(insts))
+	if k == 0 {
 		return false
 	}
-	lens := make([]int, len(rp))
-	for i, r := range rp {
-		lens[i] = e.prefillLen(r)
+	rp := e.pending[:k]
+	lens := e.pre.lens[:0]
+	for _, r := range rp {
+		lens = append(lens, e.prefillLen(r))
 	}
+	e.pre.lens = lens
 	if !e.borrowWorthIt(rp, lens, donor, len(insts)) && !e.agedOutCheap(rp, lens, len(insts)) {
-		e.requeue(rp)
+		e.refuseDispatch(k)
 		return false
 	}
+	// The prefill group keeps its batch, lengths and instance set.
+	rp, lens = slices.Clone(rp), slices.Clone(lens)
+	if grown {
+		insts = slices.Clone(insts)
+	}
+	e.commitDispatch(k, nil)
 	donor.running = true // paused while its instances run the prefill
 	e.launchPrefill(rp, lens, insts, donor, 0)
 	return true
@@ -138,14 +147,31 @@ func (e *Engine) freeOn(ids []kvcache.InstanceID) int {
 	return total
 }
 
-// requeue returns dispatched-but-unplaced requests to the head of the
-// pending queue in arrival order.
-func (e *Engine) requeue(reqs []*serving.Request) {
-	if len(reqs) == 0 {
-		return
-	}
-	sort.Slice(reqs, func(a, b int) bool { return reqs[a].Arrival < reqs[b].Arrival })
-	e.pending = append(reqs, e.pending...)
+// byArrival orders requests by arrival time. slices.SortFunc with it runs
+// the same pattern-defeating quicksort as sort.Slice with the equivalent
+// less function, so requests that arrived at the same instant end up in
+// the same order under either.
+func byArrival(a, b *serving.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
+
+// refuseDispatch abandons a dispatch of pending[:k] that launched nothing:
+// the dispatched requests stay at the head of the queue, sorted by
+// arrival.
+func (e *Engine) refuseDispatch(k int) {
+	slices.SortFunc(e.pending[:k], byArrival)
+}
+
+// commitDispatch takes a launched dispatch of pending[:k] off the queue.
+// The requests in back were dispatched but did not launch; they return to
+// the head in arrival order, ahead of pending[k:]. The queue is rebuilt in
+// place, so its backing array stays the one Arrive appends to. back must
+// not share memory with the queue.
+func (e *Engine) commitDispatch(k int, back []*serving.Request) {
+	q := e.pending
+	n := copy(q, back)
+	slices.SortFunc(q[:n], byArrival)
+	m := n + copy(q[n:], q[k:])
+	clear(q[m:])
+	e.pending = q[:m]
 }
 
 // dispatch is step 1 (§5.1): scan the pending queue FCFS, admitting
@@ -156,7 +182,12 @@ func (e *Engine) requeue(reqs []*serving.Request) {
 // relaxes: with work piling up, larger batches amortize the per-iteration
 // overhead, and each piggyback pause on a decoding group then carries more
 // prefilled tokens.
-func (e *Engine) dispatch(avail, sp int) []*serving.Request {
+//
+// It returns the size k of the admitted set R_p, which is pending[:k], and
+// leaves the queue as it is. The caller ends the attempt with
+// commitDispatch when something launches or refuseDispatch when nothing
+// does; nothing reads or grows the queue in between.
+func (e *Engine) dispatch(avail, sp int) int {
 	if sp < 1 {
 		sp = 1
 	}
@@ -169,28 +200,26 @@ func (e *Engine) dispatch(avail, sp int) []*serving.Request {
 	// The tipping check keeps running Σlen/Σlen² instead of rebuilding the
 	// candidate length vector per admission (the sums accumulate in the
 	// same order the vector would, so predictions are bit-identical).
-	var rp []*serving.Request
 	var sumLen, sumSq float64
-	for len(e.pending) > 0 && len(rp) < maxDispatch {
-		r := e.pending[0]
+	k := 0
+	for ; k < len(e.pending) && k < maxDispatch; k++ {
+		r := e.pending[k]
 		// Maximum future consumption: full context plus the entire output.
 		futureNeed := e.prefillLen(r) + (r.OutputLen - r.Generated) + 1
 		if futureNeed > avail {
 			break // strict FCFS: wait rather than starve the head
 		}
 		l := float64(e.prefillLen(r))
-		if len(rp) > 0 && haveCoeffs {
+		if k > 0 && haveCoeffs {
 			if coeffs.PredictSums(sumLen+l, sumSq+l*l) > tipping {
 				break // compute-bound already; more requests only add delay
 			}
 		}
 		avail -= futureNeed
-		rp = append(rp, r)
 		sumLen += l
 		sumSq += l * l
-		e.pending = e.pending[1:]
 	}
-	return rp
+	return k
 }
 
 // prefillCoeffsSP returns the fitted Eq 7 coefficients for DoP sp at the
@@ -318,6 +347,14 @@ func (e *Engine) planBatches(rp []*serving.Request, insts []kvcache.InstanceID) 
 	return nil, dropped
 }
 
+// prefillScratch holds the dispatch path's reusable buffers. Nothing in it
+// outlives one dispatch attempt: a launched prefill group keeps copies.
+type prefillScratch struct {
+	rp    []*serving.Request   // R_p's working copy, which planBatches edits
+	insts []kvcache.InstanceID // allocateInstances' E_p, or the Eq 1-2 donor-plus-idle set
+	lens  []int                // R_p's prefill lengths
+}
+
 // dpScratch holds the reusable Eq 5 problem buffers: the sorted views, the
 // DP input (with its solver matrices) and nothing that outlives a call —
 // returned plans copy the segments they keep, because groups retain their
@@ -407,7 +444,8 @@ func (e *Engine) planGreedy(rp []*serving.Request, insts []kvcache.InstanceID) (
 			for i, r := range rp {
 				lens[i] = e.prefillLen(r)
 			}
-			return []batchPlan{{reqs: rp, lens: lens, insts: insts}}, dropped
+			// rp and insts are the engine's scratch; the group keeps copies.
+			return []batchPlan{{reqs: slices.Clone(rp), lens: lens, insts: slices.Clone(insts)}}, dropped
 		}
 		worst := 0
 		for i := range rp {
@@ -751,7 +789,7 @@ func (e *Engine) preemptYoungest(g *group) {
 	e.env.Pool.ReleaseRequest(victim.ID)
 	e.recompute[victim.ID] = victim.KVNow()
 	victim.Phase = serving.Pending
-	e.pending = append([]*serving.Request{victim}, e.pending...)
+	e.pending = slices.Insert(e.pending, 0, victim)
 	e.Preemptions++
 	e.tracer.record(e.env.Sim.Now(), TracePreempt, g, victim.KVNow())
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"loongserve/internal/cluster"
@@ -56,14 +57,19 @@ func decodeGroup(e *Engine, id int, insts []kvcache.InstanceID, reqs []*serving.
 func TestDispatchFCFSAndMemoryGate(t *testing.T) {
 	e := newEngineForUnit(t)
 	e.pending = []*serving.Request{req(1, 100, 10), req(2, 1_000_000, 10), req(3, 50, 5)}
-	rp := e.dispatch(500_000, 4)
+	k := e.dispatch(500_000, 4)
 	// Head fits, the million-token request does not; strict FCFS stops
 	// there rather than skipping ahead.
-	if len(rp) != 1 || rp[0].ID != 1 {
-		t.Fatalf("dispatch = %v", ids(rp))
+	if k != 1 {
+		t.Fatalf("dispatch admitted %d of %v, want the head only", k, ids(e.pending))
 	}
-	if len(e.pending) != 2 || e.pending[0].ID != 2 {
-		t.Fatalf("pending after dispatch = %v", ids(e.pending))
+	// Dispatch only peeks: the queue changes when a launch commits.
+	if got := ids(e.pending); !slices.Equal(got, []kvcache.RequestID{1, 2, 3}) {
+		t.Fatalf("pending after dispatch = %v", got)
+	}
+	e.commitDispatch(k, nil)
+	if got := ids(e.pending); !slices.Equal(got, []kvcache.RequestID{2, 3}) {
+		t.Fatalf("pending after commit = %v", got)
 	}
 }
 
@@ -82,9 +88,12 @@ func TestDispatchTippingPointStopsBatch(t *testing.T) {
 	for i := 0; i < maxDispatch; i++ {
 		e.pending = append(e.pending, req(i+1, 5_000, 10))
 	}
-	rp := e.dispatch(1<<30, 4)
-	if len(rp) == 0 || len(rp) >= maxDispatch {
-		t.Fatalf("tipping point did not bound the batch: %d", len(rp))
+	k := e.dispatch(1<<30, 4)
+	if k == 0 || k >= maxDispatch {
+		t.Fatalf("tipping point did not bound the batch: %d", k)
+	}
+	if len(e.pending) != maxDispatch {
+		t.Fatalf("dispatch changed the queue: %d requests pending, want %d", len(e.pending), maxDispatch)
 	}
 }
 

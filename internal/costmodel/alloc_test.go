@@ -71,5 +71,14 @@ func TestIterTimeAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("iteration-time methods allocate %.1f objects per call, want 0", avg)
 	}
+	// A fused decode window builds one step and evaluates it per boundary.
+	if avg := testing.AllocsPerRun(200, func() {
+		step := cm.DecodeStep(128, 4, 2, 4, link)
+		for i := 0; i < 16; i++ {
+			sink += step.At(128*4096 + i*128)
+		}
+	}); avg != 0 {
+		t.Fatalf("DecodeStep and At allocate %.1f objects per window, want 0", avg)
+	}
 	_ = sink
 }

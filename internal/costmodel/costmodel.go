@@ -250,6 +250,91 @@ func (c *CostModel) DecodeIterTime(bs, sumKV, sp, tp, masters int, link cluster.
 	return durSec(total)
 }
 
+// DecodeStep is DecodeIterTime with its batch, group and link fixed: every
+// term that does not depend on the resident KV is computed once, and At
+// supplies the rest. A fused decode window costs one iteration per
+// boundary at a KV count that grows by the batch size each time, so it
+// builds one step per window instead of re-deriving the fixed terms at
+// every boundary.
+//
+// At performs DecodeIterTime's remaining floating-point operations in the
+// same order, on the same precomputed operands, so At(sumKV) equals
+// DecodeIterTime(bs, sumKV, sp, tp, masters, link) bit for bit.
+type DecodeStep struct {
+	zero bool // bs <= 0: every iteration takes no time
+
+	// base is decodeOvhSec + max(tLin, tWeights), the sum's first two
+	// terms; tTP and commLat are its last two.
+	base, tTP, commLat float64
+
+	// Attention's two bounds are kvBytesPerTok·sumKV/kvDenom (HBM reads)
+	// and attnPerPair·sumKV/attnDenom (FLOPs).
+	kvBytesPerTok, kvDenom float64
+	attnPerPair, attnDenom float64
+	multi                  bool    // sp > 1: queries cross instances
+	tComm                  float64 // query exchange time, overlapped with attention
+}
+
+// DecodeStep returns the decode iteration cost of bs requests on sp
+// instances of tp GPUs with the given masters and link, as a function of
+// the resident KV. It panics on the parallelism DecodeIterTime rejects.
+func (c *CostModel) DecodeStep(bs, sp, tp, masters int, link cluster.Link) DecodeStep {
+	if bs <= 0 {
+		return DecodeStep{zero: true}
+	}
+	if sp < 1 || tp < 1 {
+		panic(fmt.Sprintf("costmodel: invalid parallelism sp=%d tp=%d", sp, tp))
+	}
+	if masters < 1 {
+		masters = 1
+	}
+	if masters > sp {
+		masters = sp
+	}
+	if masters > bs {
+		masters = bs
+	}
+	c.ensure()
+	d := &c.derived
+	g := float64(sp * tp)
+
+	tLin := d.flopsPerTok * float64(bs) / (float64(masters*tp) * c.HW.PeakFLOPS * c.HW.MFUDecode)
+	tWeights := c.weightReadSec(tp)
+	s := DecodeStep{
+		base:          d.decodeOvhSec + maxf(tLin, tWeights),
+		kvBytesPerTok: d.kvBytesPerTok,
+		kvDenom:       g * c.HW.MemBandwidth,
+		attnPerPair:   d.attnPerPair,
+		attnDenom:     g * c.HW.PeakFLOPS * c.HW.MFUAttention,
+	}
+	if sp > 1 {
+		qBytes := d.tpVolumeFactor * float64(bs) * float64(sp-1) / float64(sp)
+		s.multi = true
+		s.tComm = qBytes / link.Bandwidth
+		s.commLat = 2 * d.layers * link.Latency.Seconds()
+	}
+	s.tTP = c.tpCommSec(float64(bs)/float64(masters), tp)
+	return s
+}
+
+// At returns the duration of one iteration with sumKV resident KV tokens.
+func (s *DecodeStep) At(sumKV int) time.Duration {
+	if s.zero {
+		return 0
+	}
+	tKVRead := float64(sumKV) * s.kvBytesPerTok / s.kvDenom
+	tAttnFLOPs := s.attnPerPair * float64(sumKV) / s.attnDenom
+	tAttn := maxf(tKVRead, tAttnFLOPs)
+	var tCommExcess float64
+	if s.multi {
+		tCommExcess = maxf(0, s.tComm-tAttn)
+	}
+	total := s.base +
+		tAttn + tCommExcess +
+		s.tTP + s.commLat
+	return durSec(total)
+}
+
 // ChunkIterTime returns the duration of one chunked-prefill (SplitFuse /
 // SARATHI / DeepSpeed-FastGen) iteration on a single instance of tp GPUs:
 // `chunk` new prompt tokens attending over ctx already-cached tokens, fused

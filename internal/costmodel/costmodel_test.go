@@ -447,3 +447,82 @@ func TestSolveLinearKnownSystem(t *testing.T) {
 		}
 	}
 }
+
+// A DecodeStep's At must return exactly DecodeIterTime's duration: fused
+// decode windows time their boundaries with At while unfused engines call
+// DecodeIterTime, and the two runs must be indistinguishable. The grid
+// takes every branch: empty and non-empty batches, one and several
+// instances (with and without tensor parallelism), every masters clamp,
+// both signs of the query-exchange excess and both link kinds.
+func TestDecodeStepMatchesDecodeIterTime(t *testing.T) {
+	cm := newCM()
+	links := []cluster.Link{nvlink(), ib()}
+	var clampLow, clampSP, clampBS, excessPos, excessNeg int
+	for _, bs := range []int{-1, 0, 1, 3, 64, 1_000} {
+		for _, sp := range []int{1, 2, 4, 8} {
+			for _, tp := range []int{1, 2, 8} {
+				for _, masters := range []int{0, 1, 2, 5, 9, 2_000} {
+					for _, link := range links {
+						step := cm.DecodeStep(bs, sp, tp, masters, link)
+						if bs > 0 {
+							switch {
+							case masters < 1:
+								clampLow++
+							case masters > sp:
+								clampSP++
+							}
+							if masters > bs && masters <= sp {
+								clampBS++
+							}
+						}
+						for _, kv := range []int{0, 1, 1_000, 100_000, 10_000_000} {
+							// The fused window's boundary sequence, too.
+							for i := 0; i < 3; i++ {
+								sumKV := kv + i*max(bs, 0)
+								got := step.At(sumKV)
+								want := cm.DecodeIterTime(bs, sumKV, sp, tp, masters, link)
+								if got != want {
+									t.Fatalf("bs=%d sp=%d tp=%d masters=%d link=%v sumKV=%d: At %v, DecodeIterTime %v",
+										bs, sp, tp, masters, link, sumKV, got, want)
+								}
+								if !step.multi {
+									continue
+								}
+								tAttn := maxf(float64(sumKV)*step.kvBytesPerTok/step.kvDenom,
+									step.attnPerPair*float64(sumKV)/step.attnDenom)
+								if step.tComm > tAttn {
+									excessPos++
+								} else if step.tComm < tAttn {
+									excessNeg++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if clampLow == 0 || clampSP == 0 || clampBS == 0 || excessPos == 0 || excessNeg == 0 {
+		t.Fatalf("grid missed a branch: masters<1 %d, masters>sp %d, masters>bs %d, tComm>tAttn %d, tComm<tAttn %d",
+			clampLow, clampSP, clampBS, excessPos, excessNeg)
+	}
+}
+
+func TestDecodeStepInvalidParallelismPanics(t *testing.T) {
+	cm := newCM()
+	for _, p := range []struct{ sp, tp int }{{0, 2}, {2, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("DecodeStep sp=%d tp=%d did not panic", p.sp, p.tp)
+				}
+			}()
+			cm.DecodeStep(4, p.sp, p.tp, 1, nvlink())
+		}()
+	}
+	// An empty batch is free at any parallelism, as in DecodeIterTime.
+	step := cm.DecodeStep(0, 0, 0, 0, nvlink())
+	if step.At(1_000) != 0 || cm.DecodeIterTime(0, 1_000, 0, 0, 0, nvlink()) != 0 {
+		t.Fatal("empty decode batch should be free")
+	}
+}

@@ -203,11 +203,13 @@ func (d *DistributedPool) orAll(subset []InstanceID) []InstanceID {
 }
 
 // TotalFree returns free slots summed over a subset of instances (all when
-// subset is nil).
+// subset is nil). An unknown instance holds no free slot.
 func (d *DistributedPool) TotalFree(subset []InstanceID) int {
 	t := 0
 	for _, id := range d.orAll(subset) {
-		t += d.pools[id].Free()
+		if p := d.Pool(id); p != nil {
+			t += p.Free()
+		}
 	}
 	return t
 }
@@ -232,12 +234,16 @@ func (d *DistributedPool) TotalUsed() int {
 
 // MaxFree returns the largest per-instance free count within subset (all
 // when nil) and the instance achieving it. Ties break toward the lower ID
-// for determinism.
+// for determinism. Unknown instances are skipped, so a subset with no
+// known instance returns (-1, -1).
 func (d *DistributedPool) MaxFree(subset []InstanceID) (InstanceID, int) {
 	best, bestFree := InstanceID(-1), -1
 	for _, id := range d.orAll(subset) {
-		f := d.pools[id].Free()
-		if f > bestFree {
+		p := d.Pool(id)
+		if p == nil {
+			continue
+		}
+		if f := p.Free(); f > bestFree {
 			best, bestFree = id, f
 		}
 	}
@@ -245,14 +251,15 @@ func (d *DistributedPool) MaxFree(subset []InstanceID) (InstanceID, int) {
 }
 
 // FitsUnified reports whether n tokens fit under the unified (token
-// granularity, no locality) discipline within subset: total free >= n.
+// granularity, no locality) discipline within subset: total free >= n,
+// counting no free slot on an unknown instance.
 func (d *DistributedPool) FitsUnified(n int, subset []InstanceID) bool {
 	return d.TotalFree(subset) >= n
 }
 
 // FitsLocal reports whether n tokens fit under the whole-request locality
-// constraint within subset: some single instance has >= n free. This is the
-// discipline that produces Fig 4's fragmentation.
+// constraint within subset: some single known instance has >= n free. This
+// is the discipline that produces Fig 4's fragmentation.
 func (d *DistributedPool) FitsLocal(n int, subset []InstanceID) bool {
 	_, f := d.MaxFree(subset)
 	return f >= n

@@ -368,6 +368,33 @@ func TestUnknownInstanceErrors(t *testing.T) {
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	// The readers count an unknown instance as holding no free slot, as
+	// Pool returns nil for it, instead of indexing past the pools.
+	free0, free1 := d.Pool(0).Free(), d.Pool(1).Free()
+	if got := d.TotalFree([]InstanceID{0, 5}); got != free0 {
+		t.Fatalf("TotalFree({0, 5}) = %d, want instance 0's %d", got, free0)
+	}
+	if got := d.TotalFree([]InstanceID{-1, 99}); got != 0 {
+		t.Fatalf("TotalFree over unknown instances = %d, want 0", got)
+	}
+	if id, f := d.MaxFree([]InstanceID{-1, 1, 7}); id != 1 || f != free1 {
+		t.Fatalf("MaxFree({-1, 1, 7}) = (%d, %d), want (1, %d)", id, f, free1)
+	}
+	for _, sub := range [][]InstanceID{{-1}, {3, 99}} {
+		if id, f := d.MaxFree(sub); id != -1 || f != -1 {
+			t.Fatalf("MaxFree(%v) = (%d, %d), want (-1, -1)", sub, id, f)
+		}
+	}
+	if d.FitsUnified(free0+1, []InstanceID{0, 5}) || !d.FitsUnified(free0, []InstanceID{0, 5}) {
+		t.Fatalf("FitsUnified over {0, 5} does not count exactly instance 0's %d free slots", free0)
+	}
+	if d.FitsLocal(1, []InstanceID{7}) || d.FitsLocal(0, []InstanceID{-1}) {
+		t.Fatal("FitsLocal fits a request on an unknown instance")
+	}
+	if !d.FitsLocal(free1, []InstanceID{99, 1}) || d.FitsLocal(free1+1, []InstanceID{99, 1}) {
+		t.Fatalf("FitsLocal over {99, 1} does not see exactly instance 1's %d free slots", free1)
+	}
 }
 
 // Property: any random sequence of spread and single placements, allocs on
