@@ -1,13 +1,13 @@
 // Command loongserve-bench regenerates the paper's tables and figures
 // against the simulated cluster. Each experiment prints one or more text
 // tables whose rows correspond to the plotted points of the figure.
-// Independent experiment arms (rate x cache x policy x fleet-size points)
-// run across goroutines with deterministic result ordering; -serial forces
+// Independent experiment arms (rate x policy x fleet-size points) run
+// across goroutines with deterministic result ordering; -serial forces
 // single-threaded execution (tables are byte-identical either way).
 //
-// -exp fleet prints the routing-policy comparison under both prefix-cache
-// implementations (whole-key LRU and token-block radix) plus the
-// whole-key-vs-radix head-to-head on a branching-session workload.
+// -exp fleet prints the routing-policy comparison over the fleet's radix
+// prefix caches, the heterogeneous-fleet comparison at equal cost and the
+// critical-path attribution of the policy comparison.
 //
 // -exp faults prints the fault-tolerance scorecard: the same closed-loop
 // session workload across a ladder of crash/stall/cache-drop rates, with
@@ -27,9 +27,9 @@
 //
 // -exp bigfleet runs one day-long session trace through a 64-replica
 // heterogeneous fleet at every point of a shard ladder (-shards N replaces
-// the ladder with {1, N}), verifying every sharded arm byte-identical to
-// the serial reference — obs stream digest, metrics, makespan, audit
-// verdict — so the ladder can only change wall-clock time. -fuse-decode
+// the ladder with {1, N} when N > 1), verifying every sharded arm
+// byte-identical to the serial reference — obs stream digest, metrics,
+// makespan, audit verdict — so the ladder can only change wall-clock time. -fuse-decode
 // (default true) controls decode-iteration fusion on the ladder arms; the
 // quick scale additionally runs a fusion-off arm to prove fusion changes
 // event counts and nothing else. It is not part of -exp all.
@@ -51,9 +51,13 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: fig2, fig3, fig10, fig11, fig12, fig13, fig14, fig15, fleet, faults, cachedir, autoscale, ablations, bigfleet, all")
 	quick := flag.Bool("quick", false, "reduced request counts and rate ladders")
 	serial := flag.Bool("serial", false, "run experiment arms single-threaded (results are byte-identical to parallel)")
-	shards := flag.Int("shards", 0, "for -exp bigfleet: replace the shard ladder with {1, N} (0 keeps the scale's ladder)")
+	shards := flag.Int("shards", 0, "for -exp bigfleet: replace the shard ladder with {1, N} when N > 1 (0 and 1 keep the scale's ladder; negative values are rejected)")
 	fuseDecode := flag.Bool("fuse-decode", true, "for -exp bigfleet: run the shard-ladder arms with decode-iteration fusion")
 	flag.Parse()
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "loongserve-bench: -shards must be >= 0, got %d\n", *shards)
+		os.Exit(2)
+	}
 
 	scale := bench.FullScale()
 	if *quick {
@@ -111,7 +115,6 @@ func main() {
 	}
 	if run("fleet") {
 		bench.FleetExperiment(scale).Fprint(out)
-		bench.FleetCacheExperiment(scale).Fprint(out)
 		bench.FleetHeteroExperiment(scale).Fprint(out)
 		bench.FleetAttributionExperiment(scale).Fprint(out)
 		any = true

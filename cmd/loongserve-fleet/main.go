@@ -2,13 +2,11 @@
 // engine replicas (each an independently simulated 8-GPU node) behind a
 // gateway that routes a multi-turn chat-session workload through a
 // configurable policy, modeling per-replica prefix-KV caches whose hits
-// discount prefill. The cache is a token-block radix tree by default
-// (-cache radix: any shared token prefix — system prompts, branched
-// conversation trunks — is shared block-for-block, and eviction drops leaf
-// blocks priced by the cost model's recompute time); -cache wholekey
-// selects the legacy per-session LRU for comparison. -branch N groups
-// sessions into families of N sharing a conversation trunk, the workload
-// shape where the radix cache structurally wins. It prints one comparison
+// discount prefill. Each cache is a token-block radix tree: any shared
+// token prefix — system prompts, branched conversation trunks — is shared
+// block-for-block, and eviction drops leaf blocks priced by the cost
+// model's recompute time. -branch N groups sessions into families of N
+// sharing a conversation trunk. It prints one comparison
 // row per policy: goodput, mean TTFT, normalized input latency,
 // prefix-cache token hit ratio and SLO attainment, plus per-replica
 // breakdowns with -v.
@@ -43,10 +41,10 @@
 // -policy content routes on it — each replica scored by the prefill the
 // directory says it would really compute, from real resident-block
 // overlap, load and context headroom — and implies -directory. -cold-tier
-// N adds a fleet-shared host-memory pool of N tokens (radix cache only):
-// capacity-evicted leaf blocks spill to it instead of vanishing, and a
-// request whose prefix lives cold fetches it back over the inter-node
-// link when the link beats recompute. -faults drain=R,degrade=R extends
+// N adds a fleet-shared host-memory pool of N tokens: capacity-evicted
+// leaf blocks spill to it instead of vanishing, and a request whose prefix
+// lives cold fetches it back over the inter-node link when the link beats
+// recompute. -faults drain=R,degrade=R extends
 // the chaos schedule with planned drains and link-degradation windows
 // (shaped by -link-faults factor[:window]), the churn regime the
 // directory is for; the directory, cold tier and degraded links all show
@@ -107,7 +105,6 @@
 //	loongserve-fleet -policy affinity -v          # one policy, per-replica stats
 //	loongserve-fleet -engine loongserve -replicas 2
 //	loongserve-fleet -sessions 200 -rate 6 -cache-tokens 200000 -no-admission
-//	loongserve-fleet -cache wholekey              # legacy per-session LRU cache
 //	loongserve-fleet -branch 4 -branch-turns 3    # branching-session workload
 //	loongserve-fleet -closed-loop -burst 6 -burst-period 40 -burst-duty 0.3 \
 //	    -autoscale -min-replicas 1 -max-replicas 4 -warmup 5s
@@ -186,11 +183,10 @@ func main() {
 		auditRun     = flag.Bool("audit", false, "run the stream invariant auditor over the run's events; exit non-zero on violations")
 		sampleEvery  = flag.Duration("sample", time.Second, "telemetry sampling period in simulated time (used by -trace-out/-telemetry-out/-analyze)")
 
-		cacheKind   = flag.String("cache", "radix", "prefix-cache implementation: radix (token-block tree, cost-priced eviction) or wholekey (legacy per-session LRU)")
 		cacheTokens = flag.Int("cache-tokens", 0, "per-replica prefix-cache capacity in KV tokens (0 = full KV pool)")
-		noAdmission = flag.Bool("no-admission", false, "disable TinyLFU admission (plain LRU prefix cache)")
+		noAdmission = flag.Bool("no-admission", false, "disable TinyLFU admission (eviction stays cost-priced GDSF over leaf blocks)")
 		directory   = flag.Bool("directory", false, "maintain the gateway-side global cache directory (implied by -policy content and -cold-tier)")
-		coldTier    = flag.Int("cold-tier", 0, "fleet-shared host-memory cold KV tier capacity in tokens: capacity-evicted radix blocks spill there and are fetched back when the link beats recompute (0 = off; requires -cache radix)")
+		coldTier    = flag.Int("cold-tier", 0, "fleet-shared host-memory cold KV tier capacity in tokens: capacity-evicted radix blocks spill there and are fetched back when the link beats recompute (0 = off)")
 		branch      = flag.Int("branch", 0, "branching sessions: family size sharing a conversation trunk (0 = independent sessions)")
 		branchTurns = flag.Int("branch-turns", 2, "trunk turns shared within a branching family")
 		shardsN     = flag.Int("shards", 0, "advance replica engines on N worker goroutines in windows between gateway events (0 and 1 run inline; output is byte-identical at any N, open- or closed-loop, static, faulty or autoscaled)")
@@ -227,10 +223,6 @@ func main() {
 	if *branch == 0 {
 		cfg.BranchTurns = 0
 	}
-	if *cacheKind != fleet.CacheRadix && *cacheKind != fleet.CacheWholeKey {
-		fmt.Fprintf(os.Stderr, "loongserve-fleet: -cache must be %q or %q\n", fleet.CacheRadix, fleet.CacheWholeKey)
-		os.Exit(2)
-	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
@@ -248,7 +240,7 @@ func main() {
 	}
 	// Heterogeneous composition: -mix builds the fleet from named replica
 	// kinds instead of -replicas clones of -engine. ParseMix's errors name
-	// the known kinds, mirroring the -cache validation.
+	// the known kinds.
 	var mixGroups []fleet.ReplicaGroup
 	if *mix != "" {
 		if *autoScale {
@@ -304,10 +296,6 @@ func main() {
 	}
 	if *coldTier < 0 {
 		fmt.Fprintln(os.Stderr, "loongserve-fleet: -cold-tier must be >= 0")
-		os.Exit(2)
-	}
-	if *coldTier > 0 && *cacheKind != fleet.CacheRadix {
-		fmt.Fprintln(os.Stderr, "loongserve-fleet: -cold-tier spills radix blocks; it requires -cache radix")
 		os.Exit(2)
 	}
 	if *autoScale && (*coldTier > 0 || *directory) {
@@ -388,8 +376,8 @@ func main() {
 	if *branch > 1 {
 		branching = fmt.Sprintf(", families of %d sharing %d turns", *branch, cfg.BranchTurns)
 	}
-	fmt.Printf("trace: %d requests over %d sessions (%d prompt groups, %s%s), %.0f%% of input tokens prefix-reusable, %s cache\n",
-		st.Requests, st.Sessions, *groups, mode, branching, 100*float64(st.PrefixTokens)/float64(st.InputTokens), *cacheKind)
+	fmt.Printf("trace: %d requests over %d sessions (%d prompt groups, %s%s), %.0f%% of input tokens prefix-reusable, radix cache\n",
+		st.Requests, st.Sessions, *groups, mode, branching, 100*float64(st.PrefixTokens)/float64(st.InputTokens))
 
 	if *autoScale {
 		acfg := autoscale.Config{
@@ -401,7 +389,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		fcfg := fleet.Config{Policy: policies[0], Cache: *cacheKind, CacheTokens: *cacheTokens, NoAdmission: *noAdmission,
+		fcfg := fleet.Config{Policy: policies[0], CacheTokens: *cacheTokens, NoAdmission: *noAdmission,
 			Shards: *shardsN, Obs: sinkOrNil(collector), Sampler: sampler}
 		// A homogeneous fleet is one candidate kind, named after -engine.
 		acfg.Kinds = []*fleet.ReplicaKind{fleet.NewKind(*engine, spec)}
@@ -487,7 +475,6 @@ func main() {
 		runCfg := fleet.Config{
 			Groups:      mixGroups,
 			Policy:      p,
-			Cache:       *cacheKind,
 			CacheTokens: *cacheTokens,
 			NoAdmission: *noAdmission,
 			// A directory-aware policy routes off the directory, so asking

@@ -146,8 +146,8 @@ func TestFleetExperimentShape(t *testing.T) {
 	sc := QuickScale()
 	sc.FleetRates = sc.FleetRates[:2] // keep the unit test fast
 	tbl := FleetExperiment(sc)
-	// One row per (rate, cache, policy).
-	wantRows := len(sc.FleetRates) * len(FleetCaches) * len(fleet.AllPolicies(sc.Seed))
+	// One row per (rate, policy).
+	wantRows := len(sc.FleetRates) * len(fleet.AllPolicies(sc.Seed))
 	if len(tbl.Rows) != wantRows {
 		t.Fatalf("rows = %d, want %d", len(tbl.Rows), wantRows)
 	}
@@ -155,66 +155,33 @@ func TestFleetExperimentShape(t *testing.T) {
 		if len(row) != len(tbl.Header) {
 			t.Fatalf("row %v does not match header %v", row, tbl.Header)
 		}
-		if row[3] == "OOM" {
+		if row[2] == "OOM" {
 			t.Fatalf("fleet run OOMed on a chat workload: %v", row)
 		}
 	}
 	// PrefixAffinity must report a strictly higher hit ratio than
-	// RoundRobin at every rate, under both cache implementations (the
-	// routing claim is cache-independent).
-	hitRatio := func(rate, cache, policy string) string {
+	// RoundRobin at every rate.
+	hitRatio := func(rate, policy string) string {
 		for _, row := range tbl.Rows {
-			if row[0] == rate && row[1] == cache && row[2] == policy {
-				return row[6]
+			if row[0] == rate && row[1] == policy {
+				return row[5]
 			}
 		}
-		t.Fatalf("no row for %s/%s/%s", rate, cache, policy)
+		t.Fatalf("no row for %s/%s", rate, policy)
 		return ""
 	}
 	for _, rate := range sc.FleetRates {
-		for _, cache := range FleetCaches {
-			rs := fmt.Sprint(rate)
-			var rr, aff float64
-			if _, err := fmt.Sscanf(hitRatio(rs, cache, "RoundRobin"), "%f%%", &rr); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fmt.Sscanf(hitRatio(rs, cache, "PrefixAffinity"), "%f%%", &aff); err != nil {
-				t.Fatal(err)
-			}
-			if aff <= rr {
-				t.Errorf("rate %s cache %s: PrefixAffinity hit ratio %.1f%% <= RoundRobin %.1f%%", rs, cache, aff, rr)
-			}
+		rs := fmt.Sprint(rate)
+		var rr, aff float64
+		if _, err := fmt.Sscanf(hitRatio(rs, "RoundRobin"), "%f%%", &rr); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestFleetCacheExperimentRadixWins is the tentpole acceptance test: on
-// the branching-session workload at equal (tight) capacity, the radix
-// cache converts strictly more prompt tokens into cache hits than the
-// whole-key cache, and the table is deterministic run to run.
-func TestFleetCacheExperimentRadixWins(t *testing.T) {
-	sc := QuickScale()
-	tbl := FleetCacheExperiment(sc)
-	if len(tbl.Rows) != len(FleetCaches) {
-		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(FleetCaches))
-	}
-	hitTokens := make(map[string]int64)
-	for _, row := range tbl.Rows {
-		if len(row) != len(tbl.Header) {
-			t.Fatalf("row %v does not match header %v", row, tbl.Header)
+		if _, err := fmt.Sscanf(hitRatio(rs, "PrefixAffinity"), "%f%%", &aff); err != nil {
+			t.Fatal(err)
 		}
-		var v int64
-		if _, err := fmt.Sscanf(row[3], "%d", &v); err != nil {
-			t.Fatalf("hit-tokens cell %q: %v", row[3], err)
+		if aff <= rr {
+			t.Errorf("rate %s: PrefixAffinity hit ratio %.1f%% <= RoundRobin %.1f%%", rs, aff, rr)
 		}
-		hitTokens[row[0]] = v
-	}
-	if hitTokens["radix"] <= hitTokens["wholekey"] {
-		t.Fatalf("radix hit-tokens %d not strictly above whole-key %d", hitTokens["radix"], hitTokens["wholekey"])
-	}
-	// Determinism: regenerating the table yields byte-identical content.
-	if a, b := renderTable(tbl), renderTable(FleetCacheExperiment(sc)); a != b {
-		t.Fatalf("cache comparison not deterministic:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 }
 

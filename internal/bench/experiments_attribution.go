@@ -10,7 +10,7 @@ import (
 
 // FleetAttributionExperiment decomposes the fleet policy comparison's
 // latency by critical-path phase: the same spec and session trace as
-// FleetExperiment's highest-rate radix arms, re-run with the observability
+// FleetExperiment's highest-rate arms, re-run with the observability
 // stream attached and fed through obs/analyze. Per policy it reports the
 // mean seconds each phase contributes, the phase shares that matter for
 // routing (queueing vs migration stalls vs prefill), the p99 end-to-end
@@ -21,8 +21,8 @@ import (
 func FleetAttributionExperiment(sc Scale) *Table {
 	rate := sc.FleetRates[len(sc.FleetRates)-1]
 	t := &Table{
-		Title: fmt.Sprintf("Fleet: critical-path attribution (%d replicas, %.3g sess/s, %s cache)",
-			sc.FleetReplicas, rate, fleet.CacheRadix),
+		Title: fmt.Sprintf("Fleet: critical-path attribution (%d replicas, %.3g sess/s, radix cache)",
+			sc.FleetReplicas, rate),
 		Header: []string{"policy", "queue(ms)", "reenq(ms)", "migr(ms)", "pwait(ms)",
 			"prefill(s)", "decode(s)", "decode-share", "p99-e2e(s)", "audit"},
 		Notes: []string{
@@ -41,7 +41,6 @@ func FleetAttributionExperiment(sc Scale) *Table {
 		if _, err := fleet.Run(trace, fleet.Config{
 			Groups: []fleet.ReplicaGroup{{Kind: vllmKind(), Count: sc.FleetReplicas}},
 			Policy: policy,
-			Cache:  fleet.CacheRadix,
 			Obs:    col,
 		}); err != nil {
 			rows[arm] = []string{policy.Name(), "ERR", "-", "-", "-", "-", "-", "-", "-", "-"}

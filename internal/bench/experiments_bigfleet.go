@@ -143,7 +143,6 @@ func RunBigFleetArm(sc Scale, groups []fleet.ReplicaGroup, shards int, fused boo
 		Groups:        groups,
 		SLOKind:       groups[0].Kind,
 		Policy:        fleet.NewCapabilityAffinity(),
-		Cache:         fleet.CacheRadix,
 		StreamMetrics: true,
 		Shards:        shards,
 		FuseDecode:    fused,

@@ -113,7 +113,6 @@ func RunCacheDirArms(sc Scale) []CacheDirArmResult {
 		cfg := fleet.Config{
 			Groups:         []fleet.ReplicaGroup{{Kind: vllmKind(), Count: replicas}},
 			Policy:         a.policy(),
-			Cache:          fleet.CacheRadix,
 			CacheTokens:    cacheDirCacheTokens,
 			Directory:      a.directory,
 			ColdTierTokens: a.cold,

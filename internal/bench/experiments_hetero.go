@@ -296,7 +296,7 @@ func FleetHeteroExperiment(sc Scale) *Table {
 		"equal-cost arms: 1 loong (8-GPU ESP node) trades for 8 contbatch (single-GPU continuous-batching nodes); cost units are provisioned GPU-seconds",
 		fmt.Sprintf("capability routing keeps prompts past %.0f%% of a replica's KV envelope off small replicas; long documents land on the loong kind",
 			100*fleet.DefaultCapabilityHeadroom),
-		"expected shape: the homogeneous small fleet bleeds SLO on the long tail, the homogeneous loong fleet overpays for chat, and the mixed fleet (or the kind-picking autoscaler) wins goodput per cost unit",
+		"measured shape: the mixed fleet does not win goodput per cost unit (the homogeneous loong fleet leads at quick scale, the homogeneous small fleet at full scale); session-KV migration is mis-priced on the radix cache (ROADMAP item 3)",
 		fmt.Sprintf("autoscaler: kinds picked per scale-up by marginal goodput per cost unit against the queue's length mix; warm-up %v, ceiling %d replicas", acfg.Warmup, acfg.Max))
 	return t
 }

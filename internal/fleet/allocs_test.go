@@ -13,21 +13,6 @@ import (
 // tests for that property: AllocsPerRun must report zero for the
 // remove/reinsert cycles that dominate long runs.
 
-func TestPrefixCacheSteadyStateZeroAllocs(t *testing.T) {
-	c := NewPrefixCache(10_000, false)
-	for i := 1; i <= 8; i++ {
-		c.Put(PrefixKey(i), 1000)
-	}
-	key := PrefixKey(3)
-	if avg := testing.AllocsPerRun(200, func() {
-		c.Remove(key)
-		c.Put(key, 1000)
-		c.Lookup(key)
-	}); avg != 0 {
-		t.Fatalf("whole-key remove/put/lookup cycle allocates %.1f per run, want 0", avg)
-	}
-}
-
 func TestRadixCacheSteadyStateZeroAllocs(t *testing.T) {
 	c := NewRadixCache(100_000, 100, false, nil)
 	trunk := []uint64{11, 12, 13}
@@ -52,19 +37,6 @@ func TestRadixIndexSteadyStateZeroAllocs(t *testing.T) {
 		ix.release(r)
 	}); avg != 0 {
 		t.Fatalf("index acquire/release cycle allocates %.1f per run, want 0", avg)
-	}
-}
-
-func TestLRUListZeroAllocs(t *testing.T) {
-	var l lruList
-	l.init()
-	l.remove(l.pushFront(1, 10)) // warm the pool
-	if avg := testing.AllocsPerRun(200, func() {
-		e := l.pushFront(2, 20)
-		l.moveToFront(e)
-		l.remove(e)
-	}); avg != 0 {
-		t.Fatalf("lru push/move/remove cycle allocates %.1f per run, want 0", avg)
 	}
 }
 

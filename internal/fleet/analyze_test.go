@@ -208,7 +208,8 @@ func TestAnalyzeReenqueueSingleFinish(t *testing.T) {
 
 	const session = int64(77)
 	submit := func(id int, in, prefix, out int, at time.Duration) {
-		e := workload.Entry{InputLen: in, PrefixLen: prefix, OutputLen: out, SessionID: session}
+		e := workload.Entry{InputLen: in, PrefixLen: prefix, OutputLen: out, SessionID: session,
+			Blocks: sessionBlocks(session, in+out)}
 		r := &serving.Request{
 			ID: kvcache.RequestID(id), InputLen: in, OutputLen: out,
 			Arrival: simevent.Time(at),

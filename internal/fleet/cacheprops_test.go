@@ -7,66 +7,6 @@ import (
 	"loongserve/internal/workload"
 )
 
-// checkPrefixCacheInvariants verifies the whole-key cache's structural
-// invariants: token accounting matches the resident set, capacity is never
-// exceeded, and the entries map and LRU list describe the same entries.
-func checkPrefixCacheInvariants(t *testing.T, c *PrefixCache, step int) {
-	t.Helper()
-	sum, n := 0, 0
-	for el := c.lru.front(); el != nil; el = c.lru.next(el) {
-		if el.tokens <= 0 {
-			t.Fatalf("step %d: resident entry %x has %d tokens", step, el.key, el.tokens)
-		}
-		if got, ok := c.entries[el.key]; !ok || got != el {
-			t.Fatalf("step %d: list entry %x not (or wrongly) indexed in map", step, el.key)
-		}
-		sum += el.tokens
-		n++
-	}
-	if sum != c.used {
-		t.Fatalf("step %d: used %d != sum of resident tokens %d", step, c.used, sum)
-	}
-	if c.used > c.capacity {
-		t.Fatalf("step %d: used %d exceeds capacity %d", step, c.used, c.capacity)
-	}
-	if n != len(c.entries) || n != c.lru.len() {
-		t.Fatalf("step %d: %d list entries, %d map entries, list len %d", step, n, len(c.entries), c.lru.len())
-	}
-}
-
-// TestPrefixCacheInvariantsUnderRandomOps drives the whole-key cache
-// through random Put/Install/Remove/Lookup/Peek sequences — admission on
-// and off — checking invariants after every operation. Deterministic per
-// seed.
-func TestPrefixCacheInvariantsUnderRandomOps(t *testing.T) {
-	for _, admission := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			c := NewPrefixCache(5000, admission)
-			for step := 0; step < 4000; step++ {
-				key := SessionKey(int64(rng.Intn(24))) // includes the inert zero key
-				if rng.Intn(3) == 0 {
-					key = GroupKey(rng.Intn(8))
-				}
-				tokens := rng.Intn(6500) - 200 // includes <= 0 and > capacity
-				switch rng.Intn(5) {
-				case 0:
-					c.Put(key, tokens)
-				case 1:
-					c.Install(key, tokens)
-				case 2:
-					c.Remove(key)
-				case 3:
-					c.Lookup(key)
-				case 4:
-					c.Peek(key)
-				}
-				checkPrefixCacheInvariants(t, c, step)
-			}
-		}
-	}
-}
-
 // checkRadixCacheInvariants verifies the radix cache's structural
 // invariants: block accounting, capacity, parent residency and child
 // counts, and exact agreement between the leaf set and the eviction heap.

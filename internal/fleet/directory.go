@@ -2,14 +2,13 @@ package fleet
 
 import "sort"
 
-// The gateway-side global cache directory: which KV blocks (or whole-key
-// prefix entries) have a resident copy at which location. Locations are
-// replica indices plus the distinguished DirCold cold tier. The directory
-// is kept coherent by residency observers wired into every replica cache
-// — inserts, capacity evictions, migration removals, drain wipes and
-// crash wipes all land here through the same cache operations that change
-// ground truth, so the directory never has a second code path to drift
-// from. ContentAffinity routes on it; the cold tier registers its copies
+// The gateway-side global cache directory: which KV blocks have a
+// resident copy at which location. Locations are replica indices plus the
+// distinguished DirCold cold tier. The directory is kept coherent by
+// residency observers wired into every replica's radix cache — inserts,
+// capacity evictions, migration removals, drain wipes and crash wipes all
+// land here through the same cache operations that change ground truth,
+// so the directory never has a second code path to drift from. ContentAffinity routes on it; the cold tier registers its copies
 // in it; coherence is property-tested against cache enumeration after
 // random op sequences.
 
@@ -17,10 +16,10 @@ import "sort"
 // tier (replica locations are their indices, >= 0).
 const DirCold = -1
 
-// CacheDirectory maps block/entry hashes to the locations holding a copy
-// and the resident token count of each copy (always the block size in
-// radix mode; whole-key entries vary). All reads used for routing are
-// keyed lookups — deterministic regardless of map iteration order.
+// CacheDirectory maps block hashes to the locations holding a copy and the
+// resident token count of each copy (the block size). All reads used for
+// routing are keyed lookups — deterministic regardless of map iteration
+// order.
 type CacheDirectory struct {
 	blockTokens int
 	byHash      map[uint64]map[int]int // hash -> location -> tokens
@@ -29,7 +28,7 @@ type CacheDirectory struct {
 }
 
 // NewCacheDirectory builds an empty directory. blockTokens is the radix
-// block granularity used by ChainOverlap (irrelevant in whole-key mode).
+// block granularity: the size of each copy and ChainOverlap's unit.
 func NewCacheDirectory(blockTokens int) *CacheDirectory {
 	return &CacheDirectory{
 		blockTokens: blockTokens,
@@ -151,10 +150,9 @@ func (d *CacheDirectory) Stats() (hashes, copies int) {
 }
 
 // dirShim wires one replica's cache into the gateway's directory (and, on
-// capacity evictions in radix mode, into the cold tier). It implements
-// both residencyObserver (radix) and prefixObserver (whole-key); the
-// hooks fire inside deterministic cache-operation order, so the emitted
-// directory-update events replay identically.
+// capacity evictions, into the cold tier). It implements
+// residencyObserver; the hooks fire inside deterministic cache-operation
+// order, so the emitted directory-update events replay identically.
 type dirShim struct {
 	g   *Gateway
 	rep *replica
@@ -192,19 +190,4 @@ func (s *dirShim) cacheCleared(usedTokens, blocks int) {
 	if dropped != 0 {
 		s.g.emitDirUpdate(s.rep.index, -dropped, 0, "wipe")
 	}
-}
-
-// entryChanged implements prefixObserver (whole-key mode): the entry at
-// key now holds `tokens` resident tokens at this replica (0 = gone).
-func (s *dirShim) entryChanged(key PrefixKey, tokens int, evicted bool) {
-	d := s.g.dir
-	delta := d.Set(uint64(key), s.rep.index, tokens)
-	if delta == 0 {
-		return
-	}
-	label := "add"
-	if delta < 0 {
-		label = "remove"
-	}
-	s.g.emitDirUpdate(s.rep.index, delta, d.LocTokens(s.rep.index), label)
 }

@@ -108,68 +108,6 @@ func TestDirectoryCoherenceRadixUnderRandomOps(t *testing.T) {
 	}
 }
 
-// TestDirectoryCoherencePrefixUnderRandomOps is the whole-key analogue:
-// observer-wired PrefixCaches under random Put/Install/Remove/wipe
-// sequences, directory view compared entry-by-entry against Snapshot.
-func TestDirectoryCoherencePrefixUnderRandomOps(t *testing.T) {
-	for _, admission := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			g := &Gateway{dir: NewCacheDirectory(workload.BlockTokens)}
-			const nCaches = 3
-			caches := make([]*PrefixCache, nCaches)
-			for i := range caches {
-				caches[i] = NewPrefixCache(5000, admission)
-				caches[i].setObserver(&dirShim{g: g, rep: &replica{index: i}})
-			}
-			for step := 0; step < 3000; step++ {
-				i := rng.Intn(nCaches)
-				c := caches[i]
-				key := SessionKey(int64(rng.Intn(24)))
-				if rng.Intn(3) == 0 {
-					key = GroupKey(rng.Intn(8))
-				}
-				tokens := rng.Intn(6500) - 200
-				switch rng.Intn(6) {
-				case 0, 1:
-					c.Put(key, tokens)
-				case 2:
-					c.Install(key, tokens)
-				case 3:
-					c.Remove(key)
-				case 4:
-					c.Lookup(key)
-				case 5:
-					if rng.Intn(20) == 0 {
-						// A crash wipe in whole-key mode removes entry by entry.
-						for _, ent := range c.Snapshot() {
-							c.Remove(ent.Key)
-						}
-					}
-				}
-				for j, cc := range caches {
-					snap := cc.Snapshot()
-					if len(snap) != len(g.dir.LocBlocks(j)) {
-						t.Fatalf("step %d: loc %d holds %d entries, directory lists %d",
-							step, j, len(snap), len(g.dir.LocBlocks(j)))
-					}
-					sum := 0
-					for _, ent := range snap {
-						if got := g.dir.Tokens(uint64(ent.Key), j); got != ent.Tokens {
-							t.Fatalf("step %d: loc %d entry %x: cache %d tokens, directory %d",
-								step, j, ent.Key, ent.Tokens, got)
-						}
-						sum += ent.Tokens
-					}
-					if g.dir.LocTokens(j) != sum {
-						t.Fatalf("step %d: loc %d used %d, directory claims %d", step, j, sum, g.dir.LocTokens(j))
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestFleetDirectoryChaosAuditsClean is the end-to-end coherence check: a
 // session workload under content routing with the directory and cold tier
 // on — absorbing a stall, a drain, a link-degradation window and a crash —

@@ -69,7 +69,7 @@ func (g *Gateway) CrashReplica(idx int) error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	inFlight := len(ids)
-	kvLost := rep.cacheUsed()
+	kvLost := rep.radix.Used()
 
 	// Hedge copies dying here resolve as losses now, before the crash
 	// event — their HedgeLose is attributed to this replica, and no event
@@ -133,13 +133,7 @@ func (g *Gateway) CrashReplica(idx int) error {
 	}
 
 	// The resident KV dies with the process.
-	if rep.radix != nil {
-		rep.radix.Clear()
-	} else {
-		for _, ent := range rep.cache.Snapshot() {
-			rep.cache.Remove(ent.Key)
-		}
-	}
+	rep.radix.Clear()
 	for key, home := range g.sessionHome {
 		if home == idx {
 			delete(g.sessionHome, key)
@@ -158,15 +152,7 @@ func (g *Gateway) CrashReplica(idx int) error {
 	// only the suffix no surviving cache covers.
 	for i, fl := range toRecover {
 		id := recoverAs[i]
-		info := RequestInfo{
-			ID:         id,
-			InputLen:   fl.fullInput,
-			SessionKey: SessionKey(fl.entry.SessionID),
-			SharedKey:  GroupKey(fl.entry.PromptGroup),
-			PrefixLen:  fl.entry.PrefixLen,
-			SharedLen:  fl.entry.SharedLen,
-			Blocks:     fl.entry.InputBlocks(),
-		}
+		info := requestInfo(id, fl.fullInput, fl.entry)
 		salvage := 0
 		for _, sv := range g.replicas {
 			if sv.state != ReplicaActive {

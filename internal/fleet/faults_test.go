@@ -122,8 +122,8 @@ func TestCrashRefusals(t *testing.T) {
 }
 
 // TestCrashRecoverySalvagesSurvivingKV: recovery re-prefills only the
-// suffix no surviving cache covers. A shared prompt group warmed on both
-// replicas means the rescued request salvages the full shared prefix —
+// suffix no surviving cache covers. A shared system prompt warmed on both
+// replicas means the rescued request salvages the prompt's whole blocks —
 // visible as the Recover event's token count.
 func TestCrashRecoverySalvagesSurvivingKV(t *testing.T) {
 	col := &obs.Collector{}
@@ -132,13 +132,19 @@ func TestCrashRecoverySalvagesSurvivingKV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := workload.Entry{InputLen: 1000, OutputLen: 10, PromptGroup: 5, SharedLen: 800}
-	// Warm the group on both replicas (round-robin), finishing at 1.2ms.
-	submitAt(sim, g, 1, shared, 0)
-	submitAt(sim, g, 2, shared, 0)
-	// The victim request lands on replica 0 at 2ms (hit 800, 200us
+	// Three sessions of one prompt group: 1010 tokens of context make
+	// three whole blocks, all inside the 800-token system prompt, so every
+	// session's chain is the prompt's.
+	prompt := sessionBlocks(5, 800)
+	shared := func(session int64) workload.Entry {
+		return workload.Entry{InputLen: 1000, OutputLen: 10, SessionID: session, PromptGroup: 5, SharedLen: 800, Blocks: prompt}
+	}
+	// Warm the prompt on both replicas (round-robin), finishing at 1.2ms.
+	submitAt(sim, g, 1, shared(1), 0)
+	submitAt(sim, g, 2, shared(2), 0)
+	// The victim request lands on replica 0 at 2ms (hit 768, 232us
 	// prefill remaining) and dies with it at 2.1ms.
-	submitAt(sim, g, 3, shared, 2*time.Millisecond)
+	submitAt(sim, g, 3, shared(3), 2*time.Millisecond)
 	sim.At(simevent.Time(2*time.Millisecond+100*time.Microsecond), func() {
 		if err := g.CrashReplica(0); err != nil {
 			t.Errorf("crash: %v", err)
@@ -161,8 +167,8 @@ func TestCrashRecoverySalvagesSurvivingKV(t *testing.T) {
 	if len(recovers) != 1 {
 		t.Fatalf("%d recover events, want 1", len(recovers))
 	}
-	if recovers[0].Tokens != 800 {
-		t.Fatalf("recovery salvaged %d tokens, want the 800 shared on the survivor", recovers[0].Tokens)
+	if recovers[0].Tokens != 768 {
+		t.Fatalf("recovery salvaged %d tokens, want the 768 in the prompt's 3 whole blocks on the survivor", recovers[0].Tokens)
 	}
 	if recovers[0].A != 0 {
 		t.Fatalf("recover names crashed replica %d, want 0", recovers[0].A)

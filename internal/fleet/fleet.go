@@ -5,17 +5,14 @@
 // discrete-event clock, exactly the deployment shape of a production
 // fleet behind a load balancer.
 //
-// The gateway additionally models per-replica prefix-KV reuse, with two
-// selectable implementations (Config.Cache). The default-for-CLIs radix
-// cache (radixcache.go) indexes KV at token-block granularity over
-// content-addressed block-hash chains: any shared token prefix — a system
-// prompt, a branched conversation trunk, a session's own history — is
-// shared block-for-block, and eviction drops leaf blocks priced by the
-// cost model's recompute time (GDSF) with TinyLFU admission. The legacy
-// whole-key cache (prefixcache.go), a token-capacity LRU keyed by whole
-// session/prompt-group identities, stays reachable for honest
-// comparisons. Either way, a cache hit discounts the prefill the replica
-// must simulate to just the unseen suffix. This creates the tension the
+// The gateway additionally models per-replica prefix-KV reuse with one
+// cache, the radix cache (radixcache.go). It indexes KV at token-block
+// granularity over content-addressed block-hash chains: any shared token
+// prefix — a system prompt, a branched conversation trunk, a session's
+// own history — is shared block-for-block, and eviction drops leaf blocks
+// priced by the cost model's recompute time (GDSF) with TinyLFU admission.
+// A cache hit discounts the prefill the replica must simulate to just the
+// unseen suffix. This creates the tension the
 // routing policies trade off: sticking a session to its warm replica
 // minimizes recomputation, spreading minimizes queueing — the same
 // cache-affinity-vs-load balance studied by the arodland/loadbalance
@@ -84,16 +81,13 @@ type Spec struct {
 	NewCluster func() (*cluster.Cluster, error)
 }
 
-// Prefix-cache implementations selectable via Config.Cache.
-const (
-	// CacheWholeKey is the legacy per-session/per-group LRU: one entry per
-	// whole cache key, no sharing between distinct keys.
-	CacheWholeKey = "wholekey"
-	// CacheRadix is the token-block radix cache: block-hash chains share
-	// any common token prefix, eviction drops leaf blocks priced by the
-	// cost model's recompute time (see RadixCache).
-	CacheRadix = "radix"
-)
+// CacheRadix names the token-block radix cache (see RadixCache), the
+// fleet's only prefix cache: block-hash chains share any common token
+// prefix, eviction drops leaf blocks priced by the cost model's recompute
+// time.
+//
+// Deprecated: the only value Config.Cache accepts besides "".
+const CacheRadix = "radix"
 
 // Config controls a fleet run.
 type Config struct {
@@ -112,26 +106,28 @@ type Config struct {
 
 	// Policy routes arrivals; nil defaults to LeastLoaded.
 	Policy Policy
-	// Cache selects the prefix-cache implementation: CacheWholeKey (the
-	// default, "") or CacheRadix. The whole-key cache stays reachable so
-	// radix-vs-wholekey comparisons run the exact legacy behavior.
+	// Cache names the prefix cache. Every replica runs the radix cache, so
+	// NewGateway accepts only "" and CacheRadix and rejects anything else.
+	//
+	// Deprecated: the field selects nothing; leave it empty.
 	Cache string
 	// CacheTokens is each replica's prefix-cache capacity in KV tokens;
 	// 0 sizes it to the replica's KV pool capacity.
 	CacheTokens int
-	// NoAdmission disables the TinyLFU admission filter (plain LRU).
+	// NoAdmission disables the TinyLFU admission filter. Eviction stays
+	// GDSF: leaf blocks priced by their recompute time.
 	NoAdmission bool
 	// Directory maintains the gateway-side global cache directory: every
 	// replica cache reports residency transitions through an observer
 	// shim, DirectoryAware policies (ContentAffinity) route off the
-	// resulting map, and in radix mode all replicas share one naming
-	// index. Off (the default), caches behave bit-identically to the
-	// pre-directory implementation.
+	// resulting map, and all replicas share one naming index. Off (the
+	// default), caches behave bit-identically to the pre-directory
+	// implementation.
 	Directory bool
 	// ColdTierTokens, when positive, provisions the fleet-shared
 	// host-memory cold KV tier: capacity-evicted radix blocks spill there
 	// and are fetched back over the interconnect when the link time beats
-	// the recompute it displaces. Requires CacheRadix; implies Directory.
+	// the recompute it displaces. Implies Directory.
 	ColdTierTokens int
 	// StreamMetrics folds completion records into a metrics.Accumulator
 	// (constant memory) instead of retaining every Record: Result.Records

@@ -204,9 +204,7 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := fleet.Run(trace, fleet.Config{Groups: []fleet.ReplicaGroup{{Kind: empty, Count: 1}}}); err == nil {
 		t.Error("empty spec accepted")
 	}
-	for _, cache := range []string{fleet.CacheWholeKey, fleet.CacheRadix} {
-		if _, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(1), Cache: cache, CacheTokens: -5}); err == nil {
-			t.Errorf("negative %s cache capacity accepted", cache)
-		}
+	if _, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(1), CacheTokens: -5}); err == nil {
+		t.Error("negative cache capacity accepted")
 	}
 }

@@ -75,15 +75,13 @@ type ReplicaInfo struct {
 	CacheUsed  int // resident prefix-KV tokens
 }
 
-// replica is one engine plus its private environment, cache and the
-// gateway's load accounting. It implements ReplicaView. Exactly one of
-// cache (whole-key mode) and radix (radix mode) is non-nil.
+// replica is one engine plus its private environment, radix prefix
+// cache and the gateway's load accounting. It implements ReplicaView.
 type replica struct {
 	index  int
 	kind   *ReplicaKind
 	engine serving.Engine
 	env    *serving.Env
-	cache  *PrefixCache
 	radix  *RadixCache
 
 	state         ReplicaState
@@ -130,90 +128,31 @@ func (rep *replica) QueueDepth() int {
 }
 
 // CachedTokens implements ReplicaView: the usable hit, side-effect free.
-// In radix mode the chain match is inherently bounded by what previous
-// completions inserted, so no PrefixLen clamp is needed; shared system
-// prompts and branched trunks are covered structurally by the chain.
+// The chain match is bounded by what previous completions inserted, and
+// shared system prompts and branched trunks are covered structurally by
+// the chain.
 func (rep *replica) CachedTokens(req RequestInfo) int {
-	if rep.radix != nil {
-		return min(req.InputLen, rep.radix.MatchTokens(req.Blocks))
-	}
-	if req.SessionKey != 0 {
-		if c := rep.cache.Peek(req.SessionKey); c > 0 {
-			return min(req.PrefixLen, c)
-		}
-	}
-	if req.SharedKey != 0 {
-		if c := rep.cache.Peek(req.SharedKey); c > 0 {
-			return min(req.SharedLen, c)
-		}
-	}
-	return 0
+	return min(req.InputLen, rep.radix.MatchTokens(req.Blocks))
 }
 
 // SessionTokens implements ReplicaView: the session-private resident KV,
 // which is what a migration could move (shared prompts are excluded — they
-// are replicated, not owned). The radix analogue subtracts the blocks
-// fully covered by the shared system prompt from the matched path; blocks
-// shared with a branch sibling count as owned by both, a deliberate
-// approximation (either branch moving them re-installs them for both).
+// are replicated, not owned). It subtracts the blocks fully covered by the
+// shared system prompt from the matched path; blocks shared with a branch
+// sibling count as owned by both, a deliberate approximation (either
+// branch moving them re-installs them for both).
 func (rep *replica) SessionTokens(req RequestInfo) int {
 	if req.SessionKey == 0 {
 		return 0
 	}
-	if rep.radix != nil {
-		shared := req.SharedLen / rep.radix.BlockTokens() * rep.radix.BlockTokens()
-		return max(0, rep.radix.MatchTokens(req.Blocks)-shared)
-	}
-	return min(req.PrefixLen, rep.cache.Peek(req.SessionKey))
+	shared := req.SharedLen / rep.radix.BlockTokens() * rep.radix.BlockTokens()
+	return max(0, rep.radix.MatchTokens(req.Blocks)-shared)
 }
 
 // lookup is CachedTokens with the access recorded (recency, frequency,
 // hit counters) — called once, on the replica the policy picked.
 func (rep *replica) lookup(req RequestInfo) int {
-	if rep.radix != nil {
-		return min(req.InputLen, rep.radix.Lookup(req.Blocks))
-	}
-	if req.SessionKey != 0 {
-		if c := rep.cache.Lookup(req.SessionKey); c > 0 {
-			return min(req.PrefixLen, c)
-		}
-	}
-	if req.SharedKey != 0 {
-		if c := rep.cache.Lookup(req.SharedKey); c > 0 {
-			return min(req.SharedLen, c)
-		}
-	}
-	return 0
-}
-
-// cacheUsed/cacheLen/cacheEvicted/cacheRejected dispatch the accounting
-// reads over whichever cache implementation the replica runs.
-func (rep *replica) cacheUsed() int {
-	if rep.radix != nil {
-		return rep.radix.Used()
-	}
-	return rep.cache.Used()
-}
-
-func (rep *replica) cacheLen() int {
-	if rep.radix != nil {
-		return rep.radix.Len()
-	}
-	return rep.cache.Len()
-}
-
-func (rep *replica) cacheEvicted() int {
-	if rep.radix != nil {
-		return rep.radix.Evicted
-	}
-	return rep.cache.Evicted
-}
-
-func (rep *replica) cacheRejected() int {
-	if rep.radix != nil {
-		return rep.radix.Rejected
-	}
-	return rep.cache.Rejected
+	return min(req.InputLen, rep.radix.Lookup(req.Blocks))
 }
 
 // inflight tracks one routed, unfinished request.
@@ -313,15 +252,15 @@ type Gateway struct {
 
 	// sessionChain tracks, per session cache key, the longest block-hash
 	// chain any completion of the session has produced — the tree path a
-	// radix-mode migration or drain moves. Unused in whole-key mode.
+	// migration or drain moves.
 	sessionChain map[PrefixKey][]uint64
 
 	// Global cache directory and cold KV tier (directory.go, coldtier.go).
 	// dir is non-nil when Config.Directory (or ColdTierTokens) is set —
 	// every replica cache then carries a dirShim observer keeping it
-	// coherent. sharedIndex is the fleet-wide naming trie in radix mode
-	// (replica caches and the cold tier refcount into one index); cold is
-	// the host-memory spill pool, nil when off.
+	// coherent. sharedIndex is then the fleet-wide naming trie (replica
+	// caches and the cold tier refcount into one index); cold is the
+	// host-memory spill pool, nil when off.
 	dir         *CacheDirectory
 	sharedIndex *RadixIndex
 	cold        *coldTier
@@ -418,10 +357,8 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 200_000_000
 	}
-	switch cfg.Cache {
-	case "", CacheWholeKey, CacheRadix:
-	default:
-		return nil, fmt.Errorf("fleet: unknown cache %q (want %q or %q)", cfg.Cache, CacheWholeKey, CacheRadix)
+	if cfg.Cache != "" && cfg.Cache != CacheRadix {
+		return nil, fmt.Errorf("fleet: unknown cache %q (the radix cache, %q, is the only one)", cfg.Cache, CacheRadix)
 	}
 	if err := cfg.Hedge.validate(); err != nil {
 		return nil, err
@@ -434,9 +371,6 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 		return nil, fmt.Errorf("fleet: negative cold-tier capacity %d", cfg.ColdTierTokens)
 	}
 	if cfg.ColdTierTokens > 0 {
-		if cfg.Cache != CacheRadix {
-			return nil, fmt.Errorf("fleet: the cold KV tier requires the radix cache (Cache=%q)", CacheRadix)
-		}
 		cfg.Directory = true // spills register at DirCold; fetches route off it
 	}
 	if cfg.Shards < 0 {
@@ -469,13 +403,11 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	}
 	g.attachObs()
 	if cfg.Directory {
-		// The directory (and in radix mode the shared naming index) must
-		// exist before any replica builds: newReplica wires each cache's
-		// observer shim at construction.
+		// The directory and the shared naming index must exist before any
+		// replica builds: newReplica wires each cache's observer shim at
+		// construction.
 		g.dir = NewCacheDirectory(workload.BlockTokens)
-		if cfg.Cache == CacheRadix {
-			g.sharedIndex = NewRadixIndex()
-		}
+		g.sharedIndex = NewRadixIndex()
 		if da, ok := g.policy.(DirectoryAware); ok {
 			da.AttachDirectory(g.dir)
 		}
@@ -577,37 +509,30 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 		Pool:     c.NewPool(),
 		Complete: func(r *serving.Request) { rep.buf.complete(rs.Now(), r) },
 	}
-	if g.cfg.Cache == CacheRadix {
-		// Eviction is priced by the replica's own cost model: a block at
-		// context offset `start` costs the marginal prefill time of its
-		// tokens on the replica's reference configuration — deep blocks are
-		// dearer per KV token freed than shallow ones.
-		cm := rep.env.CM
-		gpus := 0
-		for _, inst := range c.Instances {
-			gpus += inst.TP
+	// Eviction is priced by the replica's own cost model: a block at
+	// context offset `start` costs the marginal prefill time of its tokens
+	// on the replica's reference configuration — deep blocks are dearer per
+	// KV token freed than shallow ones.
+	cm := rep.env.CM
+	gpus := 0
+	for _, inst := range c.Instances {
+		gpus += inst.TP
+	}
+	nvlink := cluster.Link{Bandwidth: c.HW.NVLinkBandwidth, Latency: c.HW.NVLinkLatency}
+	cost := func(start, tokens int) float64 {
+		full := cm.PrefillIterTime([]int{start + tokens}, 1, gpus, nvlink)
+		if start == 0 {
+			return full.Seconds()
 		}
-		nvlink := cluster.Link{Bandwidth: c.HW.NVLinkBandwidth, Latency: c.HW.NVLinkLatency}
-		cost := func(start, tokens int) float64 {
-			full := cm.PrefillIterTime([]int{start + tokens}, 1, gpus, nvlink)
-			if start == 0 {
-				return full.Seconds()
-			}
-			return (full - cm.PrefillIterTime([]int{start}, 1, gpus, nvlink)).Seconds()
-		}
-		if g.sharedIndex != nil {
-			rep.radix = NewRadixCacheIndexed(g.sharedIndex, cacheCap, workload.BlockTokens, !g.cfg.NoAdmission, cost)
-		} else {
-			rep.radix = NewRadixCache(cacheCap, workload.BlockTokens, !g.cfg.NoAdmission, cost)
-		}
-		if g.dir != nil {
-			rep.radix.setObserver(&dirShim{g: g, rep: rep})
-		}
+		return (full - cm.PrefillIterTime([]int{start}, 1, gpus, nvlink)).Seconds()
+	}
+	if g.sharedIndex != nil {
+		rep.radix = NewRadixCacheIndexed(g.sharedIndex, cacheCap, workload.BlockTokens, !g.cfg.NoAdmission, cost)
 	} else {
-		rep.cache = NewPrefixCache(cacheCap, !g.cfg.NoAdmission)
-		if g.dir != nil {
-			rep.cache.setObserver(&dirShim{g: g, rep: rep})
-		}
+		rep.radix = NewRadixCache(cacheCap, workload.BlockTokens, !g.cfg.NoAdmission, cost)
+	}
+	if g.dir != nil {
+		rep.radix.setObserver(&dirShim{g: g, rep: rep})
 	}
 	if df, ok := rep.engine.(serving.DecodeFuser); ok {
 		df.SetDecodeFusion(g.cfg.FuseDecode)
@@ -714,7 +639,7 @@ func (g *Gateway) ReplicaInfos() []ReplicaInfo {
 			OutstandingReqs:   rep.outReqs,
 			QueueDepth:        rep.QueueDepth(),
 			QueuedReqs:        queued,
-			CacheUsed:         rep.cacheUsed(),
+			CacheUsed:         rep.radix.Used(),
 		}
 	}
 	return out
@@ -850,12 +775,12 @@ func (g *Gateway) migrationTarget(exclude *replica) *replica {
 // transferSession moves `tokens` KV tokens of session key from src toward
 // dst, arriving after `delay`: the session is re-homed immediately (so
 // subsequent routing and completions aim at dst), the destination cache is
-// installed when the transfer lands. In radix mode `chain` is the tree
-// path being moved (nil in whole-key mode) and the install replays it as a
-// subtree: shared ancestor blocks the destination already holds are
-// deduplicated structurally, missing ones are installed alongside the
-// session-private tail. The install is skipped if the session re-homed
-// again meanwhile or a fresher (larger) entry already landed.
+// installed when the transfer lands. `chain` is the tree path being moved,
+// and the install replays it as a subtree: shared ancestor blocks the
+// destination already holds are deduplicated structurally, missing ones
+// are installed alongside the session-private tail. The install is skipped
+// if the session re-homed again meanwhile or a fresher (longer) path
+// already landed.
 func (g *Gateway) transferSession(key PrefixKey, chain []uint64, tokens int, src, dst *replica, delay time.Duration, kind string) {
 	g.sessionHome[key] = dst.index
 	src.migrationsOut++
@@ -871,14 +796,8 @@ func (g *Gateway) transferSession(key PrefixKey, chain []uint64, tokens int, src
 		// grown the entry, or the destination may itself have begun
 		// draining (its cache dies with it — dropping the copy just costs
 		// a recompute later, it loses no session).
-		if g.sessionHome[key] == dst.index && dst.state == ReplicaActive {
-			if dst.radix != nil {
-				if dst.radix.MatchTokens(chain) < tokens {
-					dst.radix.Install(chain, tokens)
-				}
-			} else if dst.cache.Peek(key) < tokens {
-				dst.cache.Install(key, tokens)
-			}
+		if g.sessionHome[key] == dst.index && dst.state == ReplicaActive && dst.radix.MatchTokens(chain) < tokens {
+			dst.radix.Install(chain, tokens)
 		}
 		src.migrationsOut--
 		dst.migInTokens -= tokens
@@ -922,57 +841,38 @@ func (g *Gateway) DrainReplica(idx int) error {
 	if rep.state != ReplicaDraining {
 		return fmt.Errorf("fleet: replica %d is %v after control-plane scale-down", idx, rep.state)
 	}
-	g.event("drain", "", idx, "%d in-flight requests, %d cached tokens", rep.outReqs, rep.cacheUsed())
+	g.event("drain", "", idx, "%d in-flight requests, %d cached tokens", rep.outReqs, rep.radix.Used())
 
+	// Every session homed here moves its resident tree path — the
+	// session-private tail is physically removed, shared ancestors ride
+	// along and are deduplicated at the destination. sessionHome is
+	// iterated in sorted key order so transfer order (and the serialized
+	// link delays) replays identically.
 	var delay time.Duration
-	if rep.radix != nil {
-		// Radix drain: every session homed here moves its resident tree
-		// path — the session-private tail is physically removed, shared
-		// ancestors ride along and are deduplicated at the destination.
-		// sessionHome is iterated in sorted key order so transfer order
-		// (and the serialized link delays) replays identically.
-		keys := make([]PrefixKey, 0, len(g.sessionHome))
-		for key, home := range g.sessionHome {
-			if home == idx {
-				keys = append(keys, key)
-			}
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, key := range keys {
-			chain := g.sessionChain[key]
-			tokens := rep.radix.MatchTokens(chain)
-			if tokens == 0 {
-				continue
-			}
-			rep.radix.RemoveExclusive(chain)
-			dst := g.migrationTarget(rep)
-			if dst == nil {
-				continue // unreachable: >= 1 active replica guaranteed above
-			}
-			delay += g.migrationDelay(tokens)
-			g.transferSession(key, chain, tokens, rep, dst, delay, "drain")
-		}
-		// Whatever remains — shared prompts, stale short copies — dies with
-		// the replica; it is recomputable or replicated elsewhere.
-		rep.radix.Clear()
-	} else {
-		for _, ent := range rep.cache.Snapshot() {
-			home, owned := g.sessionHome[ent.Key]
-			rep.cache.Remove(ent.Key)
-			if !owned || home != idx {
-				// Shared prompt-group entries and stale session copies: dropped,
-				// not moved — the authoritative KV lives elsewhere or is cheap to
-				// recompute from the prompt text.
-				continue
-			}
-			dst := g.migrationTarget(rep)
-			if dst == nil {
-				continue // unreachable: >= 1 active replica guaranteed above
-			}
-			delay += g.migrationDelay(ent.Tokens)
-			g.transferSession(ent.Key, nil, ent.Tokens, rep, dst, delay, "drain")
+	keys := make([]PrefixKey, 0, len(g.sessionHome))
+	for key, home := range g.sessionHome {
+		if home == idx {
+			keys = append(keys, key)
 		}
 	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, key := range keys {
+		chain := g.sessionChain[key]
+		tokens := rep.radix.MatchTokens(chain)
+		if tokens == 0 {
+			continue
+		}
+		rep.radix.RemoveExclusive(chain)
+		dst := g.migrationTarget(rep)
+		if dst == nil {
+			continue // unreachable: >= 1 active replica guaranteed above
+		}
+		delay += g.migrationDelay(tokens)
+		g.transferSession(key, chain, tokens, rep, dst, delay, "drain")
+	}
+	// Whatever remains — shared prompts, stale short copies — dies with the
+	// replica; it is recomputable or replicated elsewhere.
+	rep.radix.Clear()
 	g.maybeRetire(rep)
 	return nil
 }
@@ -1002,15 +902,7 @@ func (g *Gateway) Submit(r *serving.Request, e workload.Entry) {
 	if len(active) == 0 {
 		panic("fleet: no active replica (gateway invariant violated)")
 	}
-	info := RequestInfo{
-		ID:         r.ID,
-		InputLen:   r.InputLen,
-		SessionKey: SessionKey(e.SessionID),
-		SharedKey:  GroupKey(e.PromptGroup),
-		PrefixLen:  e.PrefixLen,
-		SharedLen:  e.SharedLen,
-		Blocks:     e.InputBlocks(),
-	}
+	info := requestInfo(r.ID, r.InputLen, e)
 	g.emitEnqueue(e.SessionID, r)
 	g.noteSession(info.SessionKey, e.SessionID)
 	views := g.viewScratch[:0]
@@ -1047,17 +939,9 @@ func (g *Gateway) Submit(r *serving.Request, e workload.Entry) {
 		// the destination, then deliver the request there — it prefills only
 		// the unseen suffix, having paid link time instead of recompute.
 		src := active[from]
-		var tokens int
-		var chain []uint64
-		if src.radix != nil {
-			chain = g.sessionChain[info.SessionKey]
-			if tokens = src.radix.MatchTokens(chain); tokens > 0 {
-				src.radix.RemoveExclusive(chain)
-			}
-		} else if tokens = src.cache.Peek(info.SessionKey); tokens > 0 {
-			src.cache.Remove(info.SessionKey)
-		}
-		if tokens > 0 {
+		chain := g.sessionChain[info.SessionKey]
+		if tokens := src.radix.MatchTokens(chain); tokens > 0 {
+			src.radix.RemoveExclusive(chain)
 			delay := g.migrationDelay(tokens)
 			g.transferSession(info.SessionKey, chain, tokens, src, rep, delay, "route")
 			g.sim.After(delay, func() {
@@ -1076,6 +960,19 @@ func (g *Gateway) Submit(r *serving.Request, e workload.Entry) {
 	g.deliverMaybeFetch(rep, r, e, info)
 }
 
+// requestInfo is what a policy sees of request id, whose full prompt is
+// inputLen tokens, for the workload entry e.
+func requestInfo(id kvcache.RequestID, inputLen int, e workload.Entry) RequestInfo {
+	return RequestInfo{
+		ID:         id,
+		InputLen:   inputLen,
+		SessionKey: SessionKey(e.SessionID),
+		SharedKey:  GroupKey(e.PromptGroup),
+		SharedLen:  e.SharedLen,
+		Blocks:     e.InputBlocks(),
+	}
+}
+
 // deliverMaybeFetch consults the cold tier before delivery: when the
 // destination's resident prefix extends by a contiguous cold run and the
 // link transfer undercuts the recompute it displaces, the blocks are
@@ -1086,7 +983,7 @@ func (g *Gateway) Submit(r *serving.Request, e workload.Entry) {
 // toward recompute. Hedge copies bypass this path — a straggler rescue
 // must not queue behind a link transfer.
 func (g *Gateway) deliverMaybeFetch(rep *replica, r *serving.Request, e workload.Entry, info RequestInfo) {
-	if g.cold == nil || rep.radix == nil || len(info.Blocks) == 0 {
+	if g.cold == nil || len(info.Blocks) == 0 {
 		g.deliver(rep, r, e, info)
 		return
 	}
@@ -1149,8 +1046,9 @@ func (g *Gateway) deliver(rep *replica, r *serving.Request, e workload.Entry, in
 }
 
 // complete is every replica's completion sink: it settles gateway
-// accounting, refreshes the prefix cache (or hands the session KV to a
-// survivor when the serving replica is draining), and emits the record.
+// accounting, inserts the session's chain into the prefix cache (or hands
+// the session KV to a survivor when the serving replica is draining), and
+// emits the record.
 func (g *Gateway) complete(rep *replica, r *serving.Request) {
 	if rep.state == ReplicaFailed {
 		// The replica crashed; its engine keeps simulating (there is no
@@ -1186,44 +1084,26 @@ func (g *Gateway) complete(rep *replica, r *serving.Request) {
 	g.emitFinishID(rep.index, fl.entry.SessionID, finishID, r)
 
 	if fl.entry.SessionID != 0 {
+		// The finished conversation context is now reusable KV. Its chain
+		// heads with the system-prompt blocks, so one Put shares them too.
 		key := SessionKey(fl.entry.SessionID)
-		if rep.radix != nil {
-			chain := fl.entry.Blocks
-			if len(chain) > len(g.sessionChain[key]) {
-				// Longest-chain-wins mirrors Put's never-shrink rule: a
-				// stale out-of-order completion must not truncate the path
-				// a later turn already established.
-				g.sessionChain[key] = chain
-			}
-			tokens := len(chain) * workload.BlockTokens
-			if rep.state == ReplicaActive {
-				rep.radix.Put(chain)
-				if rep.radix.MatchTokens(chain) > 0 {
-					g.sessionHome[key] = rep.index
-				}
-			} else if dst := g.completionTarget(key, rep); dst != nil && tokens > 0 {
-				g.transferSession(key, chain, tokens, rep, dst, g.migrationDelay(tokens), "handoff")
-			}
-		} else {
-			tokens := fl.fullInput + r.OutputLen
-			if rep.state == ReplicaActive {
-				// The finished conversation context is now reusable KV here.
-				rep.cache.Put(key, tokens)
-				if rep.cache.Peek(key) > 0 {
-					g.sessionHome[key] = rep.index
-				}
-			} else if dst := g.completionTarget(key, rep); dst != nil {
-				// Draining: the freshly produced KV rides the drain link to the
-				// session's new home so the next turn finds it warm.
-				g.transferSession(key, nil, tokens, rep, dst, g.migrationDelay(tokens), "handoff")
-			}
+		chain := fl.entry.Blocks
+		if len(chain) > len(g.sessionChain[key]) {
+			// Longest chain wins: a stale out-of-order completion must not
+			// truncate the path a later turn already established.
+			g.sessionChain[key] = chain
 		}
-	}
-	if fl.entry.PromptGroup != 0 && rep.state == ReplicaActive && rep.radix == nil {
-		// Whole-key mode replicates the shared prompt as its own entry; in
-		// radix mode the system-prompt blocks are the head of every
-		// session chain and were inserted by the session Put above.
-		rep.cache.Put(GroupKey(fl.entry.PromptGroup), fl.entry.SharedLen)
+		tokens := len(chain) * workload.BlockTokens
+		if rep.state == ReplicaActive {
+			rep.radix.Put(chain)
+			if rep.radix.MatchTokens(chain) > 0 {
+				g.sessionHome[key] = rep.index
+			}
+		} else if dst := g.completionTarget(key, rep); dst != nil && tokens > 0 {
+			// Draining: the freshly produced KV rides the drain link to the
+			// session's new home so the next turn finds it warm.
+			g.transferSession(key, chain, tokens, rep, dst, g.migrationDelay(tokens), "handoff")
+		}
 	}
 
 	rec := r.Record()
@@ -1252,20 +1132,15 @@ func (g *Gateway) completionTarget(key PrefixKey, from *replica) *replica {
 }
 
 // SessionLocations returns every replica index holding a resident copy of
-// the session's KV entry, with resident token counts — the introspection
-// surface drain verification and tests use. In radix mode a "copy" is the
-// resident prefix of the session's longest known chain (shared head blocks
-// included, matching what a whole-key entry would hold).
+// the session's KV, with resident token counts — the introspection surface
+// drain verification and tests use. A "copy" is the resident prefix of the
+// session's longest known chain, shared head blocks included: a replica
+// holding only a system prompt other sessions placed counts as a copy.
 func (g *Gateway) SessionLocations(sessionID int64) map[int]int {
 	out := make(map[int]int)
-	key := SessionKey(sessionID)
-	chain := g.sessionChain[key]
+	chain := g.sessionChain[SessionKey(sessionID)]
 	for i, rep := range g.replicas {
-		if rep.radix != nil {
-			if c := rep.radix.MatchTokens(chain); c > 0 {
-				out[i] = c
-			}
-		} else if c := rep.cache.Peek(key); c > 0 {
+		if c := rep.radix.MatchTokens(chain); c > 0 {
 			out[i] = c
 		}
 	}
@@ -1288,9 +1163,9 @@ func (g *Gateway) Finalize() *Result {
 	g.res.Replicas = make([]ReplicaStats, len(g.replicas))
 	g.res.ReplicaSeconds = 0
 	for i, rep := range g.replicas {
-		rep.stats.CacheEntries = rep.cacheLen()
-		rep.stats.CacheEvicted = rep.cacheEvicted()
-		rep.stats.CacheRejected = rep.cacheRejected()
+		rep.stats.CacheEntries = rep.radix.Len()
+		rep.stats.CacheEvicted = rep.radix.Evicted
+		rep.stats.CacheRejected = rep.radix.Rejected
 		g.res.Replicas[i] = rep.stats
 		stop := end
 		if rep.state == ReplicaRetired || rep.state == ReplicaFailed {

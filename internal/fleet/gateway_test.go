@@ -76,6 +76,17 @@ func toyFleet(n int) []ReplicaGroup {
 	return []ReplicaGroup{{Kind: NewKind("toy", toySpec()), Count: n}}
 }
 
+// sessionBlocks is a hand-built session's block-hash chain over its first
+// `tokens` tokens, as workload.Entry.Blocks carries it: the turns of one
+// session share their prefix, and no two sessions share a block.
+func sessionBlocks(session int64, tokens int) []uint64 {
+	out := make([]uint64, tokens/workload.BlockTokens)
+	for i := range out {
+		out[i] = uint64(session)<<32 | uint64(i+1)
+	}
+	return out
+}
+
 // chatScripts builds a small deterministic session workload.
 func chatScripts(sessions int, rate, think float64, seed int64) []workload.SessionScript {
 	cfg := workload.DefaultSessionConfig()
@@ -212,7 +223,9 @@ func TestOpenLoopFeedMatchesStaticTrace(t *testing.T) {
 // replica under concurrent arrivals loses no session, duplicates no
 // session, and preserves exact token counts for sessions that were idle at
 // drain time. Randomized over seeds and drain times, deterministic per
-// seed.
+// seed. A session's copies are counted in session-private tokens: its
+// resident chain minus the system prompt's whole blocks, which any session
+// of the prompt group may have placed on a replica.
 func TestDrainMigratesLiveSessions(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8} {
 		seed := seed
@@ -225,6 +238,16 @@ func TestDrainMigratesLiveSessions(t *testing.T) {
 				t.Fatal(err)
 			}
 			feed := FeedSessions(g, scripts, true)
+			privateLocations := func(s workload.SessionScript) map[int]int {
+				shared := s.SystemTokens / workload.BlockTokens * workload.BlockTokens
+				out := make(map[int]int)
+				for i, c := range g.SessionLocations(s.ID) {
+					if c > shared {
+						out[i] = c - shared
+					}
+				}
+				return out
+			}
 
 			// Drain replica `victim` at a random time inside the arrival
 			// window, while requests are in flight and more are arriving.
@@ -236,7 +259,7 @@ func TestDrainMigratesLiveSessions(t *testing.T) {
 				preDrain = make(map[int64]int)
 				soleCopy = make(map[int64]bool)
 				for _, s := range scripts {
-					locs := g.SessionLocations(s.ID)
+					locs := privateLocations(s)
 					if c, on := locs[victim]; on {
 						preDrain[s.ID] = c
 						soleCopy[s.ID] = len(locs) == 1
@@ -269,8 +292,8 @@ func TestDrainMigratesLiveSessions(t *testing.T) {
 			if st := g.replicas[victim].state; st != ReplicaRetired {
 				t.Fatalf("victim replica is %v, want retired", st)
 			}
-			if n := g.replicas[victim].cache.Len(); n != 0 {
-				t.Fatalf("victim cache still holds %d entries", n)
+			if n := g.replicas[victim].radix.Len(); n != 0 {
+				t.Fatalf("victim cache still holds %d blocks", n)
 			}
 			if g.replicas[victim].outReqs != 0 || g.replicas[victim].migrationsOut != 0 {
 				t.Fatal("victim retired with outstanding work")
@@ -286,8 +309,13 @@ func TestDrainMigratesLiveSessions(t *testing.T) {
 			// their lifetime may hold extra stale short-prefix copies;
 			// that is routing history, not drain behavior.)
 			strong := 0
-			for sid, tokens := range preDrain {
-				locs := g.SessionLocations(sid)
+			for _, s := range scripts {
+				sid := s.ID
+				tokens, held := preDrain[sid]
+				if !held {
+					continue
+				}
+				locs := privateLocations(s)
 				if len(locs) == 0 {
 					t.Fatalf("session %d lost in drain (had %d tokens)", sid, tokens)
 				}
@@ -442,7 +470,7 @@ func TestDrainGuards(t *testing.T) {
 // TestRoutedMigrationMovesHotSession: when a session's home replica is
 // buried under unrelated load, MigratingAffinity moves its KV to the idle
 // replica instead of recomputing — visible as a "route" migration and a
-// relocated cache entry.
+// relocated tree path.
 func TestRoutedMigrationMovesHotSession(t *testing.T) {
 	sim := simevent.New()
 	g, err := NewGateway(Config{Groups: toyFleet(2), Policy: NewMigratingAffinity()}, sim)
@@ -459,7 +487,8 @@ func TestRoutedMigrationMovesHotSession(t *testing.T) {
 		}
 		sim.At(simevent.Time(at), func() { g.Submit(r, e) })
 	}
-	turn0 := workload.Entry{InputLen: 30_000, OutputLen: 100, SessionID: id, Turn: 0, PrefixLen: 0}
+	turn0 := workload.Entry{InputLen: 30_000, OutputLen: 100, SessionID: id, Turn: 0, PrefixLen: 0,
+		Blocks: sessionBlocks(id, 30_100)}
 	submit(1, turn0, 0)
 
 	var home int
@@ -480,7 +509,8 @@ func TestRoutedMigrationMovesHotSession(t *testing.T) {
 		g.Submit(r, flood)
 		_ = r
 	})
-	turn1 := workload.Entry{InputLen: 30_400, OutputLen: 100, SessionID: id, Turn: 1, PrefixLen: 30_100}
+	turn1 := workload.Entry{InputLen: 30_400, OutputLen: 100, SessionID: id, Turn: 1, PrefixLen: 30_100,
+		Blocks: sessionBlocks(id, 30_500)}
 	submit(3, turn1, 2*time.Second)
 	sim.At(simevent.Time(3*time.Second), func() {
 		g.replicas[home].outTokens -= 2_000_000 // let the run drain cleanly

@@ -147,15 +147,7 @@ func (g *Gateway) maybeHedge(id kvcache.RequestID, fl *inflight, gen uint64) {
 		Arrival:   fl.arrival,
 		SLOBudget: fl.slo,
 	}
-	info := RequestInfo{
-		ID:         hid,
-		InputLen:   fl.fullInput,
-		SessionKey: SessionKey(fl.entry.SessionID),
-		SharedKey:  GroupKey(fl.entry.PromptGroup),
-		PrefixLen:  fl.entry.PrefixLen,
-		SharedLen:  fl.entry.SharedLen,
-		Blocks:     fl.entry.InputBlocks(),
-	}
+	info := requestInfo(hid, fl.fullInput, fl.entry)
 	g.res.Hedge.Launched++
 	elapsed := time.Duration(g.sim.Now() - fl.arrival)
 	g.emitHedgeLaunch(fl.entry.SessionID, id, dst.index, fl.rep.index, fl.fullInput, elapsed)

@@ -278,7 +278,7 @@ func (g *Gateway) sampleTick() {
 			At: now, Replica: rep.index, State: int(rep.state),
 			QueueDepth:  rep.outReqs,
 			OutTokens:   int64(rep.outTokens),
-			CacheUsed:   int64(rep.cacheUsed()),
+			CacheUsed:   int64(rep.radix.Used()),
 			HitTokens:   rep.stats.HitTokens,
 			InputTokens: rep.stats.InputTokens,
 			CostUnits:   rep.kind.CostUnits,

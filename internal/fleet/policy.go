@@ -16,13 +16,11 @@ type RequestInfo struct {
 
 	SessionKey PrefixKey // 0 = stateless
 	SharedKey  PrefixKey // 0 = no shared system prompt
-	PrefixLen  int       // head tokens reusable under SessionKey
-	SharedLen  int       // head tokens reusable under SharedKey
+	SharedLen  int       // head tokens of the shared system prompt
 
 	// Blocks is the input-covering block-hash chain (workload.Entry's
-	// chain cut at the input boundary) — the lookup key of radix-mode
-	// prefix caches. nil for stateless requests and whole-key-mode runs
-	// may ignore it.
+	// chain cut at the input boundary) — the lookup key of the replicas'
+	// radix prefix caches. nil for stateless requests.
 	Blocks []uint64
 }
 
@@ -307,19 +305,7 @@ func (p *Affinity) overlap(req RequestInfo, i int, r ReplicaView) int {
 	if dl, ok := r.(DirectoryLocator); ok {
 		loc = dl.Index()
 	}
-	if len(req.Blocks) > 0 {
-		return min(p.dir.ChainOverlap(req.Blocks, loc), req.InputLen)
-	}
-	// Whole-key mode: the directory stores entry keys; each claim is capped
-	// by its reusable prefix length, as replica.lookup caps its hits.
-	claim := 0
-	if req.SessionKey != 0 {
-		claim = min(p.dir.Tokens(uint64(req.SessionKey), loc), req.PrefixLen)
-	}
-	if req.SharedKey != 0 {
-		claim = max(claim, min(p.dir.Tokens(uint64(req.SharedKey), loc), req.SharedLen))
-	}
-	return claim
+	return min(p.dir.ChainOverlap(req.Blocks, loc), req.InputLen)
 }
 
 // pick returns the cheapest candidate and its score.
@@ -424,10 +410,9 @@ func (p *Affinity) PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrat
 // The contrast with PrefixAffinity is the information source:
 // PrefixAffinity probes every replica's cache omnisciently per request,
 // while ContentAffinity reads one gateway-side structure maintained by
-// residency events — the deployable version — and therefore also prices
-// partial overlaps (branch trunks, shared system prompts) that whole-key
-// probes undervalue, and composes with the cold tier (a directory hit at
-// DirCold becomes a fetch instead of a recompute).
+// residency events — the deployable version — and composes with the cold
+// tier (a directory hit at DirCold becomes a fetch instead of a
+// recompute).
 type ContentAffinity struct{ Affinity }
 
 // NewContentAffinity returns the content preset. Its low load weight is

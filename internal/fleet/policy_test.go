@@ -80,7 +80,7 @@ func TestPowerOfTwoChoices(t *testing.T) {
 
 func TestPrefixAffinityPrefersWarmReplica(t *testing.T) {
 	p := NewPrefixAffinity()
-	req := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5), PrefixLen: 3500}
+	req := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5)}
 	// Replica 2 holds the session's prefix; equal load elsewhere.
 	vs := views(&fakeReplica{tokens: 100}, &fakeReplica{tokens: 100}, &fakeReplica{tokens: 100, cached: 3500})
 	if got := p.Pick(req, vs); got != 2 {
@@ -90,7 +90,7 @@ func TestPrefixAffinityPrefersWarmReplica(t *testing.T) {
 
 func TestPrefixAffinitySpillsWhenHomeOverloaded(t *testing.T) {
 	p := NewPrefixAffinity()
-	req := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5), PrefixLen: 3500}
+	req := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5)}
 	// The warm replica's queue exceeds what the cache hit saves: the
 	// policy must spill to the idle cold replica.
 	vs := views(&fakeReplica{tokens: 0}, &fakeReplica{tokens: 10_000, cached: 3500})
@@ -101,7 +101,7 @@ func TestPrefixAffinitySpillsWhenHomeOverloaded(t *testing.T) {
 
 func TestPrefixAffinityHomeIsStable(t *testing.T) {
 	p := NewPrefixAffinity()
-	req := RequestInfo{InputLen: 1000, SessionKey: SessionKey(7), PrefixLen: 0}
+	req := RequestInfo{InputLen: 1000, SessionKey: SessionKey(7)}
 	vs := views(&fakeReplica{}, &fakeReplica{}, &fakeReplica{}, &fakeReplica{})
 	first := p.Pick(req, vs)
 	for i := 0; i < 10; i++ {
@@ -155,7 +155,7 @@ func (m fixedMigrator) MigrationSeconds(int) float64   { return m.cost / 10_000 
 
 func TestMigratingAffinityDecisions(t *testing.T) {
 	p := NewMigratingAffinity()
-	req := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5), PrefixLen: 3500}
+	req := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5)}
 
 	// Warm home lightly loaded: stay, no migration.
 	vs := views(&fakeReplica{tokens: 100, cached: 3500, session: 3500}, &fakeReplica{tokens: 0})
@@ -254,7 +254,7 @@ func TestCapabilityAffinityHomogeneousMatchesPrefixAffinity(t *testing.T) {
 	// of PrefixAffinity's, so the two policies must agree pick for pick.
 	ca, pa := NewCapabilityAffinity(), NewPrefixAffinity()
 	for s := int64(1); s <= 32; s++ {
-		req := RequestInfo{InputLen: 1000 + int(s)*100, SessionKey: SessionKey(s), PrefixLen: 500}
+		req := RequestInfo{InputLen: 1000 + int(s)*100, SessionKey: SessionKey(s)}
 		vs := views(
 			&fakeReplica{tokens: int(s) * 37 % 900},
 			&fakeReplica{tokens: int(s) * 53 % 900, cached: 500, session: 500},
@@ -268,7 +268,7 @@ func TestCapabilityAffinityHomogeneousMatchesPrefixAffinity(t *testing.T) {
 
 func TestCapabilityAffinityMigration(t *testing.T) {
 	p := NewCapabilityAffinity()
-	req := RequestInfo{InputLen: 4_000, SessionKey: SessionKey(5), PrefixLen: 3_500}
+	req := RequestInfo{InputLen: 4_000, SessionKey: SessionKey(5)}
 	big := ReplicaCapability{Kind: "big", GPUs: 8, CostUnits: 8, KVCapacity: 900_000, MaxContext: 900_000, PrefillRate: 40_000}
 	small := ReplicaCapability{Kind: "small", GPUs: 1, CostUnits: 1, KVCapacity: 100_000, MaxContext: 100_000, PrefillRate: 9_000}
 
@@ -291,7 +291,7 @@ func TestCapabilityAffinityMigration(t *testing.T) {
 	}
 
 	// A long session never migrates onto an ineligible small replica.
-	long := RequestInfo{InputLen: 80_000, SessionKey: SessionKey(9), PrefixLen: 70_000}
+	long := RequestInfo{InputLen: 80_000, SessionKey: SessionKey(9)}
 	vs = views(
 		&fakeReplica{tokens: 600_000, cached: 70_000, session: 70_000, cap: big},
 		&fakeReplica{tokens: 0, cap: small},
@@ -365,21 +365,9 @@ func TestAffinityPresets(t *testing.T) {
 	overlapTie := func(load int) []ReplicaView {
 		return views(&fakeReplica{}, &fakeReplica{cached: 1000, tokens: load})
 	}
-	// Whole-key directory: slot 0 claims its whole shared prompt (2400)
-	// over its short session entry; slot 2's long session entry is capped
-	// at PrefixLen 1800; slot 3's shared entry is capped at SharedLen and
-	// then loses on load; the probe (cached) points at slot 1, which the
-	// directory must override.
-	wholeKey := RequestInfo{InputLen: 4000, SessionKey: SessionKey(3), SharedKey: GroupKey(2), PrefixLen: 1800, SharedLen: 2400}
-	wholeKeyDir := func() *CacheDirectory {
-		d := NewCacheDirectory(100)
-		d.Set(uint64(wholeKey.SessionKey), 0, 500)
-		d.Set(uint64(wholeKey.SharedKey), 0, 2400)
-		d.Set(uint64(wholeKey.SessionKey), 1, 1500)
-		d.Set(uint64(wholeKey.SessionKey), 2, 9000)
-		d.Set(uint64(wholeKey.SharedKey), 3, 9000)
-		return d
-	}
+	// A request without a block chain has no directory overlap anywhere,
+	// whatever the probe (cached) says: the home wins the tie.
+	noBlocks := sessionHomedAt(0, 2, RequestInfo{InputLen: 4000, SharedKey: GroupKey(2), SharedLen: 2400})
 	// Radix directory, 100-token blocks: the non-home slot holds the whole
 	// three-block chain, the home two blocks; both claims cap at InputLen
 	// 200, so the overlap tie falls through to the home.
@@ -434,8 +422,8 @@ func TestAffinityPresets(t *testing.T) {
 		{"score ties go to the larger overlap first", "content", nil, tie, overlapTie(2500), 1},
 		{"unattached, it probes CachedTokens", "content", nil, sessionHomedAt(0, 3, RequestInfo{InputLen: 4000}),
 			views(&fakeReplica{}, &fakeReplica{}, &fakeReplica{cached: 3000}), 2},
-		{"whole-key claims: larger of session and shared, each capped", "content", wholeKeyDir, wholeKey,
-			views(&fakeReplica{}, &fakeReplica{cached: 4000}, &fakeReplica{}, &fakeReplica{tokens: 100}), 0},
+		{"without blocks the directory claims nothing", "content", func() *CacheDirectory { return NewCacheDirectory(100) }, noBlocks,
+			views(&fakeReplica{}, &fakeReplica{cached: 4000}), 0},
 		{"radix claims cap at InputLen", "content", radixCapDir, radixCap, views(&fakeReplica{}, &fakeReplica{}), 0},
 		{"radix claims are read at the fleet index", "content", locatedDir, located,
 			[]ReplicaView{&locatedReplica{index: 5}, &locatedReplica{index: 3}}, 1},
@@ -453,7 +441,7 @@ func TestAffinityPresets(t *testing.T) {
 
 	// A session warm on a swamped replica beside an idle one, over a cheap
 	// link: exactly the migrating presets move it.
-	warm := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5), PrefixLen: 3500}
+	warm := RequestInfo{InputLen: 4000, SessionKey: SessionKey(5)}
 	swamped := views(&fakeReplica{tokens: 50_000, cached: 3500, session: 3500}, &fakeReplica{})
 	for name, want := range map[string]struct{ directory, migrates bool }{
 		"prefix":     {false, false},

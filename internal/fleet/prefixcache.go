@@ -1,9 +1,5 @@
 package fleet
 
-import (
-	"fmt"
-)
-
 // PrefixKey identifies a reusable KV prefix. Two key families exist:
 // per-session keys (the conversation so far) and per-prompt-group keys
 // (a system prompt shared by many sessions). Zero is the absent key.
@@ -48,8 +44,9 @@ func mix64(x uint64) uint64 {
 // freqSketch is a 4-row count-min sketch with 8-bit saturating counters
 // and periodic halving (the TinyLFU aging mechanism), sized to the
 // configured number of counters rounded up to a power of two. It estimates
-// how often a prefix key has been requested, which the admission policy
-// compares between an incoming entry and the eviction victim.
+// how often a key (a block hash, as a PrefixKey) has been requested, which
+// radix and cold-tier admission compare between an incoming block and the
+// eviction victim.
 type freqSketch struct {
 	rows  [4][]uint8
 	mask  uint64
@@ -109,253 +106,4 @@ func (s *freqSketch) age() {
 		}
 	}
 	s.incrs = 0
-}
-
-// prefixObserver hears one whole-key cache's resident-set transitions:
-// after any mutation, key holds tokens resident tokens (0 = gone).
-// evicted marks capacity evictions, mirroring residencyObserver's flag.
-type prefixObserver interface {
-	entryChanged(key PrefixKey, tokens int, evicted bool)
-}
-
-// PrefixCache models one replica's prefix-KV store: a token-capacity LRU
-// whose eviction cost is the entry's KV size, with optional TinyLFU-style
-// admission — a new prefix only displaces resident ones when the frequency
-// sketch estimates it to be at least as popular as the victims it would
-// evict. Admission keeps one-shot requests from flushing hot shared
-// prompts, the same one-hit-wonder protection go-mcache's cache applies.
-//
-// The cache is an accounting model, not a byte store: entries carry only
-// their token counts. It is deterministic — no clocks, no randomness.
-type PrefixCache struct {
-	capacity  int
-	used      int
-	admission bool
-	entries   map[PrefixKey]*lruNode
-	lru       lruList // front = most recent; nodes pooled on its free list
-	sketch    *freqSketch
-
-	// observer hears resident-set transitions (the gateway's cache-
-	// directory shim); nil for standalone caches, costing one nil check
-	// per mutation and leaving behavior untouched.
-	observer prefixObserver
-
-	// Instrumentation.
-	Hits      int // lookups that found a resident prefix
-	Misses    int // lookups that found nothing
-	Evicted   int // entries displaced by capacity pressure
-	Rejected  int // insertions refused by the admission policy
-	HitTokens int64
-}
-
-// NewPrefixCache builds a cache holding up to capTokens KV tokens.
-// admission enables the TinyLFU admission filter; without it the cache is
-// a plain capacity-cost LRU.
-func NewPrefixCache(capTokens int, admission bool) *PrefixCache {
-	if capTokens <= 0 {
-		panic(fmt.Sprintf("fleet: non-positive cache capacity %d", capTokens))
-	}
-	c := &PrefixCache{
-		capacity:  capTokens,
-		admission: admission,
-		entries:   make(map[PrefixKey]*lruNode),
-		sketch:    newFreqSketch(4096),
-	}
-	c.lru.init()
-	return c
-}
-
-// Capacity returns the token capacity.
-func (c *PrefixCache) Capacity() int { return c.capacity }
-
-// Used returns the resident token count.
-func (c *PrefixCache) Used() int { return c.used }
-
-// Len returns the resident entry count.
-func (c *PrefixCache) Len() int { return len(c.entries) }
-
-// setObserver attaches the resident-set observer (nil detaches).
-func (c *PrefixCache) setObserver(o prefixObserver) { c.observer = o }
-
-// Peek returns the resident token count for key without touching recency,
-// frequency or hit statistics — the side-effect-free probe routing
-// policies use to score replicas they may not pick.
-func (c *PrefixCache) Peek(key PrefixKey) int {
-	if key == 0 {
-		return 0
-	}
-	if el, ok := c.entries[key]; ok {
-		return el.tokens
-	}
-	return 0
-}
-
-// Lookup returns the resident token count for key and records the access:
-// frequency is counted whether or not the key is resident (misses inform
-// future admission), recency and hit statistics only on a hit.
-func (c *PrefixCache) Lookup(key PrefixKey) int {
-	if key == 0 {
-		return 0
-	}
-	c.sketch.touch(key)
-	el, ok := c.entries[key]
-	if !ok {
-		c.Misses++
-		return 0
-	}
-	c.lru.moveToFront(el)
-	c.Hits++
-	c.HitTokens += int64(el.tokens)
-	return el.tokens
-}
-
-// PrefixEntry is one resident entry, as reported by Snapshot.
-type PrefixEntry struct {
-	Key    PrefixKey
-	Tokens int
-}
-
-// Snapshot returns the resident entries in recency order (most recent
-// first) — the enumeration a drain uses to evacuate a replica's KV.
-func (c *PrefixCache) Snapshot() []PrefixEntry {
-	out := make([]PrefixEntry, 0, c.lru.len())
-	for el := c.lru.front(); el != nil; el = c.lru.next(el) {
-		out = append(out, PrefixEntry{Key: el.key, Tokens: el.tokens})
-	}
-	return out
-}
-
-// Remove deletes key, returning its resident token count (0 when absent).
-// It models KV leaving the replica — a migration departure — so the
-// Evicted counter is untouched.
-func (c *PrefixCache) Remove(key PrefixKey) int {
-	el, ok := c.entries[key]
-	if !ok {
-		return 0
-	}
-	tokens := el.tokens
-	c.lru.remove(el)
-	delete(c.entries, key)
-	c.used -= tokens
-	if c.observer != nil {
-		c.observer.entryChanged(key, 0, false)
-	}
-	return tokens
-}
-
-// Install inserts or grows key, bypassing the admission filter: the KV
-// physically arrived over the interconnect (a migration landing), so
-// residency is a fact, not a caching bet. Capacity is still enforced by
-// evicting the LRU tail; entries larger than the whole cache are ignored,
-// and Install never shrinks an entry a fresher completion already grew.
-func (c *PrefixCache) Install(key PrefixKey, tokens int) {
-	if key == 0 || tokens <= 0 || tokens > c.capacity {
-		return
-	}
-	if el, ok := c.entries[key]; ok {
-		c.lru.moveToFront(el)
-		if el.tokens >= tokens {
-			return
-		}
-		c.used += tokens - el.tokens
-		el.tokens = tokens
-		if c.observer != nil {
-			c.observer.entryChanged(key, tokens, false)
-		}
-		c.evictOver(el)
-		return
-	}
-	el := c.lru.pushFront(key, tokens)
-	c.entries[key] = el
-	c.used += tokens
-	if c.observer != nil {
-		c.observer.entryChanged(key, tokens, false)
-	}
-	c.evictOver(el)
-}
-
-// Put inserts or updates key at the given token size. Updates always
-// succeed (the prefix is already resident and just grew — its KV was
-// produced by the request that extends it) but never shrink: completions
-// can land out of order under open-loop arrivals, and a stale smaller
-// completion must not discard KV a later turn already produced. A resident
-// entry is always touched for recency — including when the session has
-// outgrown the whole cache, in which case its stored size is capped at
-// capacity instead of leaving the hot entry stale at the LRU tail.
-// Insertions of new keys pass the admission filter when eviction is
-// required; new entries larger than the whole cache are ignored.
-func (c *PrefixCache) Put(key PrefixKey, tokens int) {
-	if key == 0 || tokens <= 0 {
-		return
-	}
-	if el, ok := c.entries[key]; ok {
-		c.lru.moveToFront(el)
-		if tokens > c.capacity {
-			tokens = c.capacity
-		}
-		if tokens > el.tokens {
-			c.used += tokens - el.tokens
-			el.tokens = tokens
-			if c.observer != nil {
-				c.observer.entryChanged(key, tokens, false)
-			}
-			c.evictOver(el)
-		}
-		return
-	}
-	if tokens > c.capacity {
-		return
-	}
-	if c.admission && c.used+tokens > c.capacity && !c.admit(key, tokens) {
-		c.Rejected++
-		return
-	}
-	el := c.lru.pushFront(key, tokens)
-	c.entries[key] = el
-	c.used += tokens
-	if c.observer != nil {
-		c.observer.entryChanged(key, tokens, false)
-	}
-	c.evictOver(el)
-}
-
-// admit decides whether a new entry of the given size may displace the
-// cold tail: its estimated frequency must be at least that of every victim
-// the insertion would evict (TinyLFU admission, generalized to
-// variable-cost entries).
-func (c *PrefixCache) admit(key PrefixKey, tokens int) bool {
-	candidate := c.sketch.estimate(key)
-	need := c.used + tokens - c.capacity
-	for el := c.lru.back(); el != nil && need > 0; el = c.lru.prev(el) {
-		if candidate < c.sketch.estimate(el.key) {
-			return false
-		}
-		need -= el.tokens
-	}
-	return true
-}
-
-// evictOver drops LRU-tail entries (never keep, the just-inserted element)
-// until the cache fits its capacity.
-func (c *PrefixCache) evictOver(keep *lruNode) {
-	for c.used > c.capacity {
-		el := c.lru.back()
-		if el == nil {
-			return
-		}
-		if el == keep {
-			el = c.lru.prev(el)
-			if el == nil {
-				return
-			}
-		}
-		key, tokens := el.key, el.tokens
-		c.lru.remove(el)
-		delete(c.entries, key)
-		c.used -= tokens
-		c.Evicted++
-		if c.observer != nil {
-			c.observer.entryChanged(key, 0, true)
-		}
-	}
 }

@@ -2,105 +2,6 @@ package fleet
 
 import "testing"
 
-func TestPrefixCacheBasics(t *testing.T) {
-	c := NewPrefixCache(1000, false)
-	k1, k2 := SessionKey(1), SessionKey(2)
-	if got := c.Lookup(k1); got != 0 {
-		t.Fatalf("cold lookup = %d", got)
-	}
-	c.Put(k1, 400)
-	if got := c.Lookup(k1); got != 400 {
-		t.Fatalf("lookup = %d, want 400", got)
-	}
-	if got := c.Peek(k2); got != 0 {
-		t.Fatalf("peek absent = %d", got)
-	}
-	// Updates grow in place.
-	c.Put(k1, 700)
-	if got, used := c.Peek(k1), c.Used(); got != 700 || used != 700 {
-		t.Fatalf("after grow: tokens %d used %d", got, used)
-	}
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Fatalf("hits %d misses %d", c.Hits, c.Misses)
-	}
-	// Zero key is inert.
-	c.Put(0, 100)
-	if got := c.Lookup(0); got != 0 || c.Used() != 700 {
-		t.Fatalf("zero key leaked: %d used %d", got, c.Used())
-	}
-}
-
-func TestPrefixCacheLRUEviction(t *testing.T) {
-	c := NewPrefixCache(1000, false)
-	c.Put(SessionKey(1), 400)
-	c.Put(SessionKey(2), 400)
-	c.Lookup(SessionKey(1)) // 1 is now more recent than 2
-	c.Put(SessionKey(3), 400)
-	if c.Peek(SessionKey(2)) != 0 {
-		t.Fatal("LRU victim 2 survived")
-	}
-	if c.Peek(SessionKey(1)) == 0 || c.Peek(SessionKey(3)) == 0 {
-		t.Fatal("wrong entry evicted")
-	}
-	if c.Evicted != 1 {
-		t.Fatalf("Evicted = %d", c.Evicted)
-	}
-	if c.Used() != 800 || c.Len() != 2 {
-		t.Fatalf("used %d len %d", c.Used(), c.Len())
-	}
-}
-
-func TestPrefixCacheOversizeIgnored(t *testing.T) {
-	c := NewPrefixCache(100, false)
-	c.Put(SessionKey(1), 101)
-	if c.Len() != 0 {
-		t.Fatal("oversize entry admitted")
-	}
-}
-
-func TestPrefixCacheTinyLFUAdmission(t *testing.T) {
-	c := NewPrefixCache(1000, true)
-	hot := GroupKey(1)
-	// Make the resident entry demonstrably popular.
-	c.Put(hot, 800)
-	for i := 0; i < 10; i++ {
-		c.Lookup(hot)
-	}
-	// A never-seen one-hit wonder must not displace it.
-	c.Put(SessionKey(99), 900)
-	if c.Peek(hot) == 0 {
-		t.Fatal("hot shared prompt evicted by one-hit wonder")
-	}
-	if c.Peek(SessionKey(99)) != 0 {
-		t.Fatal("cold entry admitted over hot victim")
-	}
-	if c.Rejected != 1 {
-		t.Fatalf("Rejected = %d", c.Rejected)
-	}
-	// Once the newcomer is requested often enough, it wins admission.
-	for i := 0; i < 12; i++ {
-		c.Lookup(SessionKey(99))
-	}
-	c.Put(SessionKey(99), 900)
-	if c.Peek(SessionKey(99)) == 0 {
-		t.Fatal("now-popular entry still rejected")
-	}
-	if c.Peek(hot) != 0 {
-		t.Fatal("victim not displaced")
-	}
-
-	// Without admission the same one-hit wonder evicts immediately.
-	plain := NewPrefixCache(1000, false)
-	plain.Put(hot, 800)
-	for i := 0; i < 10; i++ {
-		plain.Lookup(hot)
-	}
-	plain.Put(SessionKey(99), 900)
-	if plain.Peek(SessionKey(99)) == 0 {
-		t.Fatal("plain LRU should admit unconditionally")
-	}
-}
-
 func TestPrefixCacheSketchAges(t *testing.T) {
 	s := newFreqSketch(16)
 	k := PrefixKey(42)
@@ -156,71 +57,5 @@ func TestKeyFamiliesNoCollisionOnWideIDs(t *testing.T) {
 	}
 	if GroupKey(int(groupKeyTag|9)) == GroupKey(9) {
 		t.Fatal("group ids differing only in tag-range bits collide")
-	}
-}
-
-// TestPutNeverShrinks is the out-of-order-completion regression test: turn
-// k's completion can land after turn k+1 already grew the entry (open-loop
-// arrivals do not wait for completions), and the stale smaller Put must not
-// discard KV the later turn produced. Install already guarded this; Put
-// did not.
-func TestPutNeverShrinks(t *testing.T) {
-	c := NewPrefixCache(10_000, false)
-	k := SessionKey(1)
-	c.Put(k, 400)  // turn 0 completes
-	c.Put(k, 1000) // turn 1 completes, entry grows
-	c.Put(k, 700)  // turn 0's *retry sibling* — a stale, smaller completion
-	if got := c.Peek(k); got != 1000 {
-		t.Fatalf("stale completion shrank entry to %d, want 1000", got)
-	}
-	if c.Used() != 1000 {
-		t.Fatalf("used %d out of sync, want 1000", c.Used())
-	}
-	// The stale Put still refreshes recency: k survives pressure from a
-	// newer insertion over an entry touched even earlier.
-	c.Put(SessionKey(2), 8000)
-	c.Put(k, 500) // stale size, fresh touch
-	c.Put(SessionKey(3), 9000)
-	if c.Peek(k) != 1000 {
-		t.Fatal("recency-refreshed entry evicted before the older one")
-	}
-}
-
-// TestPutOversizeTouchesRecency is the outgrown-hot-session regression
-// test: a resident session whose context exceeds the whole cache used to
-// return early — neither resized nor moved to front — so the most recently
-// used entry silently became the LRU victim. The fix touches recency and
-// caps the stored size at capacity.
-func TestPutOversizeTouchesRecency(t *testing.T) {
-	c := NewPrefixCache(1000, false)
-	hot, cold := SessionKey(1), SessionKey(2)
-	c.Put(hot, 600)
-	c.Put(cold, 300)
-	// The hot session outgrows the cache. It must become MRU with its
-	// stored size capped, evicting the colder entry to fit.
-	c.Put(hot, 1200)
-	if got := c.Peek(hot); got != 1000 {
-		t.Fatalf("outgrown entry stored %d tokens, want capacity 1000", got)
-	}
-	if c.Peek(cold) != 0 {
-		t.Fatal("colder entry survived the capped growth")
-	}
-	if c.Used() != 1000 {
-		t.Fatalf("used %d, want 1000", c.Used())
-	}
-	// The capped entry is live: the next turn's lookup hits it.
-	if got := c.Lookup(hot); got != 1000 {
-		t.Fatalf("lookup after capped growth = %d, want 1000", got)
-	}
-	// Under the old early return the entry stayed at its pre-growth size
-	// and LRU position, so this interleaving evicted the hot session; now
-	// the hot entry owns the cache and the newcomer is the one that must
-	// fight for admission.
-	c.Put(SessionKey(3), 100)
-	if c.Peek(SessionKey(3)) == 0 {
-		t.Fatal("plain LRU should admit the newcomer")
-	}
-	if c.Used() > c.Capacity() {
-		t.Fatalf("used %d exceeds capacity", c.Used())
 	}
 }

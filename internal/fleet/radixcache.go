@@ -12,11 +12,10 @@ import (
 // and carries the per-copy GDSF/TinyLFU state — priority, frequency,
 // local child counts — that drives eviction and admission.
 //
-// Where the whole-key PrefixCache shares KV only between requests carrying
-// the same session or prompt-group key, the radix cache shares any common
-// token prefix: two sessions with the same system prompt share its blocks,
-// a branched conversation shares the trunk's blocks, and a session's own
-// turns extend one path block by block.
+// The cache shares any common token prefix, not just whole session or
+// prompt-group identities: two sessions with the same system prompt share
+// its blocks, a branched conversation shares the trunk's blocks, and a
+// session's own turns extend one path block by block.
 //
 // Eviction drops leaf blocks only (an interior block's KV is useless
 // without its prefix — equivalently, a resident block's whole prefix is
@@ -34,9 +33,9 @@ import (
 // a block requires eviction, the block must be at least as popular as the
 // victim it displaces.
 //
-// Like PrefixCache, this is an accounting model, not a byte store, and it
-// is fully deterministic: no clocks, no randomness, priority ties broken
-// by block hash.
+// The cache is an accounting model, not a byte store, and it is fully
+// deterministic: no clocks, no randomness, priority ties broken by block
+// hash.
 type RadixCache struct {
 	capacity    int
 	used        int
@@ -62,7 +61,7 @@ type RadixCache struct {
 	blockCost func(start, tokens int) float64
 	costMemo  map[int]float64 // depth -> seconds
 
-	// Instrumentation, mirroring PrefixCache.
+	// Instrumentation.
 	Hits      int // lookups that matched at least one block
 	Misses    int // lookups that matched nothing
 	Evicted   int // blocks dropped by capacity pressure
@@ -387,8 +386,8 @@ func (c *RadixCache) Install(chain []uint64, limitTokens int) {
 // that no other path shares — the session-private tail a migration
 // physically moves — and returns the tokens freed. Shared interior blocks
 // (system prompts, branch trunks) stay: they are replicated, not owned.
-// Like PrefixCache.Remove, this models KV leaving the replica, so the
-// Evicted counter is untouched.
+// This models KV leaving the replica, so the Evicted counter is
+// untouched.
 func (c *RadixCache) RemoveExclusive(chain []uint64) int {
 	n := c.matchLen(chain)
 	freed := 0

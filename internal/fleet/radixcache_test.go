@@ -227,52 +227,42 @@ func TestRadixCacheInstallBypassesAdmission(t *testing.T) {
 	}
 }
 
-// radixSpec is toySpec with the gateway in radix-cache mode (helper for
-// the gateway-level tests below).
+// radixConfig is the gateway configuration of the gateway-level tests
+// below: a toy fleet under policy p.
 func radixConfig(replicas int, p Policy) Config {
-	return Config{Groups: toyFleet(replicas), Policy: p, Cache: CacheRadix}
+	return Config{Groups: toyFleet(replicas), Policy: p}
 }
 
-// TestRadixGatewayCrossSessionSharing is the tentpole behavior at gateway
-// level: a second session whose prompt shares a block prefix with a
-// finished first session gets a prefix-cache hit the whole-key cache can
-// never give (distinct session keys, no shared group entry).
+// TestRadixGatewayCrossSessionSharing is the radix cache's point at
+// gateway level: a second session whose prompt shares a block prefix with
+// a finished first session hits those blocks, although the two sessions
+// have distinct keys and no prompt group.
 func TestRadixGatewayCrossSessionSharing(t *testing.T) {
-	run := func(cache string) *Result {
-		sim := simevent.New()
-		g, err := NewGateway(Config{Groups: toyFleet(1), Policy: NewPrefixAffinity(), Cache: cache}, sim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Session 1: 1000 input + 200 output = 4 blocks [1,2,3,4].
-		e1 := workload.Entry{InputLen: 1000, OutputLen: 200, SessionID: 1, Blocks: ch(1, 2, 3, 4)}
-		r1 := &serving.Request{ID: 1, InputLen: e1.InputLen, OutputLen: e1.OutputLen}
-		sim.At(0, func() { g.Submit(r1, e1) })
-		// Session 2 arrives later, sharing the first three blocks (e.g. a
-		// branch of session 1): input 1100 = 4 input blocks [1,2,3,40].
-		e2 := workload.Entry{InputLen: 1100, OutputLen: 100, SessionID: 2, PrefixLen: 900,
-			Blocks: ch(1, 2, 3, 40)}
-		r2 := &serving.Request{ID: 2, InputLen: e2.InputLen, OutputLen: e2.OutputLen,
-			Arrival: simevent.Time(time.Second)}
-		sim.At(simevent.Time(time.Second), func() { g.Submit(r2, e2) })
-		if err := g.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if g.Completed() != 2 {
-			t.Fatalf("%d of 2 completed", g.Completed())
-		}
-		return g.Finalize()
+	sim := simevent.New()
+	g, err := NewGateway(radixConfig(1, NewPrefixAffinity()), sim)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	radix := run(CacheRadix)
-	rs := radix.Replicas[0]
+	// Session 1: 1000 input + 200 output = 4 blocks [1,2,3,4].
+	e1 := workload.Entry{InputLen: 1000, OutputLen: 200, SessionID: 1, Blocks: ch(1, 2, 3, 4)}
+	r1 := &serving.Request{ID: 1, InputLen: e1.InputLen, OutputLen: e1.OutputLen}
+	sim.At(0, func() { g.Submit(r1, e1) })
+	// Session 2 arrives later, sharing the first three blocks (e.g. a
+	// branch of session 1): input 1100 = 4 input blocks [1,2,3,40].
+	e2 := workload.Entry{InputLen: 1100, OutputLen: 100, SessionID: 2, PrefixLen: 900,
+		Blocks: ch(1, 2, 3, 40)}
+	r2 := &serving.Request{ID: 2, InputLen: e2.InputLen, OutputLen: e2.OutputLen,
+		Arrival: simevent.Time(time.Second)}
+	sim.At(simevent.Time(time.Second), func() { g.Submit(r2, e2) })
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if g.Completed() != 2 {
+		t.Fatalf("%d of 2 completed", g.Completed())
+	}
+	rs := g.Finalize().Replicas[0]
 	if rs.HitRequests != 1 || rs.HitTokens != 3*rcB {
-		t.Fatalf("radix: %d hit requests, %d hit tokens; want 1 and %d", rs.HitRequests, rs.HitTokens, 3*rcB)
-	}
-	whole := run(CacheWholeKey)
-	ws := whole.Replicas[0]
-	if ws.HitTokens != 0 {
-		t.Fatalf("whole-key cache hit %d tokens across distinct sessions", ws.HitTokens)
+		t.Fatalf("%d hit requests, %d hit tokens; want 1 and %d", rs.HitRequests, rs.HitTokens, 3*rcB)
 	}
 }
 
@@ -360,6 +350,70 @@ func TestRadixGatewayDrainMovesSubtrees(t *testing.T) {
 	}
 }
 
+// TestRadixGatewayOutOfOrderCompletionKeepsLongestChain: completions of one
+// session can land out of order. Here turn 0 dies with a crashed replica
+// and is recovered behind turn 1 on the survivor, so the longer turn-1
+// chain completes first and the stale turn-0 chain after it. The gateway
+// must keep the longer chain as the session's path, so a later drain of
+// the session's home moves all of its resident blocks, not the stale
+// prefix.
+func TestRadixGatewayOutOfOrderCompletionKeepsLongestChain(t *testing.T) {
+	sim := simevent.New()
+	groups := toyFleet(2)
+	g, err := NewGateway(Config{Groups: groups, Policy: NewLeastLoaded()}, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = 1
+	key := SessionKey(id)
+	// Turn 0: 1000 + 500 tokens = 5 blocks, a long decode (10ms). Turn 1
+	// re-submits that context: 2000 + 10 tokens = 7 blocks, done at 2.2ms.
+	turn0 := workload.Entry{InputLen: 1000, OutputLen: 500, SessionID: id, Turn: 0, Blocks: sessionBlocks(id, 1500)}
+	turn1 := workload.Entry{InputLen: 2000, OutputLen: 10, SessionID: id, Turn: 1, PrefixLen: 1500, Blocks: sessionBlocks(id, 2010)}
+	long := len(turn1.Blocks) * workload.BlockTokens
+	// LeastLoaded puts turn 0 on replica 0 and turn 1 on the idle replica 1.
+	submitAt(sim, g, 1, turn0, 0)
+	submitAt(sim, g, 2, turn1, 0)
+	// Replica 0 crashes mid-prefill: turn 0 recovers onto replica 1, queued
+	// behind turn 1, and finishes at 13.2ms.
+	sim.At(simevent.Time(500*time.Microsecond), func() {
+		if err := g.CrashReplica(0); err != nil {
+			t.Errorf("crash: %v", err)
+		}
+	})
+	sim.At(simevent.Time(20*time.Millisecond), func() {
+		if got := len(g.sessionChain[key]); got != len(turn1.Blocks) {
+			t.Errorf("session path holds %d blocks after the stale completion, want turn 1's %d", got, len(turn1.Blocks))
+		}
+		if home := g.sessionHome[key]; home != 1 {
+			t.Errorf("session homed on replica %d, want 1", home)
+		}
+		// Scale up, then drain the home: the session's path moves.
+		if _, err := g.AddReplica(groups[0].Kind, 0); err != nil {
+			t.Errorf("add replica: %v", err)
+		}
+		if err := g.DrainReplica(1); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if g.Completed() != 2 {
+		t.Fatalf("%d of 2 requests completed", g.Completed())
+	}
+	res := g.Finalize()
+	if res.Faults.RecoveredRequests != 1 {
+		t.Fatalf("%d recovered requests, want turn 0 recovered", res.Faults.RecoveredRequests)
+	}
+	if res.Migrations.Count != 1 || res.Migrations.Tokens != int64(long) {
+		t.Fatalf("drain moved %d sessions with %d tokens, want 1 with turn 1's %d", res.Migrations.Count, res.Migrations.Tokens, long)
+	}
+	if locs := g.SessionLocations(id); len(locs) != 1 || locs[2] != long {
+		t.Fatalf("session resident at %v after the drain, want %d tokens on replica 2", locs, long)
+	}
+}
+
 // TestRadixGatewaySessionWorkload runs a real multi-turn session workload
 // end to end in radix mode: every request completes, later turns hit the
 // cache, and two identical runs produce identical records and stats.
@@ -392,10 +446,18 @@ func TestRadixGatewaySessionWorkload(t *testing.T) {
 	}
 }
 
-// TestGatewayRejectsUnknownCache covers the config error path.
+// TestGatewayRejectsUnknownCache covers the config error path: the radix
+// cache is the only one, so any other name — the deleted whole-key cache's
+// included — is an error, while "" and CacheRadix both build it.
 func TestGatewayRejectsUnknownCache(t *testing.T) {
-	sim := simevent.New()
-	if _, err := NewGateway(Config{Groups: toyFleet(1), Cache: "quantum"}, sim); err == nil {
-		t.Fatal("unknown cache kind accepted")
+	for _, cache := range []string{"quantum", "wholekey"} {
+		if _, err := NewGateway(Config{Groups: toyFleet(1), Cache: cache}, simevent.New()); err == nil {
+			t.Fatalf("cache %q accepted", cache)
+		}
+	}
+	for _, cache := range []string{"", CacheRadix} {
+		if _, err := NewGateway(Config{Groups: toyFleet(1), Cache: cache}, simevent.New()); err != nil {
+			t.Fatalf("cache %q rejected: %v", cache, err)
+		}
 	}
 }
