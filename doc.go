@@ -29,8 +29,8 @@
 //     (long prompts to long-context kinds, short to cheap ones) over
 //     per-replica prefix-KV caches: a token-block radix cache sharing any
 //     common prompt prefix, with eviction priced by the cost model's
-//     recompute time and TinyLFU admission (or the legacy whole-key LRU,
-//     kept for comparison), exercised by multi-turn session workloads
+//     recompute time and TinyLFU admission, exercised by multi-turn
+//     session workloads
 //     (workload.SessionTrace, the closed-loop workload.SessionScripts,
 //     branching session families sharing a conversation trunk, and
 //     long-document mixes pasting private contexts). Replicas can be

@@ -152,7 +152,7 @@ func AutoscaleExperiment(sc Scale) []*Table {
 	}
 	t.Notes = append(t.Notes,
 		"goodput/replica = SLO-met requests per second per provisioned replica (replica-seconds include warm-up and drain time)",
-		"expected shape: the autoscaler matches the big static fleet's SLO attainment at a fraction of its replica-seconds, beating every static size on goodput/replica",
+		"measured shape: the autoscaler beats every static size on goodput/replica at quick scale; at full scale the largest static fleet leads, with session-KV migration mis-priced on the radix cache (ROADMAP item 3)",
 		fmt.Sprintf("controller: scale up above %.0f outstanding reqs/replica, consolidate when survivors stay under %.0f, warm-up %v, cooldown %v",
 			acfg.UpAt, acfg.DownAt, acfg.Warmup, acfg.Cooldown))
 

@@ -8,9 +8,10 @@ import "sort"
 // residency observers wired into every replica's radix cache — inserts,
 // capacity evictions, migration removals, drain wipes and crash wipes all
 // land here through the same cache operations that change ground truth,
-// so the directory never has a second code path to drift from. ContentAffinity routes on it; the cold tier registers its copies
-// in it; coherence is property-tested against cache enumeration after
-// random op sequences.
+// so the directory never has a second code path to drift from.
+// ContentAffinity routes on it; the cold tier registers its copies in it;
+// coherence is property-tested against cache enumeration after random op
+// sequences.
 
 // DirCold is the directory location of the fleet-shared host-memory cold
 // tier (replica locations are their indices, >= 0).

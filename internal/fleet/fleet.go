@@ -12,11 +12,11 @@
 // own history — is shared block-for-block, and eviction drops leaf blocks
 // priced by the cost model's recompute time (GDSF) with TinyLFU admission.
 // A cache hit discounts the prefill the replica must simulate to just the
-// unseen suffix. This creates the tension the
-// routing policies trade off: sticking a session to its warm replica
-// minimizes recomputation, spreading minimizes queueing — the same
-// cache-affinity-vs-load balance studied by the arodland/loadbalance
-// simulation, here measured in KV tokens on the paper's cost model.
+// unseen suffix. This creates the tension the routing policies trade off:
+// sticking a session to its warm replica minimizes recomputation,
+// spreading minimizes queueing — the same cache-affinity-vs-load balance
+// studied by the arodland/loadbalance simulation, here measured in KV
+// tokens on the paper's cost model.
 // Every affinity policy is a preset of one scored policy, Affinity
 // (policy.go): the presets differ only in the load weight, the context
 // headroom that picks candidates, token or capability pricing, the
@@ -86,7 +86,7 @@ type Spec struct {
 // prefix, eviction drops leaf blocks priced by the cost model's recompute
 // time.
 //
-// Deprecated: the only value Config.Cache accepts besides "".
+// Deprecated: Config.Cache selects nothing; leave it empty.
 const CacheRadix = "radix"
 
 // Config controls a fleet run.
@@ -193,7 +193,7 @@ type ReplicaStats struct {
 	HitTokens     int64 // prompt tokens served from cache
 	PrefixTokens  int64 // prompt tokens that were reusable in principle
 	InputTokens   int64 // full prompt tokens routed here
-	CacheEntries  int   // resident entries at end of run
+	CacheEntries  int   // resident cache blocks at end of run
 	CacheEvicted  int
 	CacheRejected int
 }

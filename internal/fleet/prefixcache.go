@@ -2,7 +2,9 @@ package fleet
 
 // PrefixKey identifies a reusable KV prefix. Two key families exist:
 // per-session keys (the conversation so far) and per-prompt-group keys
-// (a system prompt shared by many sessions). Zero is the absent key.
+// (a system prompt shared by many sessions). The gateway keys its session
+// tables by them and routing hashes them to a home replica; the TinyLFU
+// sketch counts block hashes as PrefixKeys too. Zero is the absent key.
 type PrefixKey uint64
 
 // Family tags separating the two key spaces. They are XOR-mixed with the
