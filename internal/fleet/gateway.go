@@ -810,8 +810,8 @@ func (g *Gateway) transferSession(key PrefixKey, chain []uint64, tokens int, src
 // leaves the routable set, every resident session it owns migrates its KV
 // to a surviving replica over the inter-node link (transfers serialize on
 // the drain link — the paper's reactive-migration cost, paid once at
-// scale-in instead of per-request), shared-prompt entries are dropped
-// (they are recomputable and usually replicated), and in-flight requests
+// scale-in instead of per-request), blocks no homed session's path covers
+// are dropped (they are recomputable or replicated), and in-flight requests
 // run to completion with their freshly produced session KV handed off the
 // same way. The replica retires — and stops accruing replica-seconds —
 // once it is empty.

@@ -53,7 +53,7 @@ type ReplicaView interface {
 	CachedTokens(req RequestInfo) int
 	// SessionTokens is the resident KV belonging to req's own session on
 	// this replica — the portion a migration could physically move. Shared
-	// system-prompt entries are excluded: they are replicated, not owned.
+	// system-prompt blocks are excluded: they are replicated, not owned.
 	SessionTokens(req RequestInfo) int
 	// Capability is the replica's static capability sheet. Homogeneous
 	// fleets return the same sheet for every replica, which makes every
