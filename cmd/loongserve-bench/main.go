@@ -29,10 +29,11 @@
 // heterogeneous fleet at every point of a shard ladder (-shards N replaces
 // the ladder with {1, N} when N > 1), verifying every sharded arm
 // byte-identical to the serial reference — obs stream digest, metrics,
-// makespan, audit verdict — so the ladder can only change wall-clock time. -fuse-decode
-// (default true) controls decode-iteration fusion on the ladder arms; the
-// quick scale additionally runs a fusion-off arm to prove fusion changes
-// event counts and nothing else. It is not part of -exp all.
+// makespan, audit verdict — so the ladder can only change wall-clock
+// time. -fuse-decode (default true) controls decode-iteration fusion on
+// the ladder arms; the quick scale additionally runs a fusion-off arm to
+// prove fusion changes event counts and nothing else. It is not part of
+// -exp all.
 //
 // Simulator performance is measured by the benchmark of record
 // (BENCHMARK.json, run by perfbench/run.sh), not by this command.
