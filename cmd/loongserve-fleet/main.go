@@ -34,21 +34,25 @@
 // a fault/hedge accounting table, and -audit checks the crash and hedge
 // invariants of the resulting event stream.
 //
-// The gateway can maintain a global cache directory (-directory): a
-// routing-tier map from content block hash to the replicas whose caches
-// hold it, kept coherent by residency events through admission, eviction,
-// migration, drain and crash (a crash wipes the dead replica's entries).
-// -policy content routes on it — each replica scored by the prefill the
-// directory says it would really compute, from real resident-block
-// overlap, load and context headroom — and implies -directory. -cold-tier
-// N adds a fleet-shared host-memory pool of N tokens: capacity-evicted
-// leaf blocks spill to it instead of vanishing, and a request whose prefix
-// lives cold fetches it back over the inter-node link when the link beats
-// recompute. -faults drain=R,degrade=R extends
-// the chaos schedule with planned drains and link-degradation windows
-// (shaped by -link-faults factor[:window]), the churn regime the
-// directory is for; the directory, cold tier and degraded links all show
-// up in the event stream, -audit's invariants and the -analyze rollups.
+// The gateway can publish a global cache directory (-directory): which
+// content blocks each replica and the cold tier hold, as the residency
+// events the caches emit on every change — admission, eviction,
+// migration, drain and crash (a crash wipes the dead replica's blocks).
+// The caches are the directory's only state; replaying the events
+// reproduces them. -policy content routes by resident-block overlap —
+// each replica scored by the prefill it would really compute, from its
+// resident blocks, load and context headroom — and implies -directory, so
+// -audit can check every pick's claim against the stream. -cold-tier N
+// adds a fleet-shared host-memory pool of N tokens (0, or at least one
+// 256-token block): capacity-evicted leaf blocks spill to it instead of
+// vanishing, and a request whose prefix lives cold fetches it back over
+// the inter-node link when the link beats recompute. The directory,
+// content routing and the cold tier run on static and autoscaled fleets
+// alike. -faults drain=R,degrade=R extends the chaos schedule with
+// planned drains and link-degradation windows (shaped by -link-faults
+// factor[:window]), the churn regime the directory is for; the directory,
+// cold tier and degraded links all show up in the event stream, -audit's
+// invariants and the -analyze rollups.
 //
 // The fleet can be heterogeneous: -mix composes it from named replica
 // kinds (loong: 8-GPU elastic ESP node; contbatch: single-GPU continuous
@@ -185,8 +189,8 @@ func main() {
 
 		cacheTokens = flag.Int("cache-tokens", 0, "per-replica prefix-cache capacity in KV tokens (0 = full KV pool)")
 		noAdmission = flag.Bool("no-admission", false, "disable TinyLFU admission (eviction stays cost-priced GDSF over leaf blocks)")
-		directory   = flag.Bool("directory", false, "maintain the gateway-side global cache directory (implied by -policy content and -cold-tier)")
-		coldTier    = flag.Int("cold-tier", 0, "fleet-shared host-memory cold KV tier capacity in tokens: capacity-evicted radix blocks spill there and are fetched back when the link beats recompute (0 = off)")
+		directory   = flag.Bool("directory", false, "publish the global cache directory: every cache residency change as a directory-update event (implied by -policy content and -cold-tier)")
+		coldTier    = flag.Int("cold-tier", 0, "fleet-shared host-memory cold KV tier capacity in tokens, at least one 256-token block: capacity-evicted radix blocks spill there and are fetched back when the link beats recompute (0 = off)")
 		branch      = flag.Int("branch", 0, "branching sessions: family size sharing a conversation trunk (0 = independent sessions)")
 		branchTurns = flag.Int("branch-turns", 2, "trunk turns shared within a branching family")
 		shardsN     = flag.Int("shards", 0, "advance replica engines on N worker goroutines in windows between gateway events (0 and 1 run inline; output is byte-identical at any N, open- or closed-loop, static, faulty or autoscaled)")
@@ -294,12 +298,8 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *coldTier < 0 {
-		fmt.Fprintln(os.Stderr, "loongserve-fleet: -cold-tier must be >= 0")
-		os.Exit(2)
-	}
-	if *autoScale && (*coldTier > 0 || *directory) {
-		fmt.Fprintln(os.Stderr, "loongserve-fleet: -directory/-cold-tier run against a static fleet; drop -autoscale")
+	if *coldTier < 0 || (*coldTier > 0 && *coldTier < workload.BlockTokens) {
+		fmt.Fprintf(os.Stderr, "loongserve-fleet: -cold-tier must be 0 (off) or at least one %d-token block\n", workload.BlockTokens)
 		os.Exit(2)
 	}
 	if *hedgeQ < 0 || *hedgeQ >= 1 {
@@ -368,6 +368,23 @@ func main() {
 		policies = []fleet.Policy{p}
 	}
 
+	// fleetConfig is the configuration every run shares, static or
+	// autoscaled, under policy p.
+	fleetConfig := func(p fleet.Policy) fleet.Config {
+		return fleet.Config{
+			Policy:      p,
+			CacheTokens: *cacheTokens,
+			NoAdmission: *noAdmission,
+			// A directory-aware policy's content-route events explain its
+			// picks beside the directory stream, so asking for one implies
+			// publishing it.
+			Directory:      *directory || *coldTier > 0 || isDirectoryAware(p),
+			ColdTierTokens: *coldTier,
+			Shards:         *shardsN,
+			FuseDecode:     *fuseDecode,
+		}
+	}
+
 	mode := "open-loop"
 	if cfg.ClosedLoop {
 		mode = "closed-loop"
@@ -389,8 +406,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		fcfg := fleet.Config{Policy: policies[0], CacheTokens: *cacheTokens, NoAdmission: *noAdmission,
-			Shards: *shardsN, Obs: sinkOrNil(collector), Sampler: sampler}
+		fcfg := fleetConfig(policies[0])
+		fcfg.Obs, fcfg.Sampler = sinkOrNil(collector), sampler
 		// A homogeneous fleet is one candidate kind, named after -engine.
 		acfg.Kinds = []*fleet.ReplicaKind{fleet.NewKind(*engine, spec)}
 		what := *engine
@@ -472,19 +489,9 @@ func main() {
 			policies[len(policies)-1].Name())
 	}
 	for pi, p := range policies {
-		runCfg := fleet.Config{
-			Groups:      mixGroups,
-			Policy:      p,
-			CacheTokens: *cacheTokens,
-			NoAdmission: *noAdmission,
-			// A directory-aware policy routes off the directory, so asking
-			// for one implies maintaining it.
-			Directory:      *directory || *coldTier > 0 || isDirectoryAware(p),
-			ColdTierTokens: *coldTier,
-			Faults:         faultSchedule,
-			Shards:         *shardsN,
-			FuseDecode:     *fuseDecode,
-		}
+		runCfg := fleetConfig(p)
+		runCfg.Groups = mixGroups
+		runCfg.Faults = faultSchedule
 		if runCfg.Groups == nil {
 			// A homogeneous fleet is one group, its kind named after -engine.
 			runCfg.Groups = []fleet.ReplicaGroup{{Kind: fleet.NewKind(*engine, spec), Count: *replicas}}
@@ -622,8 +629,9 @@ func parseLinkFaults(s string) (factor float64, window time.Duration, err error)
 	return factor, window, nil
 }
 
-// isDirectoryAware reports whether the policy routes off the global cache
-// directory (and so needs the gateway to maintain one).
+// isDirectoryAware reports whether the policy explains its picks for
+// content-route events (and so wants the gateway to publish the directory
+// stream they are read against).
 func isDirectoryAware(p fleet.Policy) bool {
 	_, ok := p.(fleet.DirectoryAware)
 	return ok

@@ -27,19 +27,6 @@ func TestRadixCacheSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestRadixIndexSteadyStateZeroAllocs(t *testing.T) {
-	ix := NewRadixIndex()
-	parent := ix.acquire(21, nil, 0)
-	// Warm the free list, then measure the name/unname cycle.
-	ix.release(ix.acquire(22, parent, 1))
-	if avg := testing.AllocsPerRun(200, func() {
-		r := ix.acquire(22, parent, 1)
-		ix.release(r)
-	}); avg != 0 {
-		t.Fatalf("index acquire/release cycle allocates %.1f per run, want 0", avg)
-	}
-}
-
 // TestShardBufSteadyStateZeroAllocs covers the runner's per-window hot
 // path: buffering several replicas' output and replaying it, merged in
 // (time, replica, emission) order, must reuse the entry and merge storage.

@@ -20,39 +20,33 @@ func checkRadixCacheInvariants(t *testing.T, c *RadixCache, step int) {
 	}
 	kids := make(map[*radixNode]int)
 	for h, n := range c.blocks {
-		if n.ref.hash != h {
-			t.Fatalf("step %d: node indexed under %x claims hash %x", step, h, n.ref.hash)
-		}
-		if got := c.index.lookup(h); got == nil || got != n.ref {
-			t.Fatalf("step %d: resident block %x not named by the index", step, h)
+		if n.hash != h {
+			t.Fatalf("step %d: node indexed under %x claims hash %x", step, h, n.hash)
 		}
 		if n.parent != nil {
-			if c.blocks[n.parent.ref.hash] != n.parent {
-				t.Fatalf("step %d: node %x has non-resident parent %x", step, h, n.parent.ref.hash)
+			if c.blocks[n.parent.hash] != n.parent {
+				t.Fatalf("step %d: node %x has non-resident parent %x", step, h, n.parent.hash)
 			}
-			if n.ref.depth != n.parent.ref.depth+1 {
-				t.Fatalf("step %d: node %x depth %d under parent depth %d", step, h, n.ref.depth, n.parent.ref.depth)
-			}
-			if n.ref.parent != n.parent.ref {
-				t.Fatalf("step %d: node %x residency parent disagrees with index parent", step, h)
+			if n.depth != n.parent.depth+1 {
+				t.Fatalf("step %d: node %x depth %d under parent depth %d", step, h, n.depth, n.parent.depth)
 			}
 			kids[n.parent]++
-		} else if n.ref.depth != 0 {
-			t.Fatalf("step %d: parentless node %x at depth %d", step, h, n.ref.depth)
+		} else if n.depth != 0 {
+			t.Fatalf("step %d: parentless node %x at depth %d", step, h, n.depth)
 		}
 	}
 	leaves := 0
 	for _, n := range c.blocks {
 		if got := kids[n]; got != n.kids {
-			t.Fatalf("step %d: node %x kids %d, actual children %d", step, n.ref.hash, n.kids, got)
+			t.Fatalf("step %d: node %x kids %d, actual children %d", step, n.hash, n.kids, got)
 		}
 		if n.kids == 0 {
 			leaves++
 			if n.heapIdx < 0 || n.heapIdx >= len(c.leaves) || c.leaves[n.heapIdx] != n {
-				t.Fatalf("step %d: leaf %x not in heap (idx %d)", step, n.ref.hash, n.heapIdx)
+				t.Fatalf("step %d: leaf %x not in heap (idx %d)", step, n.hash, n.heapIdx)
 			}
 		} else if n.heapIdx != -1 {
-			t.Fatalf("step %d: interior node %x still in heap at %d", step, n.ref.hash, n.heapIdx)
+			t.Fatalf("step %d: interior node %x still in heap at %d", step, n.hash, n.heapIdx)
 		}
 	}
 	if leaves != len(c.leaves) {

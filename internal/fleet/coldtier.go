@@ -1,36 +1,26 @@
 package fleet
 
 // coldTier is the fleet-shared host-memory KV pool: a flat residency
-// layer over the gateway's shared RadixIndex holding copies of blocks the
-// replicas evicted for capacity. Where a replica's RadixCache must keep
-// whole prefixes resident (its KV feeds attention directly), the cold
-// tier is a staging store — any block can be held alone, and a fetch
-// splices a contiguous cold run onto whatever prefix the destination
-// already has. Blocks enter only through capacity evictions (spill is a
-// copy-out of KV that physically existed; migration departures and
-// crash/drain wipes have nothing left to copy), leave only through its
-// own GDSF eviction, and are copied — never moved — to replicas on fetch.
+// layer holding copies of blocks the replicas evicted for capacity. Where
+// a replica's RadixCache must keep whole prefixes resident (its KV feeds
+// attention directly), the cold tier is a staging store — any block can
+// be held alone, and a fetch splices a contiguous cold run onto whatever
+// prefix the destination already has. Blocks enter only through capacity
+// evictions (spill is a copy-out of KV that physically existed; migration
+// departures and crash/drain wipes have nothing left to copy), leave only
+// through its own GDSF eviction, and are copied — never moved — to
+// replicas on fetch.
 //
-// Eviction reuses the replica cache's machinery verbatim: the leafHeap
-// over (GDSF priority, hash), the TinyLFU sketch for admission under
-// pressure, and the cost model's recompute-seconds as the GDSF cost term
-// (priced at the reference replica kind — host memory is fleet-shared, so
-// there is no single "local" kind). Determinism matches RadixCache: no
-// clocks, no randomness, hash tie-breaks.
+// Eviction reuses the replica cache's block store verbatim: the leafHeap
+// over (GDSF priority, hash) — every cold copy is a leaf — the TinyLFU
+// sketch for admission under pressure, and the cost model's
+// recompute-seconds as the GDSF cost term (priced at the reference
+// replica kind — host memory is fleet-shared, so there is no single
+// "local" kind). Determinism matches RadixCache: no clocks, no
+// randomness, hash tie-breaks.
 type coldTier struct {
-	g           *Gateway
-	capacity    int
-	used        int
-	blockTokens int
-	index       *RadixIndex
-	blocks      map[uint64]*radixNode
-	pool        nodePool
-	heap        leafHeap
-	sketch      *freqSketch
-	clock       float64
-	blockCost   func(start, tokens int) float64
-	costMemo    map[int]float64
-
+	blockStore
+	g     *Gateway
 	stats ColdStats
 }
 
@@ -43,105 +33,54 @@ type ColdStats struct {
 	FetchedTokens int64 // tokens copied to replicas by fetches
 }
 
-// newColdTier builds the pool over the gateway's shared index. capTokens
-// is the host-memory budget in KV tokens; blockCost prices eviction at
-// the reference replica kind.
-func newColdTier(g *Gateway, ix *RadixIndex, capTokens, blockTokens int, blockCost func(start, tokens int) float64) *coldTier {
-	return &coldTier{
-		g:           g,
-		capacity:    capTokens,
-		blockTokens: blockTokens,
-		index:       ix,
-		blocks:      make(map[uint64]*radixNode),
-		sketch:      newFreqSketch(4096),
-		blockCost:   blockCost,
-		costMemo:    make(map[int]float64),
-	}
+// newColdTier builds the pool. capTokens is the host-memory budget in KV
+// tokens, at least one block; blockCost prices eviction at the reference
+// replica kind.
+func newColdTier(g *Gateway, capTokens, blockTokens int, blockCost func(start, tokens int) float64) *coldTier {
+	return &coldTier{blockStore: newBlockStore(capTokens, blockTokens, blockCost), g: g}
 }
 
-// Used returns the resident cold tokens.
-func (ct *coldTier) Used() int { return ct.used }
-
-// ResidentBlocks returns every cold block hash, ascending — ground truth
-// for the directory-coherence property test at location DirCold.
-func (ct *coldTier) ResidentBlocks() []uint64 {
-	out := make([]uint64, 0, len(ct.blocks))
-	for h := range ct.blocks {
-		out = append(out, h)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; spill sets are small
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func (ct *coldTier) depthCost(depth int) float64 {
-	if ct.blockCost == nil {
-		return 1
-	}
-	if v, ok := ct.costMemo[depth]; ok {
-		return v
-	}
-	v := ct.blockCost(depth*ct.blockTokens, ct.blockTokens)
-	ct.costMemo[depth] = v
-	return v
-}
-
-func (ct *coldTier) refresh(n *radixNode) {
-	n.prio = ct.clock + float64(ct.sketch.estimate(PrefixKey(n.ref.hash)))*ct.depthCost(n.ref.depth)/float64(ct.blockTokens)
-	if n.heapIdx >= 0 {
-		ct.heap.fix(n)
-	}
-}
-
-// spill copies one capacity-evicted block into the pool. Called from the
-// directory shim *before* the evicting cache releases its index ref, so
-// the acquire below extends the block's name rather than re-creating it.
-// Duplicate spills (another replica already spilled this block) just
-// re-prioritize the existing copy.
-func (ct *coldTier) spill(srcRep int, ref *blockRef) {
-	ct.sketch.touch(PrefixKey(ref.hash))
-	if n, ok := ct.blocks[ref.hash]; ok {
+// spill copies one capacity-evicted block, named by its chained hash and
+// block depth, into the pool. Duplicate spills (another replica already
+// spilled this block) just re-prioritize the existing copy.
+func (ct *coldTier) spill(srcRep int, hash uint64, depth int) {
+	ct.sketch.touch(PrefixKey(hash))
+	if n, ok := ct.blocks[hash]; ok {
 		ct.refresh(n)
 		return
 	}
 	for ct.used+ct.blockTokens > ct.capacity {
-		v := ct.heap[0]
-		if ct.sketch.estimate(PrefixKey(ref.hash)) < ct.sketch.estimate(PrefixKey(v.ref.hash)) {
+		v := ct.leaves[0]
+		if ct.sketch.estimate(PrefixKey(hash)) < ct.sketch.estimate(PrefixKey(v.hash)) {
 			ct.stats.Rejected++
 			return
 		}
 		ct.evict(v)
 	}
 	n := ct.pool.get()
-	n.ref = ct.index.acquire(ref.hash, ref.parent, ref.depth)
+	n.hash = hash
+	n.depth = depth
 	n.heapIdx = -1
-	ct.blocks[ref.hash] = n
+	ct.blocks[hash] = n
 	ct.used += ct.blockTokens
 	ct.refresh(n)
-	ct.heap.push(n)
+	ct.leaves.push(n)
 	ct.stats.Spilled++
-	ct.g.dir.Set(ref.hash, DirCold, ct.blockTokens)
 	ct.g.emitColdSpill(srcRep, ct.blockTokens, ct.used, len(ct.blocks))
 }
 
 // evict drops the given cold copy, advancing the GDSF clock like the
-// replica caches do, and retracts it from the directory.
+// replica caches do, and publishes the directory retraction.
 func (ct *coldTier) evict(v *radixNode) {
 	if v.prio > ct.clock {
 		ct.clock = v.prio
 	}
-	ct.heap.remove(v)
-	delete(ct.blocks, v.ref.hash)
+	ct.leaves.remove(v)
+	delete(ct.blocks, v.hash)
 	ct.used -= ct.blockTokens
 	ct.stats.Evicted++
-	hash := v.ref.hash
-	ct.index.release(v.ref)
 	ct.pool.put(v)
-	ct.g.dir.Set(hash, DirCold, 0)
-	ct.g.emitDirUpdate(DirCold, -ct.blockTokens, ct.g.dir.LocTokens(DirCold), "cold-evict")
+	ct.g.emitDirUpdate(DirCold, -ct.blockTokens, ct.used, "cold-evict")
 }
 
 // run returns how many consecutive blocks of chain starting at block
@@ -170,10 +109,4 @@ func (ct *coldTier) touchRun(chain []uint64, from, k int) {
 	}
 	ct.stats.Fetches++
 	ct.stats.FetchedTokens += int64(k * ct.blockTokens)
-}
-
-// coldSpill is the gateway-side entry the directory shim calls on a
-// replica's capacity eviction.
-func (g *Gateway) coldSpill(src *replica, ref *blockRef) {
-	g.cold.spill(src.index, ref)
 }

@@ -7,41 +7,83 @@ import (
 
 	"loongserve/internal/obs"
 	"loongserve/internal/obs/analyze"
+	"loongserve/internal/simevent"
 	"loongserve/internal/workload"
 )
 
-// The directory-coherence property: after ANY sequence of cache
-// operations, the gateway's global cache directory and the caches' own
-// enumeration describe exactly the same resident sets, per location. The
-// directory has no refresh path — it is only ever updated by the
-// residency observers — so this is the invariant that proves the shim
-// wiring is complete (no cache mutation escapes it).
+// The directory-coherence property: the residency layers are the
+// directory, and the directory-update stream they publish must describe
+// them exactly. Replaying the stream per location — directory-update
+// deltas, plus cold-spill events at DirCold — must reproduce every
+// cache's and the cold tier's resident tokens after ANY sequence of cache
+// operations, and each event must carry the replayed total. Every hook
+// site (insert, capacity eviction, migration removal, wipe, cold
+// eviction) feeds the replay, so dropping any one of them breaks it.
 
-// checkDirectoryCoherenceRadix compares one radix cache's ground truth
-// against the directory's view of its location.
-func checkDirectoryCoherenceRadix(t *testing.T, dir *CacheDirectory, c *RadixCache, loc, step int) {
+// dirReplay folds directory-update and cold-spill events into per-location
+// resident-token totals, checking each event's shape on the way: every
+// delta is one block, except a wipe, which empties its location, and every
+// carried total equals the replay.
+type dirReplay struct {
+	blockTokens int
+	tokens      map[int]int // location -> replayed resident tokens
+	labels      map[string]int
+}
+
+func newDirReplay(blockTokens int) *dirReplay {
+	return &dirReplay{blockTokens: blockTokens, tokens: make(map[int]int), labels: make(map[string]int)}
+}
+
+// fold replays events, failing the test at the first malformed one.
+func (r *dirReplay) fold(t *testing.T, events []obs.Event, step int) {
 	t.Helper()
-	want := c.ResidentBlocks()
-	got := dir.LocBlocks(loc)
-	if len(want) != len(got) {
-		t.Fatalf("step %d: loc %d holds %d blocks, directory lists %d", step, loc, len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("step %d: loc %d block %d: cache %x, directory %x", step, loc, i, want[i], got[i])
+	for _, e := range events {
+		switch e.Kind {
+		case obs.KindDirectoryUpdate:
+			loc, before := e.Replica, r.tokens[e.Replica]
+			r.tokens[loc] += e.Tokens
+			r.labels[e.Label]++
+			want := 0
+			switch e.Label {
+			case "add":
+				want = r.blockTokens
+			case "remove":
+				want = -r.blockTokens
+			case "wipe":
+				want = -before
+			case "cold-evict":
+				want = -r.blockTokens
+				if loc != DirCold {
+					t.Fatalf("step %d: cold-evict at location %d", step, loc)
+				}
+			default:
+				t.Fatalf("step %d: unknown directory-update label %q", step, e.Label)
+			}
+			if e.Tokens != want || want == 0 {
+				t.Fatalf("step %d: %s at %d carries delta %d, want %d", step, e.Label, loc, e.Tokens, want)
+			}
+			if int(e.A) != r.tokens[loc] {
+				t.Fatalf("step %d: %s at %d carries total %d, replay holds %d", step, e.Label, loc, e.A, r.tokens[loc])
+			}
+		case obs.KindColdSpill:
+			r.tokens[DirCold] += e.Tokens
+			r.labels["cold-spill"]++
+			if e.Tokens != r.blockTokens {
+				t.Fatalf("step %d: cold spill of %d tokens, want one block", step, e.Tokens)
+			}
+			if int(e.A) != r.tokens[DirCold] || int(e.B)*r.blockTokens != r.tokens[DirCold] {
+				t.Fatalf("step %d: cold spill carries %d tokens in %d blocks, replay holds %d", step, e.A, e.B, r.tokens[DirCold])
+			}
 		}
-	}
-	if dir.LocTokens(loc) != c.used {
-		t.Fatalf("step %d: loc %d used %d, directory claims %d", step, loc, c.used, dir.LocTokens(loc))
 	}
 }
 
 // TestDirectoryCoherenceRadixUnderRandomOps drives a small fleet of
-// observer-wired radix caches — sharing one index, spilling capacity
-// evictions into a cold tier — through random put/install/remove/wipe
-// sequences (wipes model crash and drain KV destruction), checking after
-// every operation that the directory matches each cache's enumeration and
-// the cold tier's. Deterministic per seed.
+// shim-wired radix caches — spilling capacity evictions into a cold tier —
+// through random put/install/remove/lookup/wipe sequences (wipes model
+// crash and drain KV destruction). After every operation the replayed
+// stream must equal each cache's and the cold tier's used tokens.
+// Deterministic per seed.
 func TestDirectoryCoherenceRadixUnderRandomOps(t *testing.T) {
 	cfg := workload.DefaultSessionConfig()
 	cfg.Sessions = 16
@@ -58,17 +100,18 @@ func TestDirectoryCoherenceRadixUnderRandomOps(t *testing.T) {
 	for _, admission := range []bool{false, true} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			g := &Gateway{dir: NewCacheDirectory(workload.BlockTokens)}
-			ix := NewRadixIndex()
+			col := &obs.Collector{}
+			g := &Gateway{sim: simevent.New(), obsSink: col}
 			const nCaches = 3
-			caches := make([]*RadixCache, nCaches)
-			for i := range caches {
-				caches[i] = NewRadixCacheIndexed(ix, 12*workload.BlockTokens, workload.BlockTokens, admission, cost)
-				caches[i].setObserver(&dirShim{g: g, rep: &replica{index: i}})
+			reps := make([]*replica, nCaches)
+			for i := range reps {
+				reps[i] = &replica{index: i, radix: NewRadixCache(12*workload.BlockTokens, workload.BlockTokens, admission, cost)}
+				reps[i].radix.setObserver(&dirShim{g: g, rep: reps[i]})
 			}
-			g.cold = newColdTier(g, ix, 8*workload.BlockTokens, workload.BlockTokens, cost)
+			g.cold = newColdTier(g, 8*workload.BlockTokens, workload.BlockTokens, cost)
+			replay := newDirReplay(workload.BlockTokens)
 			for step := 0; step < 3000; step++ {
-				c := caches[rng.Intn(nCaches)]
+				c := reps[rng.Intn(nCaches)].radix
 				chain := chains[rng.Intn(len(chains))]
 				switch rng.Intn(8) {
 				case 0, 1, 2:
@@ -84,25 +127,21 @@ func TestDirectoryCoherenceRadixUnderRandomOps(t *testing.T) {
 						c.Clear() // crash/drain wipe: no spill, bulk retract
 					}
 				}
-				for i, cc := range caches {
-					checkDirectoryCoherenceRadix(t, g.dir, cc, i, step)
-				}
-				coldWant := g.cold.ResidentBlocks()
-				coldGot := g.dir.LocBlocks(DirCold)
-				if len(coldWant) != len(coldGot) {
-					t.Fatalf("step %d: cold tier holds %d blocks, directory lists %d", step, len(coldWant), len(coldGot))
-				}
-				for i := range coldWant {
-					if coldWant[i] != coldGot[i] {
-						t.Fatalf("step %d: cold block %d: tier %x, directory %x", step, i, coldWant[i], coldGot[i])
+				replay.fold(t, col.Events, step)
+				col.Reset()
+				for i, rep := range reps {
+					if got, want := replay.tokens[i], rep.radix.Used(); got != want {
+						t.Fatalf("step %d: replica %d holds %d tokens, its stream replays to %d", step, i, want, got)
 					}
 				}
-				if g.dir.LocTokens(DirCold) != g.cold.used {
-					t.Fatalf("step %d: cold used %d, directory claims %d", step, g.cold.used, g.dir.LocTokens(DirCold))
+				if got, want := replay.tokens[DirCold], g.cold.Used(); got != want {
+					t.Fatalf("step %d: cold tier holds %d tokens, its stream replays to %d", step, want, got)
 				}
 			}
-			if g.cold.stats.Spilled == 0 {
-				t.Fatal("random ops never exercised a cold spill; workload too small")
+			for _, label := range []string{"add", "remove", "wipe", "cold-evict", "cold-spill"} {
+				if replay.labels[label] == 0 {
+					t.Fatalf("admission %v seed %d: random ops never emitted a %s; workload too small", admission, seed, label)
+				}
 			}
 		}
 	}
@@ -111,8 +150,9 @@ func TestDirectoryCoherenceRadixUnderRandomOps(t *testing.T) {
 // TestFleetDirectoryChaosAuditsClean is the end-to-end coherence check: a
 // session workload under content routing with the directory and cold tier
 // on — absorbing a stall, a drain, a link-degradation window and a crash —
-// completes every request and emits a stream the full invariant auditor
-// passes, directory/content-route/cold kinds included.
+// completes every request, emits a stream the full invariant auditor
+// passes, directory/content-route/cold kinds included, and its directory
+// stream replays to the caches' final resident sets.
 func TestFleetDirectoryChaosAuditsClean(t *testing.T) {
 	scripts := chatScripts(50, 8, 0.2, 7)
 	col := &obs.Collector{}
@@ -148,5 +188,18 @@ func TestFleetDirectoryChaosAuditsClean(t *testing.T) {
 	}
 	if vs := analyze.Audit(col.Events); len(vs) != 0 {
 		t.Fatalf("directory chaos stream failed audit (%d violations), first: %s", len(vs), vs[0])
+	}
+	// The directory equals the ground truth: replayed per location, the
+	// stream ends at every replica's resident blocks — crashed and drained
+	// ones at zero — and at the cold tier's.
+	replay := newDirReplay(workload.BlockTokens)
+	replay.fold(t, col.Events, -1)
+	for i, rs := range res.Replicas {
+		if got, want := replay.tokens[i], rs.CacheEntries*workload.BlockTokens; got != want {
+			t.Fatalf("replica %d ends with %d resident tokens, its stream replays to %d", i, want, got)
+		}
+	}
+	if got, want := replay.tokens[DirCold], (res.Cold.Spilled-res.Cold.Evicted)*workload.BlockTokens; got != want {
+		t.Fatalf("cold tier ends with %d resident tokens, its stream replays to %d", want, got)
 	}
 }

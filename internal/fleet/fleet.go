@@ -19,9 +19,8 @@
 // tokens on the paper's cost model.
 // Every affinity policy is a preset of one scored policy, Affinity
 // (policy.go): the presets differ only in the load weight, the context
-// headroom that picks candidates, token or capability pricing, the
-// overlap source (cache probe or global directory) and whether session KV
-// may migrate.
+// headroom that picks candidates, token or capability pricing, how score
+// ties break and whether session KV may migrate.
 //
 // The fleet is elastic (gateway.go): replicas can be provisioned at
 // runtime (with a warm-up delay before they take traffic) and drained —
@@ -117,17 +116,19 @@ type Config struct {
 	// NoAdmission disables the TinyLFU admission filter. Eviction stays
 	// GDSF: leaf blocks priced by their recompute time.
 	NoAdmission bool
-	// Directory maintains the gateway-side global cache directory: every
-	// replica cache reports residency transitions through an observer
-	// shim, DirectoryAware policies (ContentAffinity) route off the
-	// resulting map, and all replicas share one naming index. Off (the
-	// default), caches behave bit-identically to the pre-directory
-	// implementation.
+	// Directory publishes the global cache directory: every replica cache
+	// reports its residency transitions through an observer shim, which
+	// emits them as directory-update events, and a DirectoryAware policy's
+	// picks are emitted as content-route events. The caches and the cold
+	// tier are the only record of which blocks are resident where, so
+	// routing and caching behave the same either way.
 	Directory bool
 	// ColdTierTokens, when positive, provisions the fleet-shared
 	// host-memory cold KV tier: capacity-evicted radix blocks spill there
 	// and are fetched back over the interconnect when the link time beats
-	// the recompute it displaces. Implies Directory.
+	// the recompute it displaces. It must hold at least one block
+	// (workload.BlockTokens). The tier is its own residency record; it
+	// implies Directory, whose shim carries the evictions to it.
 	ColdTierTokens int
 	// StreamMetrics folds completion records into a metrics.Accumulator
 	// (constant memory) instead of retaining every Record: Result.Records

@@ -207,4 +207,9 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(1), CacheTokens: -5}); err == nil {
 		t.Error("negative cache capacity accepted")
 	}
+	for _, cold := range []int{-1, 1, workload.BlockTokens - 1} {
+		if _, err := fleet.Run(trace, fleet.Config{Groups: vllmFleet(1), ColdTierTokens: cold}); err == nil {
+			t.Errorf("cold tier of %d tokens accepted (a block is %d tokens)", cold, workload.BlockTokens)
+		}
+	}
 }

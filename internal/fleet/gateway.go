@@ -109,12 +109,6 @@ type replica struct {
 // OutstandingTokens implements ReplicaView.
 func (rep *replica) OutstandingTokens() int { return rep.outTokens }
 
-// Index implements DirectoryLocator: the replica's stable fleet index,
-// which is also its global-cache-directory location. The active-views
-// slice a policy sees is compacted — after a crash or drain, slice
-// position i is NOT replica i — so directory reads must go through this.
-func (rep *replica) Index() int { return rep.index }
-
 // Capability implements ReplicaView: the replica kind's derived sheet.
 func (rep *replica) Capability() ReplicaCapability { return rep.kind.Capability() }
 
@@ -255,15 +249,10 @@ type Gateway struct {
 	// migration or drain moves.
 	sessionChain map[PrefixKey][]uint64
 
-	// Global cache directory and cold KV tier (directory.go, coldtier.go).
-	// dir is non-nil when Config.Directory (or ColdTierTokens) is set —
-	// every replica cache then carries a dirShim observer keeping it
-	// coherent. sharedIndex is then the fleet-wide naming trie (replica
-	// caches and the cold tier refcount into one index); cold is the
-	// host-memory spill pool, nil when off.
-	dir         *CacheDirectory
-	sharedIndex *RadixIndex
-	cold        *coldTier
+	// cold is the host-memory spill pool (coldtier.go), nil when off. With
+	// Config.Directory on, every replica cache carries a dirShim observer
+	// (directory.go) publishing its residency changes.
+	cold *coldTier
 
 	// Link-degradation fault window (DegradeLinks): while sim time is
 	// before degradeUntil, every link transfer — drains, migrations, cold
@@ -370,8 +359,11 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	if cfg.ColdTierTokens < 0 {
 		return nil, fmt.Errorf("fleet: negative cold-tier capacity %d", cfg.ColdTierTokens)
 	}
+	if cfg.ColdTierTokens > 0 && cfg.ColdTierTokens < workload.BlockTokens {
+		return nil, fmt.Errorf("fleet: cold-tier capacity %d holds no %d-token block", cfg.ColdTierTokens, workload.BlockTokens)
+	}
 	if cfg.ColdTierTokens > 0 {
-		cfg.Directory = true // spills register at DirCold; fetches route off it
+		cfg.Directory = true // capacity evictions reach the cold tier through the directory shim
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("fleet: negative shard count %d", cfg.Shards)
@@ -402,16 +394,6 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 		g.res.Acc = &metrics.Accumulator{}
 	}
 	g.attachObs()
-	if cfg.Directory {
-		// The directory and the shared naming index must exist before any
-		// replica builds: newReplica wires each cache's observer shim at
-		// construction.
-		g.dir = NewCacheDirectory(workload.BlockTokens)
-		g.sharedIndex = NewRadixIndex()
-		if da, ok := g.policy.(DirectoryAware); ok {
-			da.AttachDirectory(g.dir)
-		}
-	}
 	for _, gr := range cfg.Groups {
 		for i := 0; i < gr.Count; i++ {
 			rep, err := g.newReplica(gr.Kind)
@@ -457,7 +439,7 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 			}
 			return (full - ref.cm.PrefillIterTime([]int{start}, 1, ref.GPUs, ref.nvlink)).Seconds()
 		}
-		g.cold = newColdTier(g, g.sharedIndex, cfg.ColdTierTokens, workload.BlockTokens, coldCost)
+		g.cold = newColdTier(g, cfg.ColdTierTokens, workload.BlockTokens, coldCost)
 	}
 	for _, f := range cfg.Faults {
 		g.sim.Stage(simevent.Time(f.At), func() { g.applyFault(f) })
@@ -526,12 +508,8 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 		}
 		return (full - cm.PrefillIterTime([]int{start}, 1, gpus, nvlink)).Seconds()
 	}
-	if g.sharedIndex != nil {
-		rep.radix = NewRadixCacheIndexed(g.sharedIndex, cacheCap, workload.BlockTokens, !g.cfg.NoAdmission, cost)
-	} else {
-		rep.radix = NewRadixCache(cacheCap, workload.BlockTokens, !g.cfg.NoAdmission, cost)
-	}
-	if g.dir != nil {
+	rep.radix = NewRadixCache(cacheCap, workload.BlockTokens, !g.cfg.NoAdmission, cost)
+	if g.cfg.Directory {
 		rep.radix.setObserver(&dirShim{g: g, rep: rep})
 	}
 	if df, ok := rep.engine.(serving.DecodeFuser); ok {
@@ -928,8 +906,8 @@ func (g *Gateway) Submit(r *serving.Request, e workload.Entry) {
 			src = active[from].index
 		}
 		g.emitRoute(e.SessionID, r.ID, rep.index, src)
-		if ca, ok := g.policy.(*ContentAffinity); ok && g.dir != nil {
-			claim, eligible := ca.LastPick()
+		if da, ok := g.policy.(DirectoryAware); ok && g.cfg.Directory {
+			claim, eligible := da.LastPick()
 			g.emitContentRoute(e.SessionID, r.ID, rep.index, claim, rep.QueueDepth(), eligible)
 		}
 	}
@@ -1088,15 +1066,17 @@ func (g *Gateway) complete(rep *replica, r *serving.Request) {
 		// heads with the system-prompt blocks, so one Put shares them too.
 		key := SessionKey(fl.entry.SessionID)
 		chain := fl.entry.Blocks
+		// Longest chain wins: a stale out-of-order completion must neither
+		// truncate the path a later turn already established nor re-home
+		// the session onto the replica holding the stale prefix.
+		longest := len(chain) >= len(g.sessionChain[key])
 		if len(chain) > len(g.sessionChain[key]) {
-			// Longest chain wins: a stale out-of-order completion must not
-			// truncate the path a later turn already established.
 			g.sessionChain[key] = chain
 		}
 		tokens := len(chain) * workload.BlockTokens
 		if rep.state == ReplicaActive {
 			rep.radix.Put(chain)
-			if rep.radix.MatchTokens(chain) > 0 {
+			if longest && rep.radix.MatchTokens(chain) > 0 {
 				g.sessionHome[key] = rep.index
 			}
 		} else if dst := g.completionTarget(key, rep); dst != nil && tokens > 0 {

@@ -171,23 +171,14 @@ type MigrationAware interface {
 	PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrator) Decision
 }
 
-// DirectoryAware policies route off the gateway's global cache directory
-// instead of probing every replica's cache. The gateway attaches its
-// directory when Config.Directory is on; unattached (directory off), the
-// policy falls back to the per-replica CachedTokens probe so it still
-// functions standalone.
+// DirectoryAware policies route by resident-block overlap and explain
+// each pick: the overlap claimed at the chosen replica and the number of
+// candidates. With Config.Directory on, the gateway publishes that
+// explanation as a content-route event beside the directory's residency
+// stream. ContentAffinity is the one implementation.
 type DirectoryAware interface {
 	Policy
-	AttachDirectory(*CacheDirectory)
-}
-
-// DirectoryLocator is implemented by replica views that know their stable
-// fleet index — the global cache directory's location key. Directory-aware
-// policies must read the directory through it: the active-views slice they
-// are handed compacts over crashed and drained replicas, so a view's slice
-// position is not its directory location once the fleet has churned.
-type DirectoryLocator interface {
-	Index() int
+	LastPick() (claim, eligible int)
 }
 
 // DefaultCapabilityHeadroom is the fraction of a replica's MaxContext a
@@ -204,15 +195,14 @@ const DefaultCapabilityHeadroom = 0.5
 // NewCapabilityAffinity, NewContentAffinity) differ only in its terms:
 //
 //   - Score: the prefill tokens the replica must compute (the prompt minus
-//     its resident overlap) plus a load weight times its outstanding
-//     tokens — or, capability-priced, those tokens as seconds at the
-//     replica kind's prefill rate, weighted by the kind's cost units.
+//     its resident overlap, ReplicaView.CachedTokens) plus a load weight
+//     times its outstanding tokens — or, capability-priced, those tokens
+//     as seconds at the replica kind's prefill rate, weighted by the
+//     kind's cost units.
 //   - Candidates: the replicas whose MaxContext the prompt fits within a
 //     headroom fraction (every replica, without one); when none fits, the
 //     widest envelope class — the one that fails least badly — scored so
 //     an oversize tail spreads, ties to the lowest index.
-//   - Overlap source: each replica's cache probe, or the global cache
-//     directory once one is attached (ContentAffinity).
 //   - Ties: the hashed session home, which plants a new session — and its
 //     prompt group — on a stable replica so the turns that follow find
 //     warm caches; the content preset prefers the larger overlap first.
@@ -231,8 +221,6 @@ type Affinity struct {
 	priced     bool    // capability pricing: cost-weighted service seconds
 	migrate    bool
 	overlapTie bool // score ties prefer the larger overlap before the home
-
-	dir *CacheDirectory // the overlap source once attached (ContentAffinity)
 
 	// The last pick's explanation (ContentAffinity.LastPick): the overlap
 	// claimed at the chosen replica and the number of candidates.
@@ -295,19 +283,6 @@ func (p *Affinity) score(req RequestInfo, overlap int, r ReplicaView, extra floa
 	return ((miss+p.loadWeight*float64(r.OutstandingTokens()))/rate + extra) * c.CostUnits
 }
 
-// overlap is the resident prefix of req at view slot i. The directory
-// location is the view's stable fleet index (DirectoryLocator), not i.
-func (p *Affinity) overlap(req RequestInfo, i int, r ReplicaView) int {
-	if p.dir == nil {
-		return r.CachedTokens(req)
-	}
-	loc := i
-	if dl, ok := r.(DirectoryLocator); ok {
-		loc = dl.Index()
-	}
-	return min(p.dir.ChainOverlap(req.Blocks, loc), req.InputLen)
-}
-
 // pick returns the cheapest candidate and its score.
 func (p *Affinity) pick(req RequestInfo, replicas []ReplicaView) (int, float64) {
 	fallback, widest := true, 0
@@ -333,7 +308,7 @@ func (p *Affinity) pick(req RequestInfo, replicas []ReplicaView) (int, float64) 
 			continue
 		}
 		p.lastEligible++
-		o := p.overlap(req, i, r)
+		o := r.CachedTokens(req)
 		s := p.score(req, o, r, 0)
 		better := best == -1 || s < bestScore
 		if !better && s == bestScore {
@@ -400,32 +375,28 @@ func (p *Affinity) PickMigrate(req RequestInfo, replicas []ReplicaView, m Migrat
 	return stay
 }
 
-// ContentAffinity is cache-content-aware routing: the Affinity preset that
-// routes off the gateway's global cache directory. Each replica's overlap
-// is the request's block chain matched against its directory-resident
-// blocks; the score adds 0.4 times its outstanding tokens, candidates fit
-// within DefaultCapabilityHeadroom, and score ties prefer the larger
-// overlap, then the home.
+// ContentAffinity is cache-content-aware routing: the Affinity preset
+// built around resident-block overlap. Each replica's overlap is the
+// request's block chain matched against its resident blocks; the score
+// adds 0.4 times its outstanding tokens, candidates fit within
+// DefaultCapabilityHeadroom, and score ties prefer the larger overlap,
+// then the home.
 //
-// The contrast with PrefixAffinity is the information source:
-// PrefixAffinity probes every replica's cache omnisciently per request,
-// while ContentAffinity reads one gateway-side structure maintained by
-// residency events — the deployable version — and composes with the cold
-// tier (a directory hit at DirCold becomes a fetch instead of a
-// recompute).
+// The overlap is the one the global cache directory would report at that
+// replica: the directory's residency stream (Config.Directory) is
+// published by the same cache the overlap is read from, so the two agree
+// by construction. The contrast with PrefixAffinity is the weighting:
+// overlap dominates load.
 type ContentAffinity struct{ Affinity }
 
 // NewContentAffinity returns the content preset. Its low load weight is
-// deliberate: directory overlap is the signal this policy exists to
+// deliberate: resident overlap is the signal this policy exists to
 // exploit, so load only breaks near-ties rather than dragging requests off
 // their warm replicas; at load weight 1 the policy converges on
-// PrefixAffinity's placements and the directory buys nothing.
+// PrefixAffinity's placements.
 func NewContentAffinity() *ContentAffinity {
 	return &ContentAffinity{Affinity{name: "ContentAffinity", loadWeight: 0.4, headroom: DefaultCapabilityHeadroom, overlapTie: true}}
 }
-
-// AttachDirectory implements DirectoryAware.
-func (p *ContentAffinity) AttachDirectory(d *CacheDirectory) { p.dir = d }
 
 // LastPick explains the most recent pick, for the gateway's content-route
 // event: the overlap tokens claimed at the chosen replica and how many

@@ -312,15 +312,6 @@ func TestByNameCapability(t *testing.T) {
 	}
 }
 
-// locatedReplica is a fakeReplica whose stable fleet index differs from
-// its view slot, as in the gateway's compacted active set after churn.
-type locatedReplica struct {
-	fakeReplica
-	index int
-}
-
-func (l *locatedReplica) Index() int { return l.index }
-
 // homeOf is the view slot the affinity presets hash req's stickiest key to.
 func homeOf(req RequestInfo, n int) int {
 	key := req.SessionKey
@@ -343,8 +334,8 @@ func sessionHomedAt(want, n int, req RequestInfo) RequestInfo {
 
 // TestAffinityPresets pins the rules that tell the four affinity presets
 // apart: which candidates compete, how score ties break, where the cached
-// overlap is read from, which presets route off the directory and which
-// move session KV.
+// overlap is read from, which presets explain their picks for the
+// directory's content-route events and which move session KV.
 func TestAffinityPresets(t *testing.T) {
 	presets := map[string]func() Policy{
 		"prefix":     func() Policy { return NewPrefixAffinity() },
@@ -365,35 +356,6 @@ func TestAffinityPresets(t *testing.T) {
 	overlapTie := func(load int) []ReplicaView {
 		return views(&fakeReplica{}, &fakeReplica{cached: 1000, tokens: load})
 	}
-	// A request without a block chain has no directory overlap anywhere,
-	// whatever the probe (cached) says: the home wins the tie.
-	noBlocks := sessionHomedAt(0, 2, RequestInfo{InputLen: 4000, SharedKey: GroupKey(2), SharedLen: 2400})
-	// Radix directory, 100-token blocks: the non-home slot holds the whole
-	// three-block chain, the home two blocks; both claims cap at InputLen
-	// 200, so the overlap tie falls through to the home.
-	radixCap := sessionHomedAt(0, 2, RequestInfo{InputLen: 200, Blocks: []uint64{11, 12, 13}})
-	radixCapDir := func() *CacheDirectory {
-		d := NewCacheDirectory(100)
-		for _, b := range radixCap.Blocks[:2] {
-			d.Set(b, 0, 100)
-		}
-		for _, b := range radixCap.Blocks {
-			d.Set(b, 1, 100)
-		}
-		return d
-	}
-	// Radix directory read through DirectoryLocator: slot 1 is fleet
-	// replica 3, which holds the chain; location 0 holds it too, so a read
-	// at the view slot would pick slot 0.
-	located := RequestInfo{InputLen: 400, SessionKey: SessionKey(4), Blocks: []uint64{21, 22}}
-	locatedDir := func() *CacheDirectory {
-		d := NewCacheDirectory(100)
-		for _, b := range located.Blocks {
-			d.Set(b, 0, 100)
-			d.Set(b, 3, 100)
-		}
-		return d
-	}
 	// Nothing fits half of any envelope: the two big replicas compete,
 	// equally loaded, and the lower index wins although the home is the
 	// higher one and the idle small replicas would score lower.
@@ -408,32 +370,23 @@ func TestAffinityPresets(t *testing.T) {
 	cases := []struct {
 		name   string
 		preset string
-		dir    func() *CacheDirectory
 		req    RequestInfo
 		vs     []ReplicaView
 		want   int
 	}{
-		{"cold ties go to the home", "prefix", nil, cold, idle, coldHome},
-		{"cold ties go to the home", "migrate", nil, cold, idle, coldHome},
-		{"cold ties go to the home", "capability", nil, cold, idle, coldHome},
-		{"cold ties go to the home", "content", nil, cold, idle, coldHome},
-		{"score ties ignore overlap", "prefix", nil, tie, overlapTie(1000), 0},
-		{"score ties ignore overlap", "capability", nil, tie, overlapTie(1000), 0},
-		{"score ties go to the larger overlap first", "content", nil, tie, overlapTie(2500), 1},
-		{"unattached, it probes CachedTokens", "content", nil, sessionHomedAt(0, 3, RequestInfo{InputLen: 4000}),
+		{"cold ties go to the home", "prefix", cold, idle, coldHome},
+		{"cold ties go to the home", "migrate", cold, idle, coldHome},
+		{"cold ties go to the home", "capability", cold, idle, coldHome},
+		{"cold ties go to the home", "content", cold, idle, coldHome},
+		{"score ties ignore overlap", "prefix", tie, overlapTie(1000), 0},
+		{"score ties ignore overlap", "capability", tie, overlapTie(1000), 0},
+		{"score ties go to the larger overlap first", "content", tie, overlapTie(2500), 1},
+		{"it probes CachedTokens", "content", sessionHomedAt(0, 3, RequestInfo{InputLen: 4000}),
 			views(&fakeReplica{}, &fakeReplica{}, &fakeReplica{cached: 3000}), 2},
-		{"without blocks the directory claims nothing", "content", func() *CacheDirectory { return NewCacheDirectory(100) }, noBlocks,
-			views(&fakeReplica{}, &fakeReplica{cached: 4000}), 0},
-		{"radix claims cap at InputLen", "content", radixCapDir, radixCap, views(&fakeReplica{}, &fakeReplica{}), 0},
-		{"radix claims are read at the fleet index", "content", locatedDir, located,
-			[]ReplicaView{&locatedReplica{index: 5}, &locatedReplica{index: 3}}, 1},
-		{"nothing fits: widest class, lowest index", "capability", nil, oversize, oversizeViews, 1},
+		{"nothing fits: widest class, lowest index", "capability", oversize, oversizeViews, 1},
 	}
 	for _, c := range cases {
 		p := presets[c.preset]()
-		if c.dir != nil {
-			p.(DirectoryAware).AttachDirectory(c.dir())
-		}
 		if got := p.Pick(c.req, c.vs); got != c.want {
 			t.Errorf("%s: %s: pick %d, want %d", c.preset, c.name, got, c.want)
 		}

@@ -1,16 +1,11 @@
 package fleet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // RadixCache models one replica's prefix-KV store at token-block
-// granularity. It is the *residency* layer over a RadixIndex: the index
-// names block chains (hash-consed trie, see radixindex.go), while this
-// cache records which of those blocks have a copy in this replica's HBM
-// and carries the per-copy GDSF/TinyLFU state — priority, frequency,
-// local child counts — that drives eviction and admission.
+// granularity, and is the only record of which blocks this replica holds:
+// the gateway's cache directory is the stream of residency events its
+// observer publishes, not a second copy of this state.
 //
 // The cache shares any common token prefix, not just whole session or
 // prompt-group identities: two sessions with the same system prompt share
@@ -37,29 +32,12 @@ import (
 // deterministic: no clocks, no randomness, priority ties broken by block
 // hash.
 type RadixCache struct {
-	capacity    int
-	used        int
-	blockTokens int
-	admission   bool
+	blockStore
+	admission bool
 
-	index  *RadixIndex           // naming layer; private unless shared by a directory
-	blocks map[uint64]*radixNode // residency: hash -> this replica's copy
-	pool   nodePool
-	leaves leafHeap
-	sketch *freqSketch
-	clock  float64
-
-	// observer hears residency transitions (the gateway's cache-directory
-	// shim). nil for standalone caches — every hook site is a single nil
-	// check, so with the directory off the cache behaves exactly as the
-	// pre-split implementation.
+	// observer hears residency transitions (the gateway's directory shim).
+	// nil for standalone caches — every hook site is a single nil check.
 	observer residencyObserver
-
-	// blockCost returns the seconds needed to recompute `tokens` prefill
-	// tokens starting at context offset `start` — the cost model's marginal
-	// prefill time. nil prices every block equally (pure frequency+age).
-	blockCost func(start, tokens int) float64
-	costMemo  map[int]float64 // depth -> seconds
 
 	// Instrumentation.
 	Hits      int // lookups that matched at least one block
@@ -69,12 +47,45 @@ type RadixCache struct {
 	HitTokens int64
 }
 
-// radixNode is this cache's copy of one KV block: residency state only.
-// Identity and trie position live on the shared blockRef; parent is the
-// local copy of the parent block (always resident — the prefix
-// invariant), and kids counts resident children in this cache.
+// blockStore is the block-residency state a RadixCache and the cold tier
+// share: the resident copies by hash, the GDSF eviction heap over them,
+// and the TinyLFU sketch, clock and recompute-cost memo that price them.
+type blockStore struct {
+	capacity    int
+	used        int
+	blockTokens int
+	blocks      map[uint64]*radixNode // hash -> resident copy
+	pool        nodePool
+	leaves      leafHeap // the evictable copies (every cold copy is one)
+	sketch      *freqSketch
+	clock       float64
+
+	// blockCost returns the seconds needed to recompute `tokens` prefill
+	// tokens starting at context offset `start` — the cost model's marginal
+	// prefill time. nil prices every block equally (pure frequency+age).
+	blockCost func(start, tokens int) float64
+	costMemo  map[int]float64 // depth -> seconds
+}
+
+func newBlockStore(capTokens, blockTokens int, blockCost func(start, tokens int) float64) blockStore {
+	return blockStore{
+		capacity:    capTokens,
+		blockTokens: blockTokens,
+		blocks:      make(map[uint64]*radixNode),
+		sketch:      newFreqSketch(4096),
+		blockCost:   blockCost,
+		costMemo:    make(map[int]float64),
+	}
+}
+
+// radixNode is one resident copy of a KV block. The chained content hash
+// names the block and, through the chaining, its whole prefix. In a
+// RadixCache parent is the copy of the parent block (always resident —
+// the prefix invariant) and kids counts resident children; cold copies
+// stand alone.
 type radixNode struct {
-	ref     *blockRef
+	hash    uint64
+	depth   int        // block index: covers tokens [depth*B, (depth+1)*B)
 	parent  *radixNode // nil for depth-0 blocks
 	kids    int        // resident children; 0 = leaf, eligible for eviction
 	prio    float64    // GDSF priority, refreshed on access
@@ -98,7 +109,6 @@ func (p *nodePool) get() *radixNode {
 }
 
 func (p *nodePool) put(n *radixNode) {
-	n.ref = nil
 	n.kids = 0
 	n.prio = 0
 	n.heapIdx = -1
@@ -107,78 +117,68 @@ func (p *nodePool) put(n *radixNode) {
 }
 
 // residencyObserver hears block-level residency transitions of one
-// cache. Implemented by the gateway's cache-directory shim; the hooks
-// fire in the cache's own deterministic operation order. blockDropped's
-// evicted flag separates capacity evictions (cold-spill candidates: the
-// KV still existed and could be copied out) from removals and wipes
-// (the KV left with a migration or died with the replica).
+// cache. Implemented by the gateway's directory shim; the hooks fire in
+// the cache's own deterministic operation order, after the cache's
+// accounting has changed. blockDropped's evicted flag separates capacity
+// evictions (cold-spill candidates: the KV still existed and could be
+// copied out) from removals and wipes (the KV left with a migration or
+// died with the replica).
 type residencyObserver interface {
-	blockAdded(ref *blockRef)
-	blockDropped(ref *blockRef, evicted bool)
-	cacheCleared(usedTokens, blocks int)
+	blockAdded(n *radixNode)
+	blockDropped(n *radixNode, evicted bool)
+	cacheCleared(usedTokens int)
 }
 
 // NewRadixCache builds a radix cache holding up to capTokens KV tokens in
-// blockTokens-sized blocks, naming its blocks in a private index.
-// admission enables TinyLFU admission; blockCost (optional) prices
-// eviction in recompute-seconds via the cost model.
+// blockTokens-sized blocks. admission enables TinyLFU admission;
+// blockCost (optional) prices eviction in recompute-seconds via the cost
+// model.
 func NewRadixCache(capTokens, blockTokens int, admission bool, blockCost func(start, tokens int) float64) *RadixCache {
-	return NewRadixCacheIndexed(NewRadixIndex(), capTokens, blockTokens, admission, blockCost)
-}
-
-// NewRadixCacheIndexed is NewRadixCache with an explicit (possibly
-// shared) naming index — the constructor the gateway uses when a global
-// cache directory needs one trie describing every replica's copies.
-func NewRadixCacheIndexed(ix *RadixIndex, capTokens, blockTokens int, admission bool, blockCost func(start, tokens int) float64) *RadixCache {
 	if capTokens <= 0 {
 		panic(fmt.Sprintf("fleet: non-positive cache capacity %d", capTokens))
 	}
 	if blockTokens <= 0 {
 		panic(fmt.Sprintf("fleet: non-positive block size %d", blockTokens))
 	}
-	if ix == nil {
-		panic("fleet: nil radix index")
-	}
-	return &RadixCache{
-		capacity:    capTokens,
-		blockTokens: blockTokens,
-		admission:   admission,
-		index:       ix,
-		blocks:      make(map[uint64]*radixNode),
-		sketch:      newFreqSketch(4096),
-		blockCost:   blockCost,
-		costMemo:    make(map[int]float64),
-	}
+	return &RadixCache{blockStore: newBlockStore(capTokens, blockTokens, blockCost), admission: admission}
 }
 
 // Capacity returns the token capacity.
-func (c *RadixCache) Capacity() int { return c.capacity }
+func (s *blockStore) Capacity() int { return s.capacity }
 
 // Used returns the resident token count.
-func (c *RadixCache) Used() int { return c.used }
+func (s *blockStore) Used() int { return s.used }
 
 // Len returns the resident block count.
-func (c *RadixCache) Len() int { return len(c.blocks) }
+func (s *blockStore) Len() int { return len(s.blocks) }
 
 // BlockTokens returns the block granularity.
-func (c *RadixCache) BlockTokens() int { return c.blockTokens }
-
-// Index returns the naming index this cache records residency against.
-func (c *RadixCache) Index() *RadixIndex { return c.index }
+func (s *blockStore) BlockTokens() int { return s.blockTokens }
 
 // setObserver attaches the residency observer (nil detaches).
 func (c *RadixCache) setObserver(o residencyObserver) { c.observer = o }
 
-// ResidentBlocks returns the hashes of every resident block in ascending
-// hash order — the ground-truth enumeration directory coherence tests
-// compare against.
-func (c *RadixCache) ResidentBlocks() []uint64 {
-	out := make([]uint64, 0, len(c.blocks))
-	for h := range c.blocks {
-		out = append(out, h)
+// depthCost returns the recompute-seconds of the block at the given depth,
+// memoized (1 when no cost model is attached: pure frequency+age GDSF).
+func (s *blockStore) depthCost(depth int) float64 {
+	if s.blockCost == nil {
+		return 1
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	if v, ok := s.costMemo[depth]; ok {
+		return v
+	}
+	v := s.blockCost(depth*s.blockTokens, s.blockTokens)
+	s.costMemo[depth] = v
+	return v
+}
+
+// refresh recomputes a node's GDSF priority from the current clock and
+// sketch frequency, restoring heap order if the node is a leaf.
+func (s *blockStore) refresh(n *radixNode) {
+	n.prio = s.clock + float64(s.sketch.estimate(PrefixKey(n.hash)))*s.depthCost(n.depth)/float64(s.blockTokens)
+	if n.heapIdx >= 0 {
+		s.leaves.fix(n)
+	}
 }
 
 // matchLen returns how many leading blocks of chain are resident. A map
@@ -227,20 +227,6 @@ func (c *RadixCache) Lookup(chain []uint64) int {
 	return tokens
 }
 
-// depthCost returns the recompute-seconds of the block at the given depth,
-// memoized (1 when no cost model is attached: pure frequency+age GDSF).
-func (c *RadixCache) depthCost(depth int) float64 {
-	if c.blockCost == nil {
-		return 1
-	}
-	if v, ok := c.costMemo[depth]; ok {
-		return v
-	}
-	v := c.blockCost(depth*c.blockTokens, c.blockTokens)
-	c.costMemo[depth] = v
-	return v
-}
-
 // RecomputeSeconds prices recomputing `blocks` blocks starting at block
 // offset `fromBlock` on this replica — the recompute side of the cold
 // tier's fetch-over-link vs recompute decision.
@@ -250,15 +236,6 @@ func (c *RadixCache) RecomputeSeconds(fromBlock, blocks int) float64 {
 		s += c.depthCost(fromBlock + i)
 	}
 	return s
-}
-
-// refresh recomputes a node's GDSF priority from the current clock and
-// sketch frequency, restoring heap order if the node is a leaf.
-func (c *RadixCache) refresh(n *radixNode) {
-	n.prio = c.clock + float64(c.sketch.estimate(PrefixKey(n.ref.hash)))*c.depthCost(n.ref.depth)/float64(c.blockTokens)
-	if n.heapIdx >= 0 {
-		c.leaves.fix(n)
-	}
 }
 
 // victim returns the lowest-priority evictable leaf, skipping `pin` (the
@@ -282,18 +259,23 @@ func (c *RadixCache) victim(pin *radixNode) *radixNode {
 	return next
 }
 
-// evict drops a leaf block, promoting its parent to leaf when this was the
-// parent's last child. The GDSF clock advances to the victim's priority,
-// so future insertions and refreshes outrank blocks that have not been
-// touched since — this is what ages stale blocks out.
+// evict drops a leaf block for capacity. The GDSF clock advances to the
+// victim's priority, so future insertions and refreshes outrank blocks
+// that have not been touched since — this is what ages stale blocks out.
 func (c *RadixCache) evict(v *radixNode) {
 	if v.prio > c.clock {
 		c.clock = v.prio
 	}
-	c.leaves.remove(v)
-	delete(c.blocks, v.ref.hash)
-	c.used -= c.blockTokens
 	c.Evicted++
+	c.drop(v, true)
+}
+
+// drop unlinks leaf v, promoting its parent to leaf when v was the
+// parent's last child, and tells the observer before v is recycled.
+func (c *RadixCache) drop(v *radixNode, evicted bool) {
+	c.leaves.remove(v)
+	delete(c.blocks, v.hash)
+	c.used -= c.blockTokens
 	if p := v.parent; p != nil {
 		p.kids--
 		if p.kids == 0 {
@@ -301,21 +283,17 @@ func (c *RadixCache) evict(v *radixNode) {
 		}
 	}
 	if c.observer != nil {
-		c.observer.blockDropped(v.ref, true)
+		c.observer.blockDropped(v, evicted)
 	}
-	c.index.release(v.ref)
 	c.pool.put(v)
 }
 
 // insert adds one block under parent (nil for depth 0), assuming capacity
 // has been made available.
 func (c *RadixCache) insert(hash uint64, parent *radixNode, depth int) *radixNode {
-	var pref *blockRef
-	if parent != nil {
-		pref = parent.ref
-	}
 	n := c.pool.get()
-	n.ref = c.index.acquire(hash, pref, depth)
+	n.hash = hash
+	n.depth = depth
 	n.parent = parent
 	n.heapIdx = -1
 	c.blocks[hash] = n
@@ -329,7 +307,7 @@ func (c *RadixCache) insert(hash uint64, parent *radixNode, depth int) *radixNod
 	c.refresh(n) // sets prio
 	c.leaves.push(n)
 	if c.observer != nil {
-		c.observer.blockAdded(n.ref)
+		c.observer.blockAdded(n)
 	}
 	return n
 }
@@ -359,7 +337,7 @@ func (c *RadixCache) extend(chain []uint64, admit bool, maxBlocks int) {
 			if v == nil {
 				return // the path itself fills the cache
 			}
-			if admit && c.admission && c.sketch.estimate(PrefixKey(chain[i])) < c.sketch.estimate(PrefixKey(v.ref.hash)) {
+			if admit && c.admission && c.sketch.estimate(PrefixKey(chain[i])) < c.sketch.estimate(PrefixKey(v.hash)) {
 				c.Rejected++
 				return
 			}
@@ -396,21 +374,8 @@ func (c *RadixCache) RemoveExclusive(chain []uint64) int {
 		if v.kids > 0 {
 			break
 		}
-		c.leaves.remove(v)
-		delete(c.blocks, v.ref.hash)
-		c.used -= c.blockTokens
 		freed += c.blockTokens
-		if p := v.parent; p != nil {
-			p.kids--
-			if p.kids == 0 {
-				c.leaves.push(p)
-			}
-		}
-		if c.observer != nil {
-			c.observer.blockDropped(v.ref, false)
-		}
-		c.index.release(v.ref)
-		c.pool.put(v)
+		c.drop(v, false)
 	}
 	return freed
 }
@@ -421,10 +386,9 @@ func (c *RadixCache) RemoveExclusive(chain []uint64) int {
 // len(blocks) facts.
 func (c *RadixCache) Clear() {
 	if c.observer != nil && len(c.blocks) > 0 {
-		c.observer.cacheCleared(c.used, len(c.blocks))
+		c.observer.cacheCleared(c.used)
 	}
 	for _, n := range c.blocks {
-		c.index.release(n.ref)
 		c.pool.put(n)
 	}
 	c.blocks = make(map[uint64]*radixNode)
@@ -442,7 +406,7 @@ func leafLess(a, b *radixNode) bool {
 	if a.prio != b.prio {
 		return a.prio < b.prio
 	}
-	return a.ref.hash < b.ref.hash
+	return a.hash < b.hash
 }
 
 func (h *leafHeap) push(n *radixNode) {

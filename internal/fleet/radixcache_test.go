@@ -75,7 +75,7 @@ func TestRadixCacheLeafOnlyEviction(t *testing.T) {
 	// Invariant sweep: every resident block's parent chain is resident.
 	for h, n := range c.blocks {
 		for p := n.parent; p != nil; p = p.parent {
-			if c.blocks[p.ref.hash] != p {
+			if c.blocks[p.hash] != p {
 				t.Fatalf("block %x has a non-resident ancestor", h)
 			}
 		}
@@ -264,6 +264,19 @@ func TestRadixGatewayCrossSessionSharing(t *testing.T) {
 	if rs.HitRequests != 1 || rs.HitTokens != 3*rcB {
 		t.Fatalf("%d hit requests, %d hit tokens; want 1 and %d", rs.HitRequests, rs.HitTokens, 3*rcB)
 	}
+	// CachedTokens is the overlap every affinity preset scores. On the now
+	// warm replica, a request without a block chain claims nothing (a
+	// shared prompt key alone is no residency), and a claim caps at the
+	// prompt length.
+	rep := g.replicas[0]
+	noBlocks := RequestInfo{InputLen: 4000, SessionKey: SessionKey(1), SharedKey: GroupKey(2), SharedLen: 2400}
+	if got := rep.CachedTokens(noBlocks); got != 0 {
+		t.Fatalf("a request without blocks claims %d cached tokens, want 0", got)
+	}
+	short := RequestInfo{InputLen: 2*rcB + 10, Blocks: ch(1, 2, 3)}
+	if got := rep.CachedTokens(short); got != short.InputLen {
+		t.Fatalf("a three-block match on a %d-token prompt claims %d, want the prompt length", short.InputLen, got)
+	}
 }
 
 // TestRadixGatewayDrainMovesSubtrees: draining a radix-mode replica moves
@@ -411,6 +424,51 @@ func TestRadixGatewayOutOfOrderCompletionKeepsLongestChain(t *testing.T) {
 	}
 	if locs := g.SessionLocations(id); len(locs) != 1 || locs[2] != long {
 		t.Fatalf("session resident at %v after the drain, want %d tokens on replica 2", locs, long)
+	}
+}
+
+// TestRadixGatewayStaleCompletionKeepsHome: a session's turns can finish
+// out of order on different replicas. Turn 1 (7 blocks) finishes on
+// replica 1, then the delayed turn 0 (5 blocks) on replica 0. The stale
+// completion must not re-home the session onto replica 0: the home stays
+// with the longest chain, so draining replica 1 migrates the session's
+// 1,792 tokens instead of dropping its newest blocks with the wipe.
+func TestRadixGatewayStaleCompletionKeepsHome(t *testing.T) {
+	sim := simevent.New()
+	g, err := NewGateway(Config{Groups: toyFleet(3), Policy: NewLeastLoaded()}, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = 1
+	key := SessionKey(id)
+	// Turn 0: 1000 + 500 tokens = 5 blocks with a long decode; turn 1
+	// re-submits that context: 2000 + 10 tokens = 7 blocks, done first.
+	turn0 := workload.Entry{InputLen: 1000, OutputLen: 500, SessionID: id, Turn: 0, Blocks: sessionBlocks(id, 1500)}
+	turn1 := workload.Entry{InputLen: 2000, OutputLen: 10, SessionID: id, Turn: 1, PrefixLen: 1500, Blocks: sessionBlocks(id, 2010)}
+	long := len(turn1.Blocks) * workload.BlockTokens
+	// LeastLoaded puts turn 0 on replica 0 and turn 1 on the idle replica 1.
+	submitAt(sim, g, 1, turn0, 0)
+	submitAt(sim, g, 2, turn1, 0)
+	sim.At(simevent.Time(20*time.Millisecond), func() {
+		if g.Completed() != 2 {
+			t.Errorf("%d of 2 turns done before the drain", g.Completed())
+		}
+		if home := g.sessionHome[key]; home != 1 {
+			t.Errorf("session homed on replica %d after the stale completion, want 1", home)
+		}
+		if err := g.DrainReplica(1); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	res := g.Finalize()
+	if res.Migrations.Count != 1 || res.Migrations.Tokens != int64(long) {
+		t.Fatalf("drain moved %d sessions with %d tokens, want 1 with turn 1's %d", res.Migrations.Count, res.Migrations.Tokens, long)
+	}
+	if locs := g.SessionLocations(id); locs[g.sessionHome[key]] != long {
+		t.Fatalf("session resident at %v with home %d, want %d tokens at the home", locs, g.sessionHome[key], long)
 	}
 }
 
