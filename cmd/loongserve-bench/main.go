@@ -23,15 +23,15 @@
 //
 // Usage:
 //
-//	loongserve-bench -exp fig2|fig3|fig10|fig11|fig12|fig13|fig14|fig15|fleet|faults|cachedir|autoscale|ablations|bigfleet|all [-quick] [-serial] [-shards N] [-fuse-decode=false]
+//	loongserve-bench -exp fig2|fig3|fig10|fig11|fig12|fig13|fig14|fig15|fleet|faults|cachedir|autoscale|ablations|bigfleet|all [-quick] [-serial] [-shards N]
 //
 // -exp bigfleet runs one day-long session trace through a 64-replica
 // heterogeneous fleet at every point of a shard ladder (-shards N replaces
 // the ladder with {1, N} when N > 1), verifying every sharded arm
 // byte-identical to the serial reference — obs stream digest, metrics,
 // makespan, audit verdict — so the ladder can only change wall-clock
-// time. -fuse-decode (default true) controls decode-iteration fusion on
-// the ladder arms; the quick scale additionally runs a fusion-off arm to
+// time. The ladder's LoongServe replicas fuse decode iterations, their
+// engine's default; the quick scale additionally runs a fusion-off arm to
 // prove fusion changes event counts and nothing else. It is not part of
 // -exp all.
 //
@@ -53,7 +53,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced request counts and rate ladders")
 	serial := flag.Bool("serial", false, "run experiment arms single-threaded (results are byte-identical to parallel)")
 	shards := flag.Int("shards", 0, "for -exp bigfleet: replace the shard ladder with {1, N} when N > 1 (0 and 1 keep the scale's ladder; negative values are rejected)")
-	fuseDecode := flag.Bool("fuse-decode", true, "for -exp bigfleet: run the shard-ladder arms with decode-iteration fusion")
 	flag.Parse()
 	if *shards < 0 {
 		fmt.Fprintf(os.Stderr, "loongserve-bench: -shards must be >= 0, got %d\n", *shards)
@@ -70,7 +69,6 @@ func main() {
 	if *shards > 1 {
 		scale.BigFleetShards = []int{1, *shards}
 	}
-	scale.BigFleetFuse = *fuseDecode
 
 	run := func(name string) bool {
 		return *exp == "all" || strings.EqualFold(*exp, name)

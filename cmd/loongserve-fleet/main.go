@@ -9,7 +9,9 @@
 // sharing a conversation trunk. It prints one comparison
 // row per policy: goodput, mean TTFT, normalized input latency,
 // prefix-cache token hit ratio and SLO attainment, plus per-replica
-// breakdowns with -v.
+// breakdowns with -v. A policy whose run fails gets an OOM row when the
+// workload cannot fit and an ERR row otherwise; an ERR row makes the
+// command exit 1 once every output is written.
 //
 // The workload can run closed-loop (-closed-loop: each turn arrives think
 // time after the previous turn completes, so the fleet sees its own
@@ -92,12 +94,11 @@
 // free between them on private event heaps; a closed loop's think times
 // bound how far they may run ahead). Output is byte-identical at any N —
 // open- or closed-loop, static, faulty or autoscaled — so sharding buys
-// wall-clock time on multi-core hosts, never different results.
-// -fuse-decode collapses provably identical decode iterations of a stable
-// group into one simulator event on replicas whose engine supports it (the
-// LoongServe core); fusion is observationally exact — records, traces,
-// event streams and audits are unchanged, only the simulator event count
-// drops.
+// wall-clock time on multi-core hosts, never different results. Every
+// replica runs its engine's own decode-iteration fusion default: the
+// LoongServe core collapses provably identical decode iterations of a
+// stable group into one simulator event, which changes only the simulator
+// event count — records, traces, event streams and audits are exact.
 //
 // Usage:
 //
@@ -120,7 +121,7 @@
 //	loongserve-fleet -policy affinity -closed-loop -faults crash=1,stall=3 -hedge 0.95 -audit
 //	loongserve-fleet -policy content -cold-tier 200000 -closed-loop \
 //	    -faults crash=0.5,drain=2,degrade=1 -link-faults 6:5s -audit
-//	loongserve-fleet -sessions 5000 -rate 8 -shards 4 -fuse-decode -policy capability \
+//	loongserve-fleet -sessions 5000 -rate 8 -shards 4 -policy capability \
 //	    -mix loong:8,contbatch:56                 # multi-core single-run sharding
 package main
 
@@ -194,7 +195,6 @@ func main() {
 		branch      = flag.Int("branch", 0, "branching sessions: family size sharing a conversation trunk (0 = independent sessions)")
 		branchTurns = flag.Int("branch-turns", 2, "trunk turns shared within a branching family")
 		shardsN     = flag.Int("shards", 0, "advance replica engines on N worker goroutines in windows between gateway events (0 and 1 run inline; output is byte-identical at any N, open- or closed-loop, static, faulty or autoscaled)")
-		fuseDecode  = flag.Bool("fuse-decode", false, "collapse provably identical decode iterations of a stable group into one simulator event on replicas that support it (observationally exact; only event counts change)")
 		seed        = flag.Int64("seed", 42, "workload and policy seed (runs are deterministic per seed)")
 		verbose     = flag.Bool("v", false, "print per-replica request/hit/cache breakdowns")
 	)
@@ -298,6 +298,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if *cacheTokens < 0 {
+		fmt.Fprintln(os.Stderr, "loongserve-fleet: -cache-tokens must be >= 0 (0 = full KV pool)")
+		os.Exit(2)
+	}
 	if *coldTier < 0 || (*coldTier > 0 && *coldTier < workload.BlockTokens) {
 		fmt.Fprintf(os.Stderr, "loongserve-fleet: -cold-tier must be 0 (off) or at least one %d-token block\n", workload.BlockTokens)
 		os.Exit(2)
@@ -381,7 +385,6 @@ func main() {
 			Directory:      *directory || *coldTier > 0 || isDirectoryAware(p),
 			ColdTierTokens: *coldTier,
 			Shards:         *shardsN,
-			FuseDecode:     *fuseDecode,
 		}
 	}
 
@@ -482,6 +485,7 @@ func main() {
 	var faultRows [][]string
 	var simEvents uint64
 	var simWall time.Duration
+	failed := false // an arm failed with an error other than OOM
 	var obsReplicas []fleet.ReplicaStats
 	obsPolicy := ""
 	if needObs && len(policies) > 1 {
@@ -512,6 +516,8 @@ func main() {
 			cell := "ERR"
 			if _, oom := err.(*serving.ErrOOM); oom {
 				cell = "OOM"
+			} else {
+				failed = true
 			}
 			row := []string{p.Name(), cell, "-", "-", "-", "-", "-"}
 			for len(row) < len(header) {
@@ -573,6 +579,9 @@ func main() {
 	outs := obsOutputs{traceOut: *traceOut, telemetryOut: *telemetryOut, eventsOut: *eventsOut,
 		timeline: *obsTimeline, analyze: *analyzeRun, audit: *auditRun}
 	writeObsOutputs(outs, collector, sampler, obsReplicas, obsPolicy)
+	if failed {
+		os.Exit(1)
+	}
 }
 
 // parseFaultRates parses the -faults spec, a comma list of kind=rate

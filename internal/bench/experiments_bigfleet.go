@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"time"
 
+	"loongserve/internal/core"
 	"loongserve/internal/fleet"
 	"loongserve/internal/obs"
 	"loongserve/internal/obs/analyze"
+	"loongserve/internal/serving"
 	"loongserve/internal/workload"
 )
 
@@ -18,9 +20,12 @@ import (
 // same barrier algorithm inline) as the reference. Every sharded arm must
 // reproduce the serial arm byte-for-byte — same obs event stream, same
 // metrics summary, same simulated makespan, same audit verdict — so the
-// only thing the ladder is allowed to change is wall-clock time. A quick
-// variant additionally runs one fusion-off arm to show decode-iteration
-// fusion changes event counts and nothing else.
+// only thing the ladder is allowed to change is wall-clock time. The
+// ladder runs every engine as its kind builds it, so the LoongServe
+// replicas fuse decode iterations. A quick variant additionally runs one
+// fusion-off arm, whose LoongServe kind builds its engines with fusion
+// off, to show decode-iteration fusion changes event counts and nothing
+// else.
 //
 // Wall-clock speedup is hardware-honest: each arm records GOMAXPROCS, and
 // on a single-core host the ladder degenerates to overhead measurement —
@@ -99,11 +104,21 @@ func BigFleetWorkload(sc Scale) workload.SessionConfig {
 
 // BigFleetComposition builds the 64-replica heterogeneous fleet: a block
 // of 8-GPU LoongServe replicas for the long-document tail plus a large
-// population of single-GPU continuous-batching replicas for chat.
-func BigFleetComposition(sc Scale) []fleet.ReplicaGroup {
+// population of single-GPU continuous-batching replicas for chat. With
+// fused false the LoongServe kind builds its engines with decode-iteration
+// fusion off: the unfused reference.
+func BigFleetComposition(sc Scale, fused bool) []fleet.ReplicaGroup {
 	loong, err := FleetKind("loong")
 	if err != nil {
 		panic(err) // unreachable: the name is a constant
+	}
+	if !fused {
+		build := loong.Spec.NewEngine
+		loong.Spec.NewEngine = func() serving.Engine {
+			e := build().(*core.Engine)
+			e.SetDecodeFusion(false)
+			return e
+		}
 	}
 	cheap, err := FleetKind("contbatch")
 	if err != nil {
@@ -134,9 +149,11 @@ type BigFleetArm struct {
 	Violations int
 }
 
-// RunBigFleetArm runs the big-fleet trace once at the given shard count,
-// auditing and digesting the full observability stream online.
-func RunBigFleetArm(sc Scale, groups []fleet.ReplicaGroup, shards int, fused bool) BigFleetArm {
+// RunBigFleetArm runs the big-fleet trace once at the given shard count
+// through BigFleetComposition(sc, fused), auditing and digesting the full
+// observability stream online.
+func RunBigFleetArm(sc Scale, shards int, fused bool) BigFleetArm {
+	groups := BigFleetComposition(sc, fused)
 	dig := newStreamDigest()
 	aud := analyze.NewAuditor()
 	cfg := fleet.Config{
@@ -145,7 +162,6 @@ func RunBigFleetArm(sc Scale, groups []fleet.ReplicaGroup, shards int, fused boo
 		Policy:        fleet.NewCapabilityAffinity(),
 		StreamMetrics: true,
 		Shards:        shards,
-		FuseDecode:    fused,
 		Obs:           teeSink{dig, aud},
 	}
 	runtime.GC()
@@ -194,10 +210,9 @@ func requireBigFleetIdentity(ref, arm BigFleetArm, sameEvents bool) {
 // when the scale asks for it), verifying every arm against the serial
 // reference. The ladder's first entry must be 1.
 func BigFleetArms(sc Scale) []BigFleetArm {
-	groups := BigFleetComposition(sc)
 	arms := make([]BigFleetArm, 0, len(sc.BigFleetShards)+1)
 	for _, shards := range sc.BigFleetShards {
-		arms = append(arms, RunBigFleetArm(sc, groups, shards, sc.BigFleetFuse))
+		arms = append(arms, RunBigFleetArm(sc, shards, true))
 	}
 	ref := arms[0]
 	if ref.Shards != 1 {
@@ -206,8 +221,8 @@ func BigFleetArms(sc Scale) []BigFleetArm {
 	for _, arm := range arms[1:] {
 		requireBigFleetIdentity(ref, arm, true)
 	}
-	if sc.BigFleetUnfusedArm && sc.BigFleetFuse {
-		arm := RunBigFleetArm(sc, groups, 1, false)
+	if sc.BigFleetUnfusedArm {
+		arm := RunBigFleetArm(sc, 1, false)
 		requireBigFleetIdentity(ref, arm, false)
 		if arm.Res.SimEvents <= ref.Res.SimEvents {
 			panic(fmt.Sprintf("bigfleet: fusion-off arm fired %d simulator events, fused fired %d — fusion saved nothing",
@@ -240,7 +255,7 @@ func BigFleetExperiment(sc Scale) *Table {
 	bestSpeedup := 1.0
 	for i, arm := range arms {
 		speedup := ref.Wall.Seconds() / arm.Wall.Seconds()
-		if arm.Shards > 1 && arm.Fused && speedup > bestSpeedup {
+		if arm.Shards > 1 && speedup > bestSpeedup {
 			bestSpeedup = speedup
 		}
 		ident := "ref"

@@ -65,7 +65,6 @@ type Scale struct {
 	BigFleetSessions   int
 	BigFleetRate       float64
 	BigFleetShards     []int
-	BigFleetFuse       bool // decode-iteration fusion on the ladder arms
 	BigFleetUnfusedArm bool
 	Seed               int64
 	// Workers bounds how many independent experiment arms run concurrently
@@ -114,7 +113,6 @@ func FullScale() Scale {
 		BigFleetSessions: 1_000_000,
 		BigFleetRate:     11.6,
 		BigFleetShards:   []int{1, 4, 8},
-		BigFleetFuse:     true,
 		Seed:             42,
 	}
 }
@@ -157,7 +155,6 @@ func QuickScale() Scale {
 		BigFleetSessions:   2_000,
 		BigFleetRate:       8,
 		BigFleetShards:     []int{1, 4},
-		BigFleetFuse:       true,
 		BigFleetUnfusedArm: true,
 		Seed:               42,
 	}

@@ -100,9 +100,10 @@ type DecodeFusionStats struct {
 	Fissions int // windows dissolved before their last boundary
 }
 
-// SetDecodeFusion implements serving.DecodeFuser: it enables (the default)
-// or disables decode-iteration fusion for subsequently launched decode
-// windows. Disabling does not fission an in-flight window.
+// SetDecodeFusion enables (the default) or disables decode-iteration
+// fusion for subsequently launched decode windows. Disabling does not
+// fission an in-flight window; call it before Init for the unfused
+// reference.
 func (e *Engine) SetDecodeFusion(on bool) { e.fuseDecode = on }
 
 // FusionStats reports how much decoding ran fused.

@@ -61,12 +61,15 @@ type Options struct {
 	// DisableBorrowing turns off the Eq 1-2 mechanism that lets a prefill
 	// batch borrow a momentarily idle decoding group's instances.
 	DisableBorrowing bool
-	// DecodeHeadroom is the per-request KV growth margin (tokens) used when
-	// choosing the post-prefill retention subset. Default 128.
-	DecodeHeadroom int
-	// ProfileJitter is the SIB profiling noise. Default 0.01.
-	ProfileJitter float64
 }
+
+const (
+	// decodeHeadroom is the per-request KV growth margin (tokens) used when
+	// choosing the post-prefill retention subset.
+	decodeHeadroom = 128
+	// profileJitter is the SIB profiling noise.
+	profileJitter = 0.01
+)
 
 // Engine is the LoongServe serving system.
 type Engine struct {
@@ -224,12 +227,6 @@ func (g *group) dropReq(i int) {
 // New returns a LoongServe engine for instances of the given tensor
 // parallelism.
 func New(tp int, opts Options) *Engine {
-	if opts.DecodeHeadroom == 0 {
-		opts.DecodeHeadroom = 128
-	}
-	if opts.ProfileJitter == 0 {
-		opts.ProfileJitter = 0.01
-	}
 	return &Engine{
 		Label:      fmt.Sprintf("LoongServe (TP=%d)", tp),
 		TP:         tp,
@@ -267,7 +264,7 @@ func (e *Engine) Init(env *serving.Env) error {
 		}
 	}
 	e.sib = costmodel.NewSIB()
-	prof := &costmodel.Profiler{CM: env.CM, Link: e.clusterLink(), Jitter: e.Opts.ProfileJitter, Seed: 1}
+	prof := &costmodel.Profiler{CM: env.CM, Link: e.clusterLink(), Jitter: profileJitter, Seed: 1}
 	maxLen := env.CM.M.MaxContext
 	if maxLen > 600_000 {
 		maxLen = 600_000
@@ -539,7 +536,7 @@ func (e *Engine) launchPrefill(reqs []*serving.Request, lens []int, insts []kvca
 // "scale down the DoP to the minimum DoP that the key-value tensors of
 // requests can fit" (§5.4).
 func (e *Engine) chooseRetention(reqs []*serving.Request, insts []kvcache.InstanceID) []kvcache.InstanceID {
-	need := len(reqs) * e.Opts.DecodeHeadroom
+	need := len(reqs) * decodeHeadroom
 	for _, r := range reqs {
 		need += e.reserveLen(r)
 	}

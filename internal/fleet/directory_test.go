@@ -148,19 +148,20 @@ func TestDirectoryCoherenceRadixUnderRandomOps(t *testing.T) {
 }
 
 // TestFleetDirectoryChaosAuditsClean is the end-to-end coherence check: a
-// session workload under content routing with the directory and cold tier
-// on — absorbing a stall, a drain, a link-degradation window and a crash —
-// completes every request, emits a stream the full invariant auditor
-// passes, directory/content-route/cold kinds included, and its directory
-// stream replays to the caches' final resident sets.
+// session workload under content routing with the directory and a cold
+// tier smaller than it spills on — absorbing a stall, a drain, a
+// link-degradation window, a crash and cold evictions — completes every
+// request, emits a stream the full invariant auditor passes,
+// directory/content-route/cold kinds included, and its directory stream
+// replays to the caches' final resident sets.
 func TestFleetDirectoryChaosAuditsClean(t *testing.T) {
 	scripts := chatScripts(50, 8, 0.2, 7)
 	col := &obs.Collector{}
 	cfg := chaosConfig(col)
 	cfg.Policy = NewContentAffinity()
 	cfg.Cache = CacheRadix
-	cfg.CacheTokens = 4 * workload.BlockTokens // tiny: force spills
-	cfg.ColdTierTokens = 16 * workload.BlockTokens
+	cfg.CacheTokens = 4 * workload.BlockTokens    // tiny: force spills
+	cfg.ColdTierTokens = 8 * workload.BlockTokens // fewer than it spills: force cold evictions
 	cfg.Faults = []workload.Fault{
 		{At: 400 * time.Millisecond, Kind: workload.FaultStall, Slot: 1, Stall: 300 * time.Millisecond},
 		{At: 600 * time.Millisecond, Kind: workload.FaultDegrade, Slot: 0, Window: 2 * time.Second, Factor: 8},
@@ -176,6 +177,9 @@ func TestFleetDirectoryChaosAuditsClean(t *testing.T) {
 	}
 	if res.Cold.Spilled == 0 {
 		t.Fatalf("cold tier saw no spills at a %d-token replica cache: %+v", cfg.CacheTokens, res.Cold)
+	}
+	if res.Cold.Evicted == 0 {
+		t.Fatalf("cold tier evicted nothing at %d tokens: %+v", cfg.ColdTierTokens, res.Cold)
 	}
 	kinds := make(map[obs.Kind]int)
 	for _, e := range col.Events {

@@ -346,6 +346,22 @@ func TestControlPlaneLifecycleStats(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns runtime.NumGoroutine once it has stopped
+// falling, waiting at most about a second: goroutines an earlier test
+// started may still be exiting.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n {
+			return m
+		}
+		n = m
+	}
+	return n
+}
+
 // TestFleetRunStartsNoGoroutines holds DESIGN.md's "no goroutines in the
 // simulated path": a fleet run on the inline runner (Shards 0 or 1), with a
 // replica scaled up and another drained through the control plane, has no
@@ -353,7 +369,7 @@ func TestControlPlaneLifecycleStats(t *testing.T) {
 func TestFleetRunStartsNoGoroutines(t *testing.T) {
 	for _, shards := range []int{0, 1} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := settledGoroutines()
 			sim := simevent.New()
 			g, err := NewGateway(Config{Groups: toyFleet(3), Policy: NewRoundRobin(), Shards: shards}, sim)
 			if err != nil {

@@ -150,11 +150,14 @@ type Config struct {
 	// for every feed (open or closed loop) and every fleet (static, faulty
 	// or autoscaled). Negative counts are rejected.
 	Shards int
-	// FuseDecode sets decode-iteration fusion on every replica engine
-	// implementing serving.DecodeFuser: on when set, off otherwise,
-	// whatever the engine's own default. Fusion is observationally exact —
-	// records, traces, obs streams and audits are unchanged; only simulator
-	// event counts drop (see core/fuse.go for the proof).
+	// FuseDecode selects nothing. Every replica runs its engine as the
+	// kind's Spec builds it, decode-iteration fusion default included (the
+	// LoongServe core fuses; the baselines have no fusion). Fusion is
+	// observationally exact, so no setting of it changes a record, trace,
+	// obs stream or audit (see core/fuse.go for the proof); a kind whose
+	// NewEngine calls SetDecodeFusion(false) is the unfused reference.
+	//
+	// Deprecated: the field selects nothing; leave it unset.
 	FuseDecode bool
 
 	// Hedge enables request hedging: a long prefill still unfinished after a

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"loongserve/internal/cluster"
 	"loongserve/internal/controlplane"
 	"loongserve/internal/costmodel"
 	"loongserve/internal/kvcache"
@@ -212,10 +211,14 @@ type Gateway struct {
 	cfg    Config
 	policy Policy
 
-	// refKind is the reference kind (the first group's); kinds tracks
-	// every distinct kind that has built a replica, so event details
-	// mention kinds exactly when the fleet is heterogeneous.
+	// refKind is the reference kind (the first group's): it prices
+	// migrations, cold-tier eviction and (unless Config.SLOKind overrides)
+	// SLO budgets, exactly as replica 0 always has for homogeneous fleets.
+	// sloKind is the budget reference (Config.SLOKind or refKind). kinds
+	// tracks every distinct kind that has built a replica, so event
+	// details mention kinds exactly when the fleet is heterogeneous.
 	refKind *ReplicaKind
+	sloKind *ReplicaKind
 	kinds   map[*ReplicaKind]bool
 
 	replicas []*replica
@@ -261,17 +264,7 @@ type Gateway struct {
 	degradeUntil  simevent.Time
 	degradeFactor float64
 
-	res *Result
-	// Reference configuration: the first group's kind prices migrations
-	// and (unless Config.SLOKind overrides) SLO budgets, exactly as
-	// replica 0 always has for homogeneous fleets.
-	cm0         *costmodel.CostModel
-	refGPUs     int          // reference kind's GPUs (SLO reference config)
-	refKVCap    int          // reference kind's KV pool capacity, token slots
-	sloKind     *ReplicaKind // budget reference (Config.SLOKind or first group's kind)
-	interLink   cluster.Link // replica-to-replica channel (inter-node IB)
-	prefillRate float64      // tokens/s the reference kind prefills at, for migrate-vs-recompute
-
+	res       *Result
 	completed int
 
 	// Hot-path scratch and memoization. activeScratch/viewScratch are
@@ -422,24 +415,11 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 		}
 		g.sloKind = cfg.SLOKind
 	}
-	ref := g.refKind
-	g.cm0 = ref.cm
-	g.refGPUs = ref.GPUs
-	g.refKVCap = ref.KVCapacity
-	g.interLink = ref.ibLink
-	g.prefillRate = ref.PrefillRate
 	if cfg.ColdTierTokens > 0 {
 		// Cold-tier eviction is priced at the reference kind: host memory
 		// is fleet-shared, so there is no single "local" replica to price
 		// against, and homogeneous fleets make the choice exact.
-		coldCost := func(start, tokens int) float64 {
-			full := ref.cm.PrefillIterTime([]int{start + tokens}, 1, ref.GPUs, ref.nvlink)
-			if start == 0 {
-				return full.Seconds()
-			}
-			return (full - ref.cm.PrefillIterTime([]int{start}, 1, ref.GPUs, ref.nvlink)).Seconds()
-		}
-		g.cold = newColdTier(g, cfg.ColdTierTokens, workload.BlockTokens, coldCost)
+		g.cold = newColdTier(g, cfg.ColdTierTokens, workload.BlockTokens, g.refKind.blockCost)
 	}
 	for _, f := range cfg.Faults {
 		g.sim.Stage(simevent.Time(f.At), func() { g.applyFault(f) })
@@ -453,7 +433,9 @@ func (g *Gateway) hetero() bool { return len(g.kinds) > 1 }
 
 // newReplica constructs and registers the next replica of the given kind
 // (initially warming; the caller or activation event flips it active). The
-// first replica of a kind also resolves the kind's capability sheet.
+// replica runs its engine as the kind's Spec builds it, fusion default
+// included. The first replica of a kind also resolves the kind's
+// capability sheet, which then sizes and prices the replica's radix cache.
 func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 	i := len(g.replicas)
 	if kind.Spec.NewEngine == nil || kind.Spec.NewCluster == nil {
@@ -462,12 +444,6 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 	c, err := kind.Spec.NewCluster()
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %d cluster: %w", i, err)
-	}
-	cacheCap := g.cfg.CacheTokens
-	if cacheCap == 0 {
-		for _, inst := range c.Instances {
-			cacheCap += inst.KVCapacity
-		}
 	}
 	rep := &replica{
 		index:         i,
@@ -491,30 +467,6 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 		Pool:     c.NewPool(),
 		Complete: func(r *serving.Request) { rep.buf.complete(rs.Now(), r) },
 	}
-	// Eviction is priced by the replica's own cost model: a block at
-	// context offset `start` costs the marginal prefill time of its tokens
-	// on the replica's reference configuration — deep blocks are dearer per
-	// KV token freed than shallow ones.
-	cm := rep.env.CM
-	gpus := 0
-	for _, inst := range c.Instances {
-		gpus += inst.TP
-	}
-	nvlink := cluster.Link{Bandwidth: c.HW.NVLinkBandwidth, Latency: c.HW.NVLinkLatency}
-	cost := func(start, tokens int) float64 {
-		full := cm.PrefillIterTime([]int{start + tokens}, 1, gpus, nvlink)
-		if start == 0 {
-			return full.Seconds()
-		}
-		return (full - cm.PrefillIterTime([]int{start}, 1, gpus, nvlink)).Seconds()
-	}
-	rep.radix = NewRadixCache(cacheCap, workload.BlockTokens, !g.cfg.NoAdmission, cost)
-	if g.cfg.Directory {
-		rep.radix.setObserver(&dirShim{g: g, rep: rep})
-	}
-	if df, ok := rep.engine.(serving.DecodeFuser); ok {
-		df.SetDecodeFusion(g.cfg.FuseDecode)
-	}
 	if g.obsSink != nil {
 		// Engines that can mirror their elastic events pick up the fleet's
 		// sink with this replica's attribution, before Init so nothing is
@@ -528,7 +480,20 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 	if err := rep.engine.Init(rep.env); err != nil {
 		return nil, fmt.Errorf("fleet: replica %d init: %w", i, err)
 	}
-	kind.resolveFrom(c, rep.env.CM, rep.engine)
+	if !kind.resolved {
+		// The kind prices on the gateway with a cost model of its own:
+		// rep.env.CM belongs to the engine, which may be running on a
+		// worker while another fleet sharing the kind prices with it.
+		kind.resolveFrom(c, costmodel.New(c.Model, c.HW), rep.engine)
+	}
+	cacheCap := g.cfg.CacheTokens
+	if cacheCap == 0 {
+		cacheCap = kind.KVCapacity
+	}
+	rep.radix = NewRadixCache(cacheCap, workload.BlockTokens, !g.cfg.NoAdmission, kind.blockCost)
+	if g.cfg.Directory {
+		rep.radix.setObserver(&dirShim{g: g, rep: rep})
+	}
 	g.kinds[kind] = true
 	g.replicas = append(g.replicas, rep)
 	g.shard.live = append(g.shard.live, rep)
@@ -541,10 +506,6 @@ func (g *Gateway) PolicyName() string { return g.policy.Name() }
 
 // Completed returns the number of finished requests.
 func (g *Gateway) Completed() int { return g.completed }
-
-// ReplicaKVCapacity returns one replica's KV pool capacity in token slots —
-// the natural unit for queue-pressure thresholds.
-func (g *Gateway) ReplicaKVCapacity() int { return g.refKVCap }
 
 // SLOBudget returns the latency budget the gateway assigns a request, on
 // the single-replica reference configuration (0 when SLOs are disabled).
@@ -572,7 +533,7 @@ func (g *Gateway) MigrationTokenCost(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	return g.migrationDelay(n).Seconds() * g.prefillRate
+	return g.migrationDelay(n).Seconds() * g.refKind.PrefillRate
 }
 
 // MigrationSeconds implements Migrator: the link time to move n KV tokens
@@ -592,7 +553,7 @@ func (g *Gateway) MigrationSeconds(n int) float64 {
 // policies consult means a degraded link honestly discourages migrations
 // and cold fetches for as long as it lasts.
 func (g *Gateway) migrationDelay(n int) time.Duration {
-	d := g.cm0.ReactiveMigrationTime(n, g.interLink)
+	d := g.refKind.cm.ReactiveMigrationTime(n, g.refKind.ibLink)
 	if g.degradeFactor > 1 && g.sim.Now() < g.degradeUntil {
 		d = time.Duration(float64(d) * g.degradeFactor)
 	}

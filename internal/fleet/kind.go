@@ -49,6 +49,8 @@ type ReplicaKind struct {
 	// rate capability-aware scores use.
 	PrefillRate float64
 
+	// cm is the kind's pricing model. Gateways share it and no engine
+	// runs on it, because a CostModel writes its TP memo on a miss.
 	cm       *costmodel.CostModel
 	nvlink   cluster.Link
 	ibLink   cluster.Link
@@ -92,7 +94,8 @@ func (k *ReplicaKind) Resolve() error {
 }
 
 // resolveFrom fills the capability sheet from an already-built replica's
-// cluster, cost model and initialized engine.
+// cluster and initialized engine, keeping cm, which no engine may use, as
+// the kind's pricing model.
 func (k *ReplicaKind) resolveFrom(c *cluster.Cluster, cm *costmodel.CostModel, eng serving.Engine) {
 	if k.resolved {
 		return
@@ -132,6 +135,19 @@ func (k *ReplicaKind) PrefillSeconds(n int) float64 {
 		return 0
 	}
 	return k.cm.PrefillIterTime([]int{n}, 1, k.GPUs, k.nvlink).Seconds()
+}
+
+// blockCost prices evicting one cached KV block: a block at context offset
+// start costs the marginal prefill time of its tokens on one replica of
+// this kind, so deep blocks are dearer per KV token freed than shallow
+// ones. Replica radix caches price GDSF eviction with their own kind, the
+// cold tier with the reference kind. The kind must be resolved.
+func (k *ReplicaKind) blockCost(start, tokens int) float64 {
+	full := k.cm.PrefillIterTime([]int{start + tokens}, 1, k.GPUs, k.nvlink)
+	if start == 0 {
+		return full.Seconds()
+	}
+	return (full - k.cm.PrefillIterTime([]int{start}, 1, k.GPUs, k.nvlink)).Seconds()
 }
 
 // SLOBudget returns the latency budget for an (in, out) request on this

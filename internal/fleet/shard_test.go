@@ -134,23 +134,31 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// loongFleetConfig builds a 2-replica fleet of real ESP engines — the
-// fusion identity tests need engines that actually fuse.
-func loongFleetConfig() Config {
+// loongKind builds a replica kind of real ESP engines, the only engines
+// that fuse. With fuse false its NewEngine calls SetDecodeFusion(false),
+// the unfused reference the fusion identity tests compare against.
+func loongKind(fuse bool) *ReplicaKind {
 	m := model.LWM1MText()
 	hw := cluster.A800()
-	kind := NewKind("loong", Spec{
-		NewEngine: func() serving.Engine { return core.New(2, core.Options{}) },
+	return NewKind("loong", Spec{
+		NewEngine: func() serving.Engine {
+			e := core.New(2, core.Options{})
+			if !fuse {
+				e.SetDecodeFusion(false)
+			}
+			return e
+		},
 		NewCluster: func() (*cluster.Cluster, error) {
 			return cluster.New(m, hw, 1, 4, 2)
 		},
 	})
-	return Config{Groups: []ReplicaGroup{{Kind: kind, Count: 2}}, Policy: NewLeastLoaded()}
 }
 
-// TestDecodeFusionIdentity: with fusion on, every observable output is
-// byte-identical to fusion off — records, stats, obs stream — while the
-// simulator fires strictly fewer events. Checked inline and on workers.
+// TestDecodeFusionIdentity: a fleet run as its kind builds its engines,
+// fused, is byte-identical to the same fleet built unfused — records,
+// stats, obs stream — while the simulator fires strictly fewer events.
+// Checked inline and on workers, open loop and in a closed loop with
+// crashes, stalls, hedging and migrating routing.
 func TestDecodeFusionIdentity(t *testing.T) {
 	cfg := workload.DefaultSessionConfig()
 	cfg.Sessions = 20
@@ -158,22 +166,36 @@ func TestDecodeFusionIdentity(t *testing.T) {
 	cfg.ThinkMean = 2
 	scripts := workload.SessionScripts(cfg, 41)
 
-	for _, shards := range []int{1, 2} {
-		run := func(fuse bool) (*Result, []obs.Event) {
-			c := loongFleetConfig()
-			c.FuseDecode = fuse
-			res, ev := shardRun(t, scripts, c, shards, false, nil)
-			return res, ev
+	cases := []struct {
+		name   string
+		mk     func(kind *ReplicaKind) Config
+		closed bool
+		faults []workload.Fault
+	}{
+		{"open-loop", func(kind *ReplicaKind) Config {
+			return Config{Groups: []ReplicaGroup{{Kind: kind, Count: 2}}, Policy: NewLeastLoaded()}
+		}, false, nil},
+		{"closed-loop-faults-hedged-migrating", func(kind *ReplicaKind) Config {
+			return Config{
+				Groups: []ReplicaGroup{{Kind: kind, Count: 4}},
+				Policy: NewMigratingAffinity(),
+				Hedge:  HedgeConfig{Quantile: 0.9, MinSamples: 10, MinInput: 1},
+			}
+		}, true, chaosFaults()},
+	}
+	for _, c := range cases {
+		for _, shards := range []int{1, 2} {
+			label := fmt.Sprintf("%s shards=%d", c.name, shards)
+			plain, pev := shardRun(t, scripts, c.mk(loongKind(false)), shards, c.closed, c.faults)
+			fused, fev := shardRun(t, scripts, c.mk(loongKind(true)), shards, c.closed, c.faults)
+			if fused.SimEvents >= plain.SimEvents {
+				t.Fatalf("%s: fusion fired %d events, plain %d — no event reduction",
+					label, fused.SimEvents, plain.SimEvents)
+			}
+			// SimEvents legitimately differ; compare everything else.
+			fused.SimEvents = plain.SimEvents
+			requireIdentical(t, label, plain, fused, pev, fev)
 		}
-		plain, pev := run(false)
-		fused, fev := run(true)
-		if fused.SimEvents >= plain.SimEvents {
-			t.Fatalf("shards=%d: fusion fired %d events, plain %d — no event reduction",
-				shards, fused.SimEvents, plain.SimEvents)
-		}
-		// SimEvents legitimately differ; compare everything else.
-		fused.SimEvents = plain.SimEvents
-		requireIdentical(t, "fusion", plain, fused, pev, fev)
 	}
 }
 

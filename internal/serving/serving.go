@@ -164,9 +164,11 @@ type Traceable interface {
 // (decode-iteration fusion). Fusion must be observationally exact: request
 // records, load reports and emitted trace events are identical with it on
 // or off — only the simulator event count drops. An engine chooses its own
-// default (the LoongServe core fuses); the fleet layer sets it on every
-// capable replica from Config.FuseDecode, so fleets fuse only when they
-// opt in.
+// default (the LoongServe core fuses), and the fleet runs every replica at
+// that default.
+//
+// Deprecated: no caller sets fusion through this interface; build the
+// unfused reference by calling the engine's own SetDecodeFusion(false).
 type DecodeFuser interface {
 	SetDecodeFusion(on bool)
 }
