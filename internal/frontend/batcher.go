@@ -95,16 +95,8 @@ func (b *Batcher) Stats() (iters, maxBatch int) {
 // Generate implements Generator. Unlike LM.Generate, concurrent calls
 // share decode iterations instead of serializing whole generations.
 func (b *Batcher) Generate(ctx context.Context, prompt []int, maxTokens int, temperature float64, seed int64, emit func(id int) error) (string, error) {
-	if maxTokens < 0 {
-		return "", fmt.Errorf("frontend: negative maxTokens %d", maxTokens)
-	}
-	if len(prompt)+maxTokens > b.lm.cfg.MaxContext {
-		return "", &ErrContextOverflow{Prompt: len(prompt), MaxTokens: maxTokens, Window: b.lm.cfg.MaxContext}
-	}
-	for _, id := range prompt {
-		if id < 0 || id >= b.lm.Tok.TotalSize() {
-			return "", fmt.Errorf("frontend: prompt token %d outside vocabulary", id)
-		}
+	if err := b.lm.check(prompt, maxTokens); err != nil {
+		return "", err
 	}
 	e := &batchEntry{
 		ctx:         ctx,
@@ -135,9 +127,7 @@ func (b *Batcher) Generate(ctx context.Context, prompt []int, maxTokens int, tem
 
 // retire completes an entry and drops its KV from every instance.
 func (b *Batcher) retire(e *batchEntry, finish string, err error) {
-	for _, in := range b.lm.group.Instances {
-		in.DropRequest(e.rid)
-	}
+	b.lm.drop(e.rid)
 	e.finish, e.err = finish, err
 	close(e.done)
 }
@@ -146,29 +136,12 @@ func (b *Batcher) retire(e *batchEntry, finish string, err error) {
 // false when the entry finished immediately (maxTokens 0, EOS first, emit
 // failure).
 func (b *Batcher) admit(e *batchEntry) bool {
-	lm := b.lm
-	lm.nextID++
-	e.rid = lm.nextID
-
-	ids := e.prompt
-	if len(ids) == 0 {
-		ids = []int{lm.Tok.BOS()}
-	}
-	e.baseLen = len(ids)
-	x := tensor.NewMatrix(len(ids), lm.cfg.Hidden)
-	for i, id := range ids {
-		copy(x.Row(i), lm.embed.Row(id))
-	}
-	positions := make([]int, len(ids))
-	for i := range positions {
-		positions[i] = i
-	}
-	hidden, err := lm.group.Prefill(e.rid, x, positions, seqparallel.UniformPlan(len(ids), lm.group.DoP()))
+	var err error
+	e.rid, e.baseLen, e.last, err = b.lm.prefill(e.prompt)
 	if err != nil {
-		b.retire(e, "", fmt.Errorf("frontend: prefill: %w", err))
+		b.retire(e, "", err)
 		return false
 	}
-	e.last = hidden.SliceRows(hidden.Rows-1, hidden.Rows)
 	return b.step(e) // sample and emit the first token
 }
 

@@ -1,12 +1,8 @@
 package frontend
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 )
 
@@ -83,159 +79,42 @@ func flattenChat(msgs []ChatMessage) string {
 	return sb.String()
 }
 
-func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "method_not_allowed",
-			"%s not allowed on /v1/chat/completions", r.Method)
-		return
-	}
-	var req ChatRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "invalid_json", "parsing request: %v", err)
-		return
-	}
-	if req.Model != "" && req.Model != s.model {
-		writeError(w, http.StatusNotFound, "invalid_request_error", "model_not_found",
-			"model %q not found (serving %q)", req.Model, s.model)
-		return
-	}
-	if len(req.Messages) == 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "invalid_messages",
-			"messages must not be empty")
-		return
-	}
-	for i, m := range req.Messages {
-		if !validRoles[m.Role] {
-			writeError(w, http.StatusBadRequest, "invalid_request_error", "invalid_role",
-				"messages[%d].role %q is not one of system/user/assistant", i, m.Role)
-			return
-		}
-	}
-	maxTokens := s.DefaultMaxTokens
-	if req.MaxTokens != nil {
-		maxTokens = *req.MaxTokens
-	}
-	if maxTokens < 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "invalid_max_tokens",
-			"max_tokens must be non-negative, got %d", maxTokens)
-		return
-	}
-	if req.Temperature < 0 || req.Temperature > 2 {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "invalid_temperature",
-			"temperature must be in [0, 2], got %g", req.Temperature)
-		return
-	}
-
-	prompt := s.tok.Encode(flattenChat(req.Messages))
-	if len(prompt)+maxTokens > s.gen.MaxContext() {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "context_length_exceeded",
-			"conversation of %d tokens + max_tokens %d exceeds the %d-token context window",
-			len(prompt), maxTokens, s.gen.MaxContext())
-		return
-	}
-
-	id := fmt.Sprintf("chatcmpl-%d", s.nextID.Add(1))
-	created := s.Now().Unix()
-	seed := req.Seed
-	if seed == 0 {
-		seed = s.nextID.Load()
-	}
-
-	if req.Stream {
-		s.streamChat(w, r.Context(), id, created, prompt, maxTokens, req.Temperature, seed)
-		return
-	}
-
-	var sb strings.Builder
-	completion := 0
-	finish, err := s.gen.Generate(r.Context(), prompt, maxTokens, req.Temperature, seed, func(tid int) error {
-		text, err := s.tok.Decode([]int{tid})
-		if err != nil {
-			return err
-		}
-		sb.WriteString(text)
-		completion++
-		return nil
-	})
-	if err != nil {
-		var overflow *ErrContextOverflow
-		if errors.As(err, &overflow) {
-			writeError(w, http.StatusBadRequest, "invalid_request_error", "context_length_exceeded", "%v", err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "server_error", "generation_failed", "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ChatResponse{
-		ID:      id,
-		Object:  "chat.completion",
-		Created: created,
-		Model:   s.model,
-		Choices: []ChatChoice{{
-			Index:        0,
-			Message:      ChatMessage{Role: "assistant", Content: sb.String()},
-			FinishReason: finish,
-		}},
-		Usage: &Usage{
-			PromptTokens:     len(prompt),
-			CompletionTokens: completion,
-			TotalTokens:      len(prompt) + completion,
-		},
-	})
+var chat = endpoint{
+	path: "/v1/chat/completions", idPrefix: "chatcmpl-", noun: "conversation",
+	decode: parseChat,
+	reply: func(h header, text, finish string, usage *Usage) any {
+		return ChatResponse{ID: h.id, Object: "chat.completion", Created: h.created, Model: h.model,
+			Choices: []ChatChoice{{Message: ChatMessage{Role: "assistant", Content: text}, FinishReason: finish}},
+			Usage:   usage}
+	},
+	chunk: func(h header, text, finish string) any { return chatChunk(h, ChatDelta{Content: text}, finish) },
+	// The opening chunk announces the assistant role (OpenAI convention).
+	open: func(h header) any { return chatChunk(h, ChatDelta{Role: "assistant"}, "") },
 }
 
-// streamChat writes chat.completion.chunk SSE events: a role-opening
-// delta, one content delta per token, a finish chunk, then "[DONE]".
-func (s *Server) streamChat(w http.ResponseWriter, ctx context.Context, id string, created int64, prompt []int, maxTokens int, temperature float64, seed int64) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "server_error", "no_flush",
-			"response writer does not support streaming")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
+func chatChunk(h header, delta ChatDelta, finish string) ChatStreamChunk {
+	return ChatStreamChunk{ID: h.id, Object: "chat.completion.chunk", Created: h.created, Model: h.model,
+		Choices: []ChatStreamChoice{{Delta: delta, FinishReason: finish}}}
+}
 
-	writeChunk := func(c ChatStreamChunk) error {
-		b, err := json.Marshal(c)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", b); err != nil {
-			return err
-		}
-		flusher.Flush()
-		return nil
+// parseChat decodes a chat body and flattens its conversation; an empty
+// conversation or an unknown role makes the request invalid.
+func parseChat(dec *json.Decoder) (genRequest, error) {
+	var r ChatRequest
+	if err := dec.Decode(&r); err != nil {
+		return genRequest{}, err
 	}
-	chunk := func(delta ChatDelta, finish string) ChatStreamChunk {
-		return ChatStreamChunk{
-			ID:      id,
-			Object:  "chat.completion.chunk",
-			Created: created,
-			Model:   s.model,
-			Choices: []ChatStreamChoice{{Index: 0, Delta: delta, FinishReason: finish}},
+	g := genRequest{model: r.Model, maxTokens: r.MaxTokens, temperature: r.Temperature,
+		stream: r.Stream, seed: r.Seed, text: flattenChat(r.Messages)}
+	if len(r.Messages) == 0 {
+		g.invalid = &APIError{Message: "messages must not be empty", Type: "invalid_request_error", Code: "invalid_messages"}
+	}
+	for i, m := range r.Messages {
+		if !validRoles[m.Role] {
+			g.invalid = &APIError{Message: fmt.Sprintf("messages[%d].role %q is not one of system/user/assistant", i, m.Role),
+				Type: "invalid_request_error", Code: "invalid_role"}
+			break
 		}
 	}
-
-	// Opening chunk announces the assistant role (OpenAI convention).
-	if err := writeChunk(chunk(ChatDelta{Role: "assistant"}, "")); err != nil {
-		return
-	}
-	finish, err := s.gen.Generate(ctx, prompt, maxTokens, temperature, seed, func(tid int) error {
-		text, err := s.tok.Decode([]int{tid})
-		if err != nil {
-			return err
-		}
-		return writeChunk(chunk(ChatDelta{Content: text}, ""))
-	})
-	if err != nil {
-		_ = writeChunk(chunk(ChatDelta{}, "error"))
-	} else {
-		_ = writeChunk(chunk(ChatDelta{}, finish))
-	}
-	_, _ = io.WriteString(w, "data: [DONE]\n\n")
-	flusher.Flush()
+	return g, nil
 }

@@ -4,6 +4,13 @@
 // API"). It wires a byte-level BPE tokenizer and a tiny language model
 // running real striped-prefill / multi-master-decode math into an HTTP
 // server with both buffered and streaming (SSE) completions.
+//
+// /v1/completions and /v1/chat/completions share one request path
+// (Server.serve): the routes differ only in how a body decodes and how a
+// reply or stream event is shaped, so validation, generation, error
+// mapping and SSE framing each exist once. Behind it, LM generates one
+// request at a time and Batcher shares decode iterations across
+// concurrent requests; both use LM's request check and prefill.
 package frontend
 
 import (
@@ -149,53 +156,71 @@ func sample(logits []float32, temperature float64, rng *rand.Rand) int {
 	return len(logits) - 1
 }
 
-// Generate implements Generator. The prompt prefills once across the
-// group; each completion token decodes with its master rotating over the
-// instances, so KV for the generated suffix spreads across the group
-// exactly as multi-master decoding distributes it (§4.2).
-func (lm *LM) Generate(ctx context.Context, prompt []int, maxTokens int, temperature float64, seed int64, emit func(id int) error) (string, error) {
+// check validates a Generate call: a non-negative budget that fits the
+// context window with the prompt, and prompt tokens inside the vocabulary.
+func (lm *LM) check(prompt []int, maxTokens int) error {
 	if maxTokens < 0 {
-		return "", fmt.Errorf("frontend: negative maxTokens %d", maxTokens)
+		return fmt.Errorf("frontend: negative maxTokens %d", maxTokens)
 	}
 	if len(prompt)+maxTokens > lm.cfg.MaxContext {
-		return "", &ErrContextOverflow{Prompt: len(prompt), MaxTokens: maxTokens, Window: lm.cfg.MaxContext}
+		return &ErrContextOverflow{Prompt: len(prompt), MaxTokens: maxTokens, Window: lm.cfg.MaxContext}
 	}
 	for _, id := range prompt {
 		if id < 0 || id >= lm.Tok.TotalSize() {
-			return "", fmt.Errorf("frontend: prompt token %d outside vocabulary", id)
+			return fmt.Errorf("frontend: prompt token %d outside vocabulary", id)
 		}
 	}
+	return nil
+}
 
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
+// prefill takes the next request ID and prefills the prompt across the
+// group with striped sequence parallelism. It returns the ID (whose KV the
+// caller drops, also on error), the prefilled length and the last hidden
+// row. An empty prompt anchors on BOS so the prefill has one token.
+func (lm *LM) prefill(prompt []int) (kvcache.RequestID, int, *tensor.Matrix, error) {
 	lm.nextID++
-	rid := lm.nextID
-	defer func() {
-		for _, in := range lm.group.Instances {
-			in.DropRequest(rid)
-		}
-	}()
-
-	// Empty prompts anchor on BOS so the prefill has at least one token.
 	ids := prompt
 	if len(ids) == 0 {
 		ids = []int{lm.Tok.BOS()}
 	}
 	x := tensor.NewMatrix(len(ids), lm.cfg.Hidden)
+	positions := make([]int, len(ids))
 	for i, id := range ids {
 		copy(x.Row(i), lm.embed.Row(id))
-	}
-	positions := make([]int, len(ids))
-	for i := range positions {
 		positions[i] = i
 	}
-	hidden, err := lm.group.Prefill(rid, x, positions, seqparallel.UniformPlan(len(ids), lm.group.DoP()))
+	hidden, err := lm.group.Prefill(lm.nextID, x, positions, seqparallel.UniformPlan(len(ids), lm.group.DoP()))
 	if err != nil {
-		return "", fmt.Errorf("frontend: prefill: %w", err)
+		return lm.nextID, len(ids), nil, fmt.Errorf("frontend: prefill: %w", err)
+	}
+	return lm.nextID, len(ids), hidden.SliceRows(hidden.Rows-1, hidden.Rows), nil
+}
+
+// drop releases a request's KV on every instance.
+func (lm *LM) drop(rid kvcache.RequestID) {
+	for _, in := range lm.group.Instances {
+		in.DropRequest(rid)
+	}
+}
+
+// Generate implements Generator. The prompt prefills once across the
+// group; each completion token decodes with its master rotating over the
+// instances, so KV for the generated suffix spreads across the group
+// exactly as multi-master decoding distributes it (§4.2). This serial loop
+// is the reference the Batcher is tested against.
+func (lm *LM) Generate(ctx context.Context, prompt []int, maxTokens int, temperature float64, seed int64, emit func(id int) error) (string, error) {
+	if err := lm.check(prompt, maxTokens); err != nil {
+		return "", err
+	}
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	rid, base, last, err := lm.prefill(prompt)
+	defer lm.drop(rid)
+	if err != nil {
+		return "", err
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	last := hidden.SliceRows(hidden.Rows-1, hidden.Rows)
 	produced := 0
 	for produced < maxTokens {
 		if err := ctx.Err(); err != nil {
@@ -216,8 +241,8 @@ func (lm *LM) Generate(ctx context.Context, prompt []int, maxTokens int, tempera
 		outs, err := lm.group.DecodeStep([]seqparallel.DecodeRequest{{
 			ID:     rid,
 			X:      lm.embedRow(next),
-			Pos:    len(ids) + produced - 1,
-			Master: (len(ids) + produced) % lm.group.DoP(),
+			Pos:    base + produced - 1,
+			Master: (base + produced) % lm.group.DoP(),
 		}})
 		if err != nil {
 			return "", fmt.Errorf("frontend: decode: %w", err)

@@ -1,7 +1,7 @@
 package frontend
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -97,8 +97,8 @@ func NewServer(gen Generator, tok *token.Tokenizer, modelName string) *Server {
 // Handler returns the routable HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/completions", s.handleCompletions)
-	mux.HandleFunc("/v1/chat/completions", s.handleChat)
+	mux.HandleFunc("/v1/completions", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, &completions) })
+	mux.HandleFunc("/v1/chat/completions", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, &chat) })
 	mux.HandleFunc("/v1/models", s.handleModels)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	return mux
@@ -110,12 +110,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, typ, code, format string, args ...any) {
-	writeJSON(w, status, errorEnvelope{Error: APIError{
-		Message: fmt.Sprintf(format, args...),
-		Type:    typ,
-		Code:    code,
-	}})
+// writeError writes the error envelope; 5xx statuses are server errors,
+// everything else is the client's.
+func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
+	typ := "invalid_request_error"
+	if status >= 500 {
+		typ = "server_error"
+	}
+	writeJSON(w, status, errorEnvelope{Error: APIError{Message: fmt.Sprintf(format, args...), Type: typ, Code: code}})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -124,8 +126,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "method_not_allowed",
-			"%s not allowed on /v1/models", r.Method)
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s not allowed on /v1/models", r.Method)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -139,112 +140,160 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
+// endpoint is what the two generation routes do differently; serve is
+// everything they share.
+type endpoint struct {
+	path     string // named in the 405 message
+	idPrefix string
+	noun     string // names the prompt in the context-length error
+	decode   func(*json.Decoder) (genRequest, error)
+	// reply is the buffered response; chunk is one stream event carrying a
+	// token's text or, with empty text, the finish reason.
+	reply func(h header, text, finish string, usage *Usage) any
+	chunk func(h header, text, finish string) any
+	// open, when set, is the first stream event.
+	open func(h header) any
+}
+
+// genRequest is a decoded body reduced to what serve reads.
+type genRequest struct {
+	model       string
+	maxTokens   *int
+	temperature float64
+	stream      bool
+	seed        int64
+	text        string    // prompt text to tokenize
+	invalid     *APIError // the route's own check, reported after the model check
+}
+
+// header is what every reply and stream event of one request repeats.
+type header struct {
+	id      string
+	created int64
+	model   string
+}
+
+var completions = endpoint{
+	path: "/v1/completions", idPrefix: "cmpl-", noun: "prompt",
+	decode: func(dec *json.Decoder) (genRequest, error) {
+		var r CompletionRequest
+		err := dec.Decode(&r)
+		return genRequest{model: r.Model, maxTokens: r.MaxTokens, temperature: r.Temperature,
+			stream: r.Stream, seed: r.Seed, text: r.Prompt}, err
+	},
+	reply: completionReply,
+	chunk: func(h header, text, finish string) any { return completionReply(h, text, finish, nil) },
+}
+
+func completionReply(h header, text, finish string, usage *Usage) any {
+	return CompletionResponse{ID: h.id, Object: "text_completion", Created: h.created, Model: h.model,
+		Choices: []Choice{{Text: text, FinishReason: finish}}, Usage: usage}
+}
+
+// serve is the one request path behind both generation routes: method,
+// body cap and decoding; the model, route, max_tokens, temperature and
+// context checks in that order; then a buffered or streamed generation.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "invalid_request_error", "method_not_allowed",
-			"%s not allowed on /v1/completions", r.Method)
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s not allowed on %s", r.Method, ep.path)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "read_error", "reading body: %v", err)
+		writeError(w, http.StatusBadRequest, "read_error", "reading body: %v", err)
 		return
 	}
-	var req CompletionRequest
-	dec := json.NewDecoder(strings.NewReader(string(body)))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "invalid_json", "parsing request: %v", err)
+	req, err := ep.decode(dec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid_json", "parsing request: %v", err)
 		return
 	}
-	if req.Model != "" && req.Model != s.model {
-		writeError(w, http.StatusNotFound, "invalid_request_error", "model_not_found",
-			"model %q not found (serving %q)", req.Model, s.model)
+	if req.model != "" && req.model != s.model {
+		writeError(w, http.StatusNotFound, "model_not_found", "model %q not found (serving %q)", req.model, s.model)
+		return
+	}
+	if req.invalid != nil {
+		writeJSON(w, http.StatusBadRequest, errorEnvelope{Error: *req.invalid})
 		return
 	}
 	maxTokens := s.DefaultMaxTokens
-	if req.MaxTokens != nil {
-		maxTokens = *req.MaxTokens
+	if req.maxTokens != nil {
+		maxTokens = *req.maxTokens
 	}
 	if maxTokens < 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "invalid_max_tokens",
-			"max_tokens must be non-negative, got %d", maxTokens)
+		writeError(w, http.StatusBadRequest, "invalid_max_tokens", "max_tokens must be non-negative, got %d", maxTokens)
 		return
 	}
-	if req.Temperature < 0 || req.Temperature > 2 {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "invalid_temperature",
-			"temperature must be in [0, 2], got %g", req.Temperature)
+	if req.temperature < 0 || req.temperature > 2 {
+		writeError(w, http.StatusBadRequest, "invalid_temperature", "temperature must be in [0, 2], got %g", req.temperature)
 		return
 	}
-	prompt := s.tok.Encode(req.Prompt)
+	prompt := s.tok.Encode(req.text)
 	if len(prompt)+maxTokens > s.gen.MaxContext() {
-		writeError(w, http.StatusBadRequest, "invalid_request_error", "context_length_exceeded",
-			"prompt of %d tokens + max_tokens %d exceeds the %d-token context window",
-			len(prompt), maxTokens, s.gen.MaxContext())
+		writeError(w, http.StatusBadRequest, "context_length_exceeded",
+			"%s of %d tokens + max_tokens %d exceeds the %d-token context window",
+			ep.noun, len(prompt), maxTokens, s.gen.MaxContext())
 		return
 	}
 
-	id := fmt.Sprintf("cmpl-%d", s.nextID.Add(1))
-	created := s.Now().Unix()
-	seed := req.Seed
+	h := header{id: fmt.Sprintf("%s%d", ep.idPrefix, s.nextID.Add(1)), created: s.Now().Unix(), model: s.model}
+	seed := req.seed
 	if seed == 0 {
 		seed = s.nextID.Load()
 	}
-
-	if req.Stream {
-		s.streamCompletion(w, r.Context(), id, created, prompt, maxTokens, req.Temperature, seed)
+	generate := func(emit func(text string) error) (string, error) {
+		return s.gen.Generate(r.Context(), prompt, maxTokens, req.temperature, seed, func(id int) error {
+			text, err := s.tok.Decode([]int{id})
+			if err != nil {
+				return err
+			}
+			return emit(text)
+		})
+	}
+	if req.stream {
+		stream(w, ep, h, generate)
 		return
 	}
 
 	var sb strings.Builder
 	completion := 0
-	finish, err := s.gen.Generate(r.Context(), prompt, maxTokens, req.Temperature, seed, func(tid int) error {
-		text, err := s.tok.Decode([]int{tid})
-		if err != nil {
-			return err
-		}
+	finish, err := generate(func(text string) error {
 		sb.WriteString(text)
 		completion++
 		return nil
 	})
-	if err != nil {
-		var overflow *ErrContextOverflow
-		if errors.As(err, &overflow) {
-			writeError(w, http.StatusBadRequest, "invalid_request_error", "context_length_exceeded", "%v", err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "server_error", "generation_failed", "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, CompletionResponse{
-		ID:      id,
-		Object:  "text_completion",
-		Created: created,
-		Model:   s.model,
-		Choices: []Choice{{Text: sb.String(), Index: 0, FinishReason: finish}},
-		Usage: &Usage{
+	var overflow *ErrContextOverflow
+	switch {
+	case errors.As(err, &overflow):
+		writeError(w, http.StatusBadRequest, "context_length_exceeded", "%v", err)
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "generation_failed", "%v", err)
+	default:
+		writeJSON(w, http.StatusOK, ep.reply(h, sb.String(), finish, &Usage{
 			PromptTokens:     len(prompt),
 			CompletionTokens: completion,
 			TotalTokens:      len(prompt) + completion,
-		},
-	})
+		}))
+	}
 }
 
-// streamCompletion writes Server-Sent Events: one chunk per token, a final
-// chunk carrying the finish reason, then "[DONE]".
-func (s *Server) streamCompletion(w http.ResponseWriter, ctx context.Context, id string, created int64, prompt []int, maxTokens int, temperature float64, seed int64) {
+// stream writes Server-Sent Events: the route's opening event if it has
+// one, one chunk per token, a chunk carrying the finish reason, then
+// "[DONE]".
+func stream(w http.ResponseWriter, ep *endpoint, h header, generate func(emit func(string) error) (string, error)) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "server_error", "no_flush",
-			"response writer does not support streaming")
+		writeError(w, http.StatusInternalServerError, "no_flush", "response writer does not support streaming")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	writeChunk := func(c CompletionResponse) error {
-		b, err := json.Marshal(c)
+	send := func(event any) error {
+		b, err := json.Marshal(event)
 		if err != nil {
 			return err
 		}
@@ -254,38 +303,16 @@ func (s *Server) streamCompletion(w http.ResponseWriter, ctx context.Context, id
 		flusher.Flush()
 		return nil
 	}
-
-	finish, err := s.gen.Generate(ctx, prompt, maxTokens, temperature, seed, func(tid int) error {
-		text, err := s.tok.Decode([]int{tid})
-		if err != nil {
-			return err
+	if ep.open != nil {
+		if err := send(ep.open(h)); err != nil {
+			return
 		}
-		return writeChunk(CompletionResponse{
-			ID:      id,
-			Object:  "text_completion",
-			Created: created,
-			Model:   s.model,
-			Choices: []Choice{{Text: text, Index: 0}},
-		})
-	})
-	if err != nil {
-		// Headers are gone; surface the failure as a terminal SSE event.
-		_ = writeChunk(CompletionResponse{
-			ID:      id,
-			Object:  "text_completion",
-			Created: created,
-			Model:   s.model,
-			Choices: []Choice{{Index: 0, FinishReason: "error"}},
-		})
-	} else {
-		_ = writeChunk(CompletionResponse{
-			ID:      id,
-			Object:  "text_completion",
-			Created: created,
-			Model:   s.model,
-			Choices: []Choice{{Index: 0, FinishReason: finish}},
-		})
 	}
+	finish, err := generate(func(text string) error { return send(ep.chunk(h, text, "")) })
+	if err != nil {
+		finish = "error" // headers are gone; the failure is a terminal event
+	}
+	_ = send(ep.chunk(h, "", finish))
 	_, _ = io.WriteString(w, "data: [DONE]\n\n")
 	flusher.Flush()
 }

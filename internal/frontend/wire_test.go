@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -146,5 +147,27 @@ func TestWireGolden(t *testing.T) {
 		if g != w {
 			t.Fatalf("wire line %d diverged from testdata/wire.golden\n got: %s\nwant: %s", i+1, g, w)
 		}
+	}
+}
+
+// TestBodyCap: both routes read at most 8 MiB of body, so a 9 MiB request
+// fails as truncated JSON before any of it is tokenized.
+func TestBodyCap(t *testing.T) {
+	s, _ := newTestServer(t)
+	big := strings.Repeat("a", 9<<20)
+	for path, body := range map[string]string{
+		"/v1/completions":      fmt.Sprintf(`{"prompt":%q}`, big),
+		"/v1/chat/completions": fmt.Sprintf(`{"messages":[{"role":"user","content":%q}]}`, big),
+	} {
+		t.Run(path, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400", rec.Code)
+			}
+			if e := decodeError(t, rec.Result()); e.Code != "invalid_json" {
+				t.Errorf("error code = %q, want invalid_json", e.Code)
+			}
+		})
 	}
 }
