@@ -1,7 +1,8 @@
 // Command loongserve-server runs the OpenAI-style HTTP front end (§6) over
 // the functional ESP runtime: completions prefill with striped sequence
 // parallelism and decode with rotating multi-master assignment on a tiny
-// deterministic model.
+// deterministic model, and concurrent requests share decode iterations
+// (continuous batching).
 //
 // Usage:
 //
@@ -28,11 +29,14 @@ func main() {
 	instances := flag.Int("instances", 2, "ESP group size (degree of parallelism)")
 	window := flag.Int("context", 512, "model context window in tokens")
 	seed := flag.Int64("seed", 1, "weight seed")
-	batch := flag.Bool("batch", true, "continuous batching: share decode iterations across concurrent requests")
 	flag.Parse()
 
 	if *instances < 1 {
 		fmt.Fprintln(os.Stderr, "loongserve-server: -instances must be >= 1")
+		os.Exit(2)
+	}
+	if *window < 1 {
+		fmt.Fprintln(os.Stderr, "loongserve-server: -context must be >= 1")
 		os.Exit(2)
 	}
 	tok := token.Default()
@@ -41,18 +45,12 @@ func main() {
 		Seed:       *seed,
 		MaxContext: *window,
 	})
-	var gen frontend.Generator = lm
-	mode := "serialized"
-	if *batch {
-		b := frontend.NewBatcher(lm)
-		defer b.Close()
-		gen = b
-		mode = "continuous-batching"
-	}
-	srv := frontend.NewServer(gen, tok, "loongserve-tiny-lm")
+	b := frontend.NewBatcher(lm)
+	defer b.Close()
+	srv := frontend.NewServer(b, tok, "loongserve-tiny-lm")
 
-	log.Printf("loongserve-server: serving %q on %s (DoP=%d, context=%d, vocab=%d, %s)",
-		"loongserve-tiny-lm", *addr, lm.DoP(), lm.MaxContext(), tok.TotalSize(), mode)
+	log.Printf("loongserve-server: serving %q on %s (DoP=%d, context=%d, vocab=%d)",
+		"loongserve-tiny-lm", *addr, lm.DoP(), lm.MaxContext(), tok.TotalSize())
 	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
 		log.Fatalf("loongserve-server: %v", err)
 	}

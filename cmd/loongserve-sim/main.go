@@ -36,7 +36,7 @@ func main() {
 	saveTrace := flag.String("save-trace", "", "write the generated trace to this file")
 	flag.Parse()
 
-	dataset, err := pickDataset(*ds)
+	dataset, err := workload.DatasetByName(*ds)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -87,22 +87,6 @@ func main() {
 	fmt.Printf("system=%s dataset=%s rate=%.3g req/s nodes=%d\n", sys.Name, dataset.Name(), *rate, *nodes)
 	fmt.Println(s.String())
 	fmt.Printf("goodput=%.3f req/s (SLO-met over the arrival window)\n", metrics.Goodput(recs))
-}
-
-func pickDataset(name string) (workload.Dataset, error) {
-	switch strings.ToLower(name) {
-	case "sharegpt":
-		return workload.ShareGPT(), nil
-	case "sharegpt-long":
-		return workload.ShareGPTLong(), nil
-	case "leval", "l-eval":
-		return workload.LEval(), nil
-	case "lveval", "lv-eval":
-		return workload.LVEval(), nil
-	case "mixed":
-		return workload.Mixed(), nil
-	}
-	return nil, fmt.Errorf("unknown dataset %q", name)
 }
 
 func pickSystem(name string, nodes int, ds workload.Dataset) (bench.System, error) {

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"loongserve/internal/bench"
@@ -104,25 +103,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var dataset workload.Dataset
-	switch strings.ToLower(*ds) {
-	case "sharegpt":
-		dataset = workload.ShareGPT()
-	case "sharegpt-long":
-		dataset = workload.ShareGPTLong()
-	case "leval", "l-eval":
-		dataset = workload.LEval()
-	case "lveval", "lv-eval":
-		dataset = workload.LVEval()
-	case "mixed":
-		dataset = workload.Mixed()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *ds)
+	dataset, err := workload.DatasetByName(*ds)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	var trace []workload.TimedRequest
-	var err error
 	if *tracePath != "" {
 		trace, err = workload.LoadTraceFile(*tracePath)
 		if err != nil {

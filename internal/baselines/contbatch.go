@@ -11,9 +11,9 @@ package baselines
 
 import (
 	"fmt"
-	"sort"
 
 	"loongserve/internal/cluster"
+	"loongserve/internal/fleet"
 	"loongserve/internal/kvcache"
 	"loongserve/internal/serving"
 	"loongserve/internal/simevent"
@@ -341,38 +341,29 @@ func (e *ContBatch) removeRunning(r *serving.Request) {
 }
 
 // Replicated is the "(TP=t) x n" ablation: n independent ContBatch engines,
-// one per instance. Requests longer than one replica's pool are unservable
-// (the reason Fig 12 caps request length at 200K).
-//
-// Routing is round-robin by default — static replication has no global
-// view, which is precisely what the ablation isolates. SmartRouting
-// switches to least-outstanding-tokens dispatch; that variant amounts to
-// adding a token-aware global scheduler in front of the replicas and is
-// studied as a separate ablation (it recovers much of the gap on
-// short-skewed workloads but still cannot serve cross-replica long
-// requests).
+// one per instance, behind a round-robin Router — static replication has no
+// global view, which is precisely what the ablation isolates. Requests
+// longer than one replica's pool are unservable (the reason Fig 12 caps
+// request length at 200K).
 type Replicated struct {
-	TP           int
-	SmartRouting bool
-	replicas     []*ContBatch
-	load         []int // outstanding tokens per replica
-	next         int   // round-robin cursor
-	index        map[kvcache.RequestID]int
+	TP       int
+	replicas []*ContBatch
+	router   *Router
 }
 
-// NewReplicated builds the router; replica count is taken from the cluster
-// at Init.
-func NewReplicated(tp int) *Replicated {
-	return &Replicated{TP: tp, index: make(map[kvcache.RequestID]int)}
-}
+// NewReplicated builds the deployment; replica count is taken from the
+// cluster at Init.
+func NewReplicated(tp int) *Replicated { return &Replicated{TP: tp} }
 
 // Name implements serving.Engine.
 func (e *Replicated) Name() string {
 	return fmt.Sprintf("Replicated (TP=%d) x %d", e.TP, len(e.replicas))
 }
 
-// Init implements serving.Engine.
+// Init implements serving.Engine: one replica per instance, all sharing
+// the environment (same sim, same pool, same completion sink).
 func (e *Replicated) Init(env *serving.Env) error {
+	subs := make([]serving.Engine, 0, len(env.Cluster.Instances))
 	for _, inst := range env.Cluster.Instances {
 		r := &ContBatch{
 			Label: fmt.Sprintf("replica-%d", inst.ID),
@@ -380,27 +371,12 @@ func (e *Replicated) Init(env *serving.Env) error {
 			Instances: []kvcache.InstanceID{inst.ID},
 			MaxBatch:  256, MaxPrefillTokens: 16_384,
 		}
-		// Replicas share the environment: same sim, same pool, same
-		// completion sink.
-		if err := r.Init(env); err != nil {
-			return err
-		}
 		e.replicas = append(e.replicas, r)
-		e.load = append(e.load, 0)
+		subs = append(subs, r)
 	}
-	if len(e.replicas) == 0 {
-		return fmt.Errorf("replicated: empty cluster")
-	}
-	// Completion hook: decrement load. Wrap the env completion once.
-	inner := env.Complete
-	env.Complete = func(r *serving.Request) {
-		if idx, ok := e.index[r.ID]; ok {
-			e.load[idx] -= r.Tokens()
-			delete(e.index, r.ID)
-		}
-		inner(r)
-	}
-	return nil
+	e.router = NewRouter("replicated", subs)
+	e.router.Policy = fleet.NewRoundRobin()
+	return e.router.Init(env)
 }
 
 // Load implements serving.LoadReporter by aggregating over replicas.
@@ -415,23 +391,8 @@ func (e *Replicated) Load() serving.LoadStats {
 	return st
 }
 
-// Arrive routes to the next replica (round-robin), or to the least-loaded
-// one when SmartRouting is set.
-func (e *Replicated) Arrive(r *serving.Request) {
-	best := e.next % len(e.replicas)
-	e.next++
-	if e.SmartRouting {
-		order := make([]int, len(e.replicas))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return e.load[order[a]] < e.load[order[b]] })
-		best = order[0]
-	}
-	e.load[best] += r.Tokens()
-	e.index[r.ID] = best
-	e.replicas[best].Arrive(r)
-}
+// Arrive implements serving.Engine.
+func (e *Replicated) Arrive(r *serving.Request) { e.router.Arrive(r) }
 
 // sumKVNow returns the total resident KV of a decode batch.
 func sumKVNow(batch []*serving.Request) int {

@@ -69,46 +69,3 @@ func TestRouterRejectsEmpty(t *testing.T) {
 		t.Fatal("empty router accepted")
 	}
 }
-
-func TestReplicatedRoundRobinVsSmart(t *testing.T) {
-	m := model.LWM1MText()
-	hw := cluster.A800()
-	// A trace with one long request followed by shorts: round-robin sends
-	// shorts behind the long prefill; smart routing avoids it. Both must
-	// complete; the smart router should not be slower.
-	var trace []workload.TimedRequest
-	trace = append(trace, workload.TimedRequest{Entry: workload.Entry{InputLen: 200_000, OutputLen: 16}})
-	for i := 0; i < 12; i++ {
-		trace = append(trace, workload.TimedRequest{
-			Entry:   workload.Entry{InputLen: 300, OutputLen: 50},
-			Arrival: workload.PoissonTrace(workload.ShareGPT(), 10, 1, int64(i))[0].Arrival,
-		})
-	}
-	run := func(smart bool) float64 {
-		c, err := cluster.New(m, hw, 1, 8, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewReplicated(2)
-		eng.SmartRouting = smart
-		recs, err := serving.Run(eng, c, costmodel.New(m, hw), trace, serving.DefaultRunConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != len(trace) {
-			t.Fatalf("completed %d of %d", len(recs), len(trace))
-		}
-		var worst float64
-		for _, r := range recs {
-			if v := r.InputLatency().Seconds(); v > worst && r.InputLen < 1000 {
-				worst = v
-			}
-		}
-		return worst
-	}
-	rr := run(false)
-	smart := run(true)
-	if smart > rr {
-		t.Fatalf("smart routing worst short-request wait %.3fs should be <= round-robin %.3fs", smart, rr)
-	}
-}

@@ -42,7 +42,7 @@ func LoongServeSys(nodes int, opts core.Options) System {
 }
 
 // VLLMSys returns the vLLM baseline (TP=8 over one node, or one TP=8
-// replica per node routed round-robin, baselines.Replicated's default).
+// replica per node routed round-robin by baselines.Replicated).
 func VLLMSys(nodes int) System {
 	return System{
 		Name:  "vLLM",

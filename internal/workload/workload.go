@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -155,6 +156,24 @@ func Mixed() Dataset {
 
 type mixed struct {
 	parts []Dataset
+}
+
+// DatasetByName resolves a dataset as the CLIs spell it, ignoring case:
+// sharegpt, sharegpt-long, leval (or l-eval), lveval (or lv-eval) and mixed.
+func DatasetByName(name string) (Dataset, error) {
+	switch strings.ToLower(name) {
+	case "sharegpt":
+		return ShareGPT(), nil
+	case "sharegpt-long":
+		return ShareGPTLong(), nil
+	case "leval", "l-eval":
+		return LEval(), nil
+	case "lveval", "lv-eval":
+		return LVEval(), nil
+	case "mixed":
+		return Mixed(), nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q", name)
 }
 
 func (m *mixed) Name() string { return "Mixed" }

@@ -47,6 +47,24 @@ func TestDatasetRanges(t *testing.T) {
 	}
 }
 
+// TestDatasetByName: the seven CLI spellings, in any case, resolve to their
+// datasets; anything else is an error naming the input.
+func TestDatasetByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"sharegpt": "ShareGPT", "ShareGPT-Long": "ShareGPT-long",
+		"leval": "L-Eval", "L-EVAL": "L-Eval",
+		"lveval": "LV-Eval", "lv-eval": "LV-Eval", "Mixed": "Mixed",
+	} {
+		ds, err := DatasetByName(name)
+		if err != nil || ds.Name() != want {
+			t.Errorf("DatasetByName(%q) = %v, %v; want %s", name, ds, err, want)
+		}
+	}
+	if _, err := DatasetByName("nope"); err == nil || err.Error() != `unknown dataset "nope"` {
+		t.Errorf("DatasetByName(nope) error = %v", err)
+	}
+}
+
 func TestDatasetMeansOrdered(t *testing.T) {
 	// Mean input length must be strongly ordered ShareGPT << L-Eval <<
 	// LV-Eval; ShareGPT outputs are the longest relative to inputs.
