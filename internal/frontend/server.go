@@ -97,8 +97,9 @@ func NewServer(gen Generator, tok *token.Tokenizer, modelName string) *Server {
 // Handler returns the routable HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/completions", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, &completions) })
-	mux.HandleFunc("/v1/chat/completions", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, &chat) })
+	for _, ep := range []*endpoint{&completions, &chat} {
+		mux.HandleFunc(ep.path, func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, ep) })
+	}
 	mux.HandleFunc("/v1/models", s.handleModels)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	return mux
@@ -143,7 +144,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // endpoint is what the two generation routes do differently; serve is
 // everything they share.
 type endpoint struct {
-	path     string // named in the 405 message
+	path     string // the route, also named in the 405 message
 	idPrefix string
 	noun     string // names the prompt in the context-length error
 	decode   func(*json.Decoder) (genRequest, error)
