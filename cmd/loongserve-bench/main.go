@@ -10,7 +10,7 @@
 // critical-path attribution of the policy comparison.
 //
 // -exp faults prints the fault-tolerance scorecard: the same closed-loop
-// session workload across a ladder of crash/stall/cache-drop rates, with
+// session workload across a ladder of crash/stall rates, with
 // request hedging off and on; every row reports zero lost requests and a
 // clean invariant audit of its full event stream.
 //

@@ -25,16 +25,15 @@
 // Failures are injectable: -faults draws a seeded schedule of replica
 // crashes (the replica and its resident KV destroyed mid-flight; every
 // in-flight request is recovered onto survivors, re-prefilling only what
-// no surviving cache still holds), intake stalls and control-plane
-// metadata cache drops at the given mean rates per simulated minute,
-// scattered over the arrival window. -hedge q arms request hedging: a
-// request still waiting for its first token past the q-th quantile of the
-// observed per-prefilled-token TTFT distribution is duplicated onto a
-// second replica; the first finisher wins and the loser's tokens are
-// charged to the run. Both compose with any routing policy and with -mix
-// (but not -autoscale — the chaos schedule targets a static fleet), print
-// a fault/hedge accounting table, and -audit checks the crash and hedge
-// invariants of the resulting event stream.
+// no surviving cache still holds) and intake stalls at the given mean
+// rates per simulated minute, scattered over the arrival window. -hedge q
+// arms request hedging: a request still waiting for its first token past
+// the q-th quantile of the observed per-prefilled-token TTFT distribution
+// is duplicated onto a second replica; the first finisher wins and the
+// loser's tokens are charged to the run. Both compose with any routing
+// policy and with -mix (but not -autoscale — the chaos schedule targets a
+// static fleet), print a fault/hedge accounting table, and -audit checks
+// the crash and hedge invariants of the resulting event stream.
 //
 // The gateway can publish a global cache directory (-directory): which
 // content blocks each replica and the cold tier hold, as the residency
@@ -176,7 +175,7 @@ func main() {
 		cooldown   = flag.Duration("cooldown", 4*time.Second, "minimum time between scaling actions")
 		showEvents = flag.Bool("events", true, "with -autoscale, print the scaling timeline")
 
-		faultsSpec = flag.String("faults", "", "inject a seeded fault schedule: comma list of kind=rate (mean events per simulated minute; kinds: crash, stall, cachedrop, drain, degrade), e.g. crash=1,stall=3,drain=1,degrade=2")
+		faultsSpec = flag.String("faults", "", "inject a seeded fault schedule: comma list of kind=rate (mean events per simulated minute; kinds: crash, stall, drain, degrade), e.g. crash=1,stall=3,drain=1,degrade=2")
 		linkFaults = flag.String("link-faults", "", "shape of degrade faults as factor[:window], e.g. 8:5s (slowdown multiple and mean window; defaults 4:10s; requires -faults degrade=...)")
 		hedgeQ     = flag.Float64("hedge", 0, "request hedging: per-prefilled-token TTFT quantile arming the hedge timer (typical 0.95-0.99; 0 = off)")
 
@@ -205,8 +204,8 @@ func main() {
 				"Routes a multi-turn session workload across N simulated engine replicas and\n"+
 				"compares routing policies on goodput, TTFT and prefix-cache hit ratio; with\n"+
 				"-autoscale the fleet grows and shrinks from queue pressure, draining replicas\n"+
-				"by migrating live session KV. -faults injects seeded replica crashes, stalls\n"+
-				"and control-cache drops; -hedge duplicates straggling requests.\n\nFlags:\n")
+				"by migrating live session KV. -faults injects seeded replica crashes, stalls,\n"+
+				"drains and link degradation; -hedge duplicates straggling requests.\n\nFlags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -545,7 +544,7 @@ func main() {
 		}
 		if len(faultSchedule) > 0 || *hedgeQ > 0 {
 			faultRows = append(faultRows, []string{p.Name(),
-				fmt.Sprint(res.Faults.Crashes), fmt.Sprint(res.Faults.Stalls), fmt.Sprint(res.Faults.CacheDrops),
+				fmt.Sprint(res.Faults.Crashes), fmt.Sprint(res.Faults.Stalls),
 				fmt.Sprint(res.Faults.Drains), fmt.Sprint(res.Faults.LinkDegrades),
 				fmt.Sprint(res.Faults.RecoveredRequests), fmt.Sprint(res.Faults.Skipped),
 				fmt.Sprint(res.Hedge.Launched), fmt.Sprint(res.Hedge.Wins), fmt.Sprint(res.Hedge.Losses),
@@ -560,7 +559,7 @@ func main() {
 	if len(faultRows) > 0 {
 		ft := &bench.Table{
 			Title: "fault & hedge accounting",
-			Header: []string{"policy", "crashes", "stalls", "cachedrops", "drains", "degrades", "recovered", "skipped",
+			Header: []string{"policy", "crashes", "stalls", "drains", "degrades", "recovered", "skipped",
 				"hedged", "wins", "losses", "wasted(tok)"},
 			Rows: faultRows,
 		}
@@ -606,16 +605,13 @@ func parseFaultRates(s string) (workload.FaultRates, error) {
 			r.CrashPerMin = v
 		case workload.FaultStall:
 			r.StallPerMin = v
-		case workload.FaultCacheDrop:
-			r.CacheDropPerMin = v
 		case workload.FaultDrain:
 			r.DrainPerMin = v
 		case workload.FaultDegrade:
 			r.DegradePerMin = v
 		default:
-			return r, fmt.Errorf("loongserve-fleet: unknown fault kind %q (kinds: %s, %s, %s, %s, %s)",
-				kv[0], workload.FaultCrash, workload.FaultStall, workload.FaultCacheDrop,
-				workload.FaultDrain, workload.FaultDegrade)
+			return r, fmt.Errorf("loongserve-fleet: unknown fault kind %q (kinds: %s, %s, %s, %s)",
+				kv[0], workload.FaultCrash, workload.FaultStall, workload.FaultDrain, workload.FaultDegrade)
 		}
 	}
 	return r, nil

@@ -67,11 +67,6 @@ func (d *streamDigest) Emit(e obs.Event) {
 	d.mix(0x9e3779b97f4a7c15) // event separator
 }
 
-// teeSink fans one stream out to two sinks in order.
-type teeSink struct{ a, b obs.Sink }
-
-func (t teeSink) Emit(e obs.Event) { t.a.Emit(e); t.b.Emit(e) }
-
 // resultDigest folds everything observable about a finished run except its
 // simulator event count (which decode fusion legitimately changes) into
 // one hash: makespan, streamed metrics summary, per-replica accounting,
@@ -162,7 +157,7 @@ func RunBigFleetArm(sc Scale, shards int, fused bool) BigFleetArm {
 		Policy:        fleet.NewCapabilityAffinity(),
 		StreamMetrics: true,
 		Shards:        shards,
-		Obs:           teeSink{dig, aud},
+		Obs:           obs.Tee{dig, aud},
 	}
 	runtime.GC()
 	var m0, m1 runtime.MemStats

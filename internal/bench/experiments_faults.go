@@ -26,14 +26,12 @@ func ChaosSessionScripts(sc Scale) []workload.SessionScript {
 
 // ChaosFaultRates derives the full fault mix from one crash-rate ladder
 // point: stalls (the straggler pathology hedging defends against) come
-// three times as often as crashes, control-cache drops as often. Zero is
-// the clean baseline row.
+// three times as often as crashes. Zero is the clean baseline row.
 func ChaosFaultRates(crashPerMin float64) workload.FaultRates {
 	return workload.FaultRates{
-		CrashPerMin:     crashPerMin,
-		StallPerMin:     3 * crashPerMin,
-		CacheDropPerMin: crashPerMin,
-		StallMean:       2500 * time.Millisecond,
+		CrashPerMin: crashPerMin,
+		StallPerMin: 3 * crashPerMin,
+		StallMean:   2500 * time.Millisecond,
 	}
 }
 
@@ -49,10 +47,10 @@ func p99TTFT(recs []metrics.Record) float64 {
 
 // FleetChaosExperiment is the fault-tolerance scorecard: the same
 // closed-loop session workload replayed across a ladder of failure rates
-// (replica crashes, intake stalls, control-metadata drops — one seeded
-// schedule per ladder point, shared by both hedge arms), with request
-// hedging off and on. Every row re-audits its full event stream through
-// the invariant checker, so "lost" and "audit" are measured, not assumed:
+// (replica crashes and intake stalls — one seeded schedule per ladder
+// point, shared by both hedge arms), with request hedging off and on.
+// Every row re-audits its full event stream through the invariant
+// checker, so "lost" and "audit" are measured, not assumed:
 // crashes destroy KV and in-flight work, yet no request may be lost, no
 // token double-counted, and no event may escape a dead replica. The
 // hedging pair of each nonzero-fault row shows the tail trade: hedges burn
@@ -60,7 +58,7 @@ func p99TTFT(recs []metrics.Record) float64 {
 // toward the clean baseline.
 func FleetChaosExperiment(sc Scale) *Table {
 	t := &Table{
-		Title: fmt.Sprintf("Fleet: fault tolerance under crash/stall/cache-drop chaos (%d replicas, closed-loop sessions, %.0fs)",
+		Title: fmt.Sprintf("Fleet: fault tolerance under crash/stall chaos (%d replicas, closed-loop sessions, %.0fs)",
 			sc.FleetReplicas, sc.ChaosDuration),
 		Header: []string{"crash/min", "hedge", "goodput(req/s)", "TTFT(s)", "p99TTFT(s)", "SLO",
 			"crashes", "recovered", "hedged", "wins", "wasted(tok)", "lost", "audit"},
@@ -109,7 +107,7 @@ func FleetChaosExperiment(sc Scale) *Table {
 	})
 	t.Rows = rows
 	t.Notes = append(t.Notes,
-		"each ladder point injects one seeded schedule of crashes (replica + its KV destroyed mid-decode), stalls (3x rate, intake frozen) and control-cache drops, identical for both hedge arms",
+		"each ladder point injects one seeded schedule of crashes (replica + its KV destroyed mid-decode) and stalls (3x rate, intake frozen), identical for both hedge arms",
 		"lost=0 is the closed-loop completion check: every crashed replica's in-flight requests were recovered onto survivors, re-prefilling only what no surviving cache held",
 		"audit=clean replays the run's full event stream through the invariant checker (conservation, no event after crash, exactly one hedge winner)",
 		"hedging trades wasted duplicate tokens for tail latency: compare p99TTFT within a nonzero-fault pair")

@@ -46,7 +46,7 @@ type Scale struct {
 	HeteroLoong    int
 	// Chaos experiment: session arrival horizon (seconds), session rate
 	// (sessions/s) and the crash-rate ladder (crashes per simulated
-	// minute; stall and cache-drop rates derive from each point).
+	// minute; the stall rate derives from each point).
 	ChaosDuration   float64
 	ChaosRate       float64
 	ChaosCrashRates []float64

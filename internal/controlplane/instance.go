@@ -60,17 +60,6 @@ func (s *InstanceServer) CachedEpoch(g GroupID) (Epoch, bool) {
 	return cfg.Group.Epoch, true
 }
 
-// DropCaches discards the instance's entire ESP metadata cache, as if the
-// process restarted and lost its in-memory state. The next command
-// referencing any group is answered with NakUnknownGroup, forcing the
-// manager down the config-resend path — this is the fault-injection hook
-// behind the fleet's "cachedrop" fault kind.
-func (s *InstanceServer) DropCaches() {
-	s.mu.Lock()
-	s.cache = make(map[GroupID]*GroupConfig)
-	s.mu.Unlock()
-}
-
 // Serve answers the commands arriving on conn until it closes. It returns
 // nil on clean shutdown (manager closed the channel) and the first
 // transport or protocol error otherwise.

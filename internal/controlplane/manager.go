@@ -50,23 +50,6 @@ func (m *Manager) AddInstance(id kvcache.InstanceID, c Conn) {
 	m.known[id] = make(map[GroupID]Epoch)
 }
 
-// RemoveInstance deregisters a failed (or decommissioned) instance,
-// closing its connection. The instance cannot be commanded any more —
-// dead instances never ack — so subsequent group pushes skip it; group
-// memberships that still list it must be repaired with Scale. Removing an
-// unknown instance is a no-op.
-func (m *Manager) RemoveInstance(id kvcache.InstanceID) {
-	m.mu.Lock()
-	c := m.conns[id]
-	delete(m.conns, id)
-	delete(m.locks, id)
-	delete(m.known, id)
-	m.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
 // Stats returns a snapshot of the traffic counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
@@ -128,17 +111,14 @@ func (m *Manager) CreateGroup(id GroupID, members []kvcache.InstanceID, tp int) 
 }
 
 // pushConfigs sends cfg, in member order, to every listed instance that
-// does not already cache its epoch, and waits for each ack. Instances with
-// no registered connection (crashed, RemoveInstance'd) are skipped — a
-// dead instance cannot cache anything, and failing the whole push would
-// wedge the survivors. Every live stale member is pushed to; the first
-// error is returned.
+// does not already cache its epoch, and waits for each ack. Every stale
+// member is pushed to; the first error is returned.
 func (m *Manager) pushConfigs(cfg *GroupConfig, members []kvcache.InstanceID) error {
 	var first error
 	for _, inst := range members {
 		m.mu.Lock()
 		lk := m.locks[inst]
-		stale := lk != nil && m.known[inst][cfg.Group.ID] != cfg.Group.Epoch
+		stale := m.known[inst][cfg.Group.ID] != cfg.Group.Epoch
 		m.mu.Unlock()
 		if !stale {
 			continue
@@ -247,19 +227,10 @@ func (m *Manager) command(inst kvcache.InstanceID, cfg *GroupConfig, msg Message
 }
 
 // broadcast sends msg to every member in order and returns the first
-// error, after every live member has received it. Members with no
-// registered connection (crashed instances removed via RemoveInstance) are
-// skipped: the fleet survives a member's death, and the caller repairs the
-// membership with Scale.
+// error, after every member has received it.
 func (m *Manager) broadcast(cfg *GroupConfig, members []kvcache.InstanceID, msg Message, seq uint64) error {
 	var first error
 	for _, inst := range members {
-		m.mu.Lock()
-		alive := m.conns[inst] != nil
-		m.mu.Unlock()
-		if !alive {
-			continue
-		}
 		if err := m.command(inst, cfg, msg, seq); err != nil && first == nil {
 			first = err
 		}

@@ -18,6 +18,11 @@
 //   - two interchangeable transports (transport.go): an in-line conn that
 //     calls the instance server on the sender's stack, and framed TCP, so
 //     the same protocol bytes drive in-process runs and real sockets.
+//
+// The protocol commands the instances of one engine's ESP groups. It is
+// driven by examples/controlplane and measured by the control-plane table
+// of loongserve-bench -exp ablations; the fleet gateway, whose replicas
+// are whole engines, changes their lifecycle state without it.
 package controlplane
 
 import (

@@ -11,8 +11,8 @@ import (
 
 // Conn is a reliable, ordered, message-oriented duplex channel between the
 // global manager and one elastic instance (rank 0). The paper runs this
-// over Ray RPC; in-process deployments, the fleet simulator among them,
-// use Inline, while multi-process deployments use the TCP framing below.
+// over Ray RPC; in-process deployments use Inline, while multi-process
+// deployments use the TCP framing below.
 type Conn interface {
 	// Send transmits one encoded message.
 	Send(msg Message) error
@@ -37,7 +37,7 @@ type inlineConn struct {
 
 	// mu serializes Sends, so the server answers one message at a time as
 	// its Serve loop would. It also guards the fields below, because
-	// Manager.RemoveInstance closes a conn without the instance's lock.
+	// Manager.Close closes every conn without the instances' locks.
 	mu     sync.Mutex
 	closed bool
 	buf    []byte    // encode buffer, reused: Decode copies out of it

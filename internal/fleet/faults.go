@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"loongserve/internal/controlplane"
 	"loongserve/internal/kvcache"
 	"loongserve/internal/serving"
 	"loongserve/internal/simevent"
@@ -15,15 +14,17 @@ import (
 // This file makes replica failure a first-class scenario: CrashReplica
 // destroys a replica mid-flight and recovers its requests on survivors,
 // StallReplica freezes one replica's arrivals (the straggler hedging
-// defends against), DropControlCaches wipes one instance's control-plane
-// metadata (repaired by the manager's Nak/resend path), and applyFault
-// fires the deterministic workload.Fault schedule NewGateway stages from
-// Config.Faults.
+// defends against), DegradeLinks slows every inter-replica transfer for a
+// window, and applyFault fires the deterministic workload.Fault schedule
+// NewGateway stages from Config.Faults, scheduled drains included.
 
 // FaultStats accounts the faults a run absorbed.
 type FaultStats struct {
-	Crashes    int
-	Stalls     int
+	Crashes int
+	Stalls  int
+	// Deprecated: CacheDrops is always 0. It stays only because
+	// perfbench's output digest prints FaultStats with %+v, so removing
+	// the field would move every pinned digest.
 	CacheDrops int
 	// Drains counts fault-injected (unplanned-churn) drains; operator
 	// drains via DrainReplica directly are not faults and not counted.
@@ -41,8 +42,7 @@ type FaultStats struct {
 
 // CrashReplica fails a replica abruptly: no drain, no handoff. Its
 // resident KV is destroyed, its engine's remaining simulated events are
-// silenced, the control plane removes the dead instance and repairs the
-// group membership, and every in-flight request it held is recovered — a
+// silenced, and every in-flight request it held is recovered — a
 // surviving hedge copy is promoted in place; everything else re-enters
 // routing with its original arrival time and re-prefills only what no
 // surviving cache still holds. The last active replica cannot crash (the
@@ -123,14 +123,6 @@ func (g *Gateway) CrashReplica(idx int) error {
 	g.res.Faults.Crashes++
 	g.event("crash", "", idx, "%d in-flight requests, %d cached KV tokens destroyed", inFlight, kvLost)
 	g.emitCrash(idx, inFlight, kvLost)
-
-	// Control plane: tear down the dead instance's connection, then repair
-	// the group membership around it. Survivors see the epoch advance; the
-	// dead member is skipped (it can never ack).
-	g.ctl.remove(idx)
-	if err := g.ctl.scale(controlplane.ScaleDown, g.activeIDs()); err != nil {
-		return fmt.Errorf("fleet: control-plane crash repair: %w", err)
-	}
 
 	// The resident KV dies with the process.
 	rep.radix.Clear()
@@ -233,23 +225,6 @@ func (g *Gateway) DegradeLinks(factor float64, window time.Duration) error {
 	return nil
 }
 
-// DropControlCaches wipes one replica instance's control-plane metadata
-// cache, as if its process restarted: the next command it receives draws a
-// NakUnknownGroup and the manager's config-resend repair — visible in
-// ControlStats as Naks and Resends.
-func (g *Gateway) DropControlCaches(idx int) error {
-	if idx < 0 || idx >= len(g.replicas) {
-		return fmt.Errorf("fleet: cache drop on unknown replica %d", idx)
-	}
-	if g.replicas[idx].state == ReplicaFailed {
-		return fmt.Errorf("fleet: cache drop on crashed replica %d", idx)
-	}
-	g.ctl.dropCaches(idx)
-	g.res.Faults.CacheDrops++
-	g.event("cachedrop", "", idx, "control-plane metadata cache wiped")
-	return nil
-}
-
 // applyFault fires one scheduled fault (Config.Faults), resolving its
 // abstract Slot against the replicas active now. NewGateway validated the
 // schedule, so every kind here is known.
@@ -275,8 +250,6 @@ func (g *Gateway) applyFault(f workload.Fault) {
 		err = g.CrashReplica(idx)
 	case workload.FaultStall:
 		err = g.StallReplica(idx, f.Stall)
-	case workload.FaultCacheDrop:
-		err = g.DropControlCaches(idx)
 	case workload.FaultDrain:
 		if len(actives) <= 2 {
 			// A drain leaves the replica unroutable for the rest of the

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"loongserve/internal/controlplane"
 	"loongserve/internal/kvcache"
 	"loongserve/internal/obs"
 	"loongserve/internal/obs/analyze"
@@ -115,9 +114,6 @@ func TestCrashRefusals(t *testing.T) {
 	}
 	if err := g.StallReplica(0, time.Second); err == nil {
 		t.Fatal("stall of a crashed replica accepted")
-	}
-	if err := g.DropControlCaches(0); err == nil {
-		t.Fatal("cache drop on a crashed replica accepted")
 	}
 }
 
@@ -258,16 +254,17 @@ func TestHedgeDuplicatesStragglerExactly(t *testing.T) {
 	}
 }
 
-// TestControlPlaneLifecycleStats pins the manager's exact wire traffic for
-// two lifecycle scripts: every lifecycle transition rides the typed control
-// plane, so configs (one per member at construction, one per joining
-// instance), scale plans (one per live member of the old and new
-// membership) and the Nak/resend repair of a wiped metadata cache are all
-// counted. A crashed instance is skipped by every later push.
-func TestControlPlaneLifecycleStats(t *testing.T) {
+// TestLifecycleScripts drives two lifecycle scripts through the gateway
+// and pins each replica's state as every call returns, the final states
+// and the lifecycle event sequence: activation, DrainReplica and
+// CrashReplica change the state themselves, and a crash leaves the
+// survivors' states alone.
+func TestLifecycleScripts(t *testing.T) {
 	type step struct {
-		at time.Duration
-		do func(g *Gateway) error
+		at   time.Duration
+		do   func(g *Gateway) error
+		rep  int
+		want ReplicaState // rep's state once do returns
 	}
 	add := func(warmup time.Duration) func(*Gateway) error {
 		return func(g *Gateway) error {
@@ -275,44 +272,42 @@ func TestControlPlaneLifecycleStats(t *testing.T) {
 			return err
 		}
 	}
-	dropCaches := func(idx int) func(*Gateway) error {
-		return func(g *Gateway) error { return g.DropControlCaches(idx) }
-	}
 	drain := func(idx int) func(*Gateway) error {
 		return func(g *Gateway) error { return g.DrainReplica(idx) }
 	}
 	crash := func(idx int) func(*Gateway) error {
 		return func(g *Gateway) error { return g.CrashReplica(idx) }
 	}
+	nop := func(*Gateway) error { return nil }
 	cases := []struct {
 		name     string
 		replicas int
 		steps    []step
-		drained  int
-		want     controlplane.Stats
+		final    []ReplicaState
+		events   []string
 	}{
 		{
-			name:     "scale-up, cache drop, drain",
+			name:     "scale-up, drain",
 			replicas: 2,
 			steps: []step{
-				{0, add(10 * time.Millisecond)},
-				{20 * time.Millisecond, dropCaches(1)},
-				{21 * time.Millisecond, drain(2)},
+				{0, add(10 * time.Millisecond), 2, ReplicaWarming},
+				{15 * time.Millisecond, nop, 2, ReplicaActive},
+				{21 * time.Millisecond, drain(2), 2, ReplicaRetired},
 			},
-			drained: 2,
-			want:    controlplane.Stats{ConfigsSent: 4, Commands: 7, Resends: 1, Naks: 1},
+			final:  []ReplicaState{ReplicaActive, ReplicaActive, ReplicaRetired},
+			events: []string{"provision 2", "active 2", "drain 2", "retire 2"},
 		},
 		{
 			name:     "crash repair",
 			replicas: 3,
 			steps: []step{
-				{time.Millisecond, crash(0)},
-				{2 * time.Millisecond, dropCaches(1)},
-				{3 * time.Millisecond, add(time.Millisecond)},
-				{5 * time.Millisecond, drain(3)},
+				{time.Millisecond, crash(0), 0, ReplicaFailed},
+				{time.Millisecond, nop, 1, ReplicaActive},
+				{3 * time.Millisecond, add(time.Millisecond), 3, ReplicaWarming},
+				{5 * time.Millisecond, drain(3), 3, ReplicaRetired},
 			},
-			drained: 3,
-			want:    controlplane.Stats{ConfigsSent: 5, Commands: 9, Resends: 1, Naks: 1},
+			final:  []ReplicaState{ReplicaFailed, ReplicaActive, ReplicaActive, ReplicaRetired},
+			events: []string{"crash 0", "provision 3", "active 3", "drain 3", "retire 3"},
 		},
 	}
 	for _, tc := range cases {
@@ -322,26 +317,32 @@ func TestControlPlaneLifecycleStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st, want := g.ControlStats(), (controlplane.Stats{ConfigsSent: tc.replicas}); st != want {
-				t.Fatalf("stats at construction = %+v, want %+v (one config per member)", st, want)
-			}
 			for _, s := range tc.steps {
 				sim.At(simevent.Time(s.at), func() {
 					if err := s.do(g); err != nil {
 						t.Errorf("step at %v: %v", s.at, err)
+					}
+					if st := g.replicas[s.rep].state; st != s.want {
+						t.Errorf("at %v replica %d is %v, want %v", s.at, s.rep, st, s.want)
 					}
 				})
 			}
 			if err := g.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if st := g.replicas[tc.drained].state; st != ReplicaRetired {
-				t.Fatalf("drained replica state %v, want retired", st)
+			res := g.Finalize()
+			for i, want := range tc.final {
+				if st := g.replicas[i].state; st != want {
+					t.Errorf("replica %d ended %v, want %v", i, st, want)
+				}
 			}
-			if st := g.ControlStats(); st != tc.want {
-				t.Fatalf("control-plane stats = %+v, want %+v", st, tc.want)
+			var events []string
+			for _, ev := range res.Events {
+				events = append(events, fmt.Sprintf("%s %d", ev.Kind, ev.Replica))
 			}
-			g.Finalize()
+			if !reflect.DeepEqual(events, tc.events) {
+				t.Errorf("lifecycle events %q, want %q", events, tc.events)
+			}
 		})
 	}
 }
@@ -364,7 +365,7 @@ func settledGoroutines() int {
 
 // TestFleetRunStartsNoGoroutines holds DESIGN.md's "no goroutines in the
 // simulated path": a fleet run on the inline runner (Shards 0 or 1), with a
-// replica scaled up and another drained through the control plane, has no
+// replica scaled up and another drained, has no
 // more goroutines mid-run than before its gateway was built.
 func TestFleetRunStartsNoGoroutines(t *testing.T) {
 	for _, shards := range []int{0, 1} {
@@ -430,7 +431,6 @@ func chaosConfig(col *obs.Collector) Config {
 func chaosFaults() []workload.Fault {
 	return []workload.Fault{
 		{At: 500 * time.Millisecond, Kind: workload.FaultStall, Slot: 1, Stall: 300 * time.Millisecond},
-		{At: 800 * time.Millisecond, Kind: workload.FaultCacheDrop, Slot: 2},
 		{At: time.Second, Kind: workload.FaultCrash, Slot: 0},
 		{At: 1800 * time.Millisecond, Kind: workload.FaultStall, Slot: 0, Stall: 200 * time.Millisecond},
 		{At: 2500 * time.Millisecond, Kind: workload.FaultCrash, Slot: 1},
@@ -461,7 +461,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	}
 
 	// The generator itself is deterministic by seed.
-	rates := workload.FaultRates{CrashPerMin: 2, StallPerMin: 4, CacheDropPerMin: 3}
+	rates := workload.FaultRates{CrashPerMin: 2, StallPerMin: 4}
 	f1 := workload.GenFaults(9, rates, time.Minute)
 	f2 := workload.GenFaults(9, rates, time.Minute)
 	if !reflect.DeepEqual(f1, f2) {
@@ -473,7 +473,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 }
 
 // TestChaosRunAuditsClean is the end-to-end fault story: a session
-// workload under crashes, stalls and control-cache drops — with hedging
+// workload under crashes and stalls — with hedging
 // armed — completes every request and emits a stream the full invariant
 // auditor passes, new fault/hedge kinds included.
 func TestChaosRunAuditsClean(t *testing.T) {
@@ -504,8 +504,8 @@ func TestMalformedFaultsRejected(t *testing.T) {
 	}{
 		{"degrade factor below 1", workload.Fault{At: time.Second, Kind: workload.FaultDegrade, Window: time.Second, Factor: 0.5}},
 		{"degrade factor unset", workload.Fault{At: time.Second, Kind: workload.FaultDegrade, Window: time.Second}},
-		{"negative time", workload.Fault{At: -time.Second, Kind: workload.FaultCacheDrop}},
-		{"negative slot", workload.Fault{At: time.Second, Kind: workload.FaultCacheDrop, Slot: -1}},
+		{"negative time", workload.Fault{At: -time.Second, Kind: workload.FaultDrain}},
+		{"negative slot", workload.Fault{At: time.Second, Kind: workload.FaultDrain, Slot: -1}},
 		{"unknown kind", workload.Fault{At: time.Second, Kind: "meteor"}},
 		{"negative stall", workload.Fault{At: time.Second, Kind: workload.FaultStall, Stall: -time.Second}},
 		{"negative window", workload.Fault{At: time.Second, Kind: workload.FaultDegrade, Window: -time.Second, Factor: 2}},
@@ -517,7 +517,7 @@ func TestMalformedFaultsRejected(t *testing.T) {
 		}
 	}
 
-	rates := workload.FaultRates{CrashPerMin: 3, StallPerMin: 3, CacheDropPerMin: 3, DrainPerMin: 3, DegradePerMin: 3}
+	rates := workload.FaultRates{CrashPerMin: 3, StallPerMin: 3, DrainPerMin: 3, DegradePerMin: 3}
 	for seed := int64(1); seed <= 5; seed++ {
 		g, err := NewGateway(Config{Groups: toyFleet(2), Faults: workload.GenFaults(seed, rates, time.Minute)}, simevent.New())
 		if err != nil {

@@ -36,11 +36,12 @@
 // Failure is a first-class scenario (faults.go): CrashReplica destroys a
 // replica and its resident KV mid-flight — every in-flight request it
 // held is recovered onto survivors, re-prefilling only the suffix no
-// surviving cache still covers, while the control plane repairs the
-// group membership around the dead instance; StallReplica freezes one
-// replica's intake (the straggler pathology); DropControlCaches wipes an
-// instance's control-plane metadata, exercising the manager's Nak/resend
-// repair. Config.Hedge arms request hedging (hedge.go): a request still
+// surviving cache still covers; StallReplica freezes one replica's intake
+// (the straggler pathology); DegradeLinks slows every inter-replica
+// transfer for a window. The gateway changes replica lifecycle state
+// itself; the paper's §6 control protocol (internal/controlplane) carries
+// one engine's per-iteration commands and is not on the fleet's path.
+// Config.Hedge arms request hedging (hedge.go): a request still
 // waiting for its first token past a learned TTFT quantile is duplicated
 // onto a second replica, the first finisher wins, and the loser's tokens
 // are charged honestly to Result.Hedge. Config.Faults carries a seeded
@@ -213,7 +214,7 @@ type MigrationStats struct {
 // ScaleEvent is one fleet-elasticity event, timestamped in simulated time.
 type ScaleEvent struct {
 	At      time.Duration
-	Kind    string // "provision", "active", "drain", "migrate", "retire", "crash", "stall", "cachedrop", "degrade"
+	Kind    string // "provision", "active", "drain", "migrate", "retire", "crash", "stall", "degrade"
 	Replica int
 	// ReplicaKind names the kind of the replica the event concerns.
 	ReplicaKind string

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"loongserve/internal/controlplane"
 	"loongserve/internal/costmodel"
 	"loongserve/internal/kvcache"
 	"loongserve/internal/metrics"
@@ -50,7 +49,7 @@ func (s ReplicaState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// ReplicaInfo is the control-plane view of one replica, consumed by
+// ReplicaInfo is the gateway's view of one replica, consumed by
 // autoscaling controllers.
 type ReplicaInfo struct {
 	State ReplicaState
@@ -224,12 +223,6 @@ type Gateway struct {
 	replicas []*replica
 	pending  map[kvcache.RequestID]*inflight
 
-	// ctl is the control plane: replica lifecycle changes (activation,
-	// drains, crash repair) travel as typed controlplane messages between
-	// the fleet manager and each replica's instance server, so epochs,
-	// acks/naks and metadata-cache resends are exercised by every run.
-	ctl *fleetControl
-
 	// ghosts holds cancelled inflights — hedge losers whose engines run to
 	// completion regardless (engines cannot cancel). Their completions
 	// settle load accounting and are otherwise dropped.
@@ -309,7 +302,7 @@ type Gateway struct {
 // that simulator alone advances no replica. The first group's kind is the
 // reference configuration for migration pricing and (unless cfg.SLOKind
 // overrides) SLO budgets. cfg.Faults is staged last, after every replica
-// and the control plane exist.
+// exists.
 func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	if len(cfg.Groups) == 0 {
 		return nil, fmt.Errorf("fleet: empty fleet composition")
@@ -380,7 +373,6 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 		sessionChain: make(map[PrefixKey][]uint64),
 		res:          &Result{Policy: cfg.Policy.Name()},
 		sloCache:     make(map[[2]int]time.Duration),
-		ctl:          newFleetControl(),
 	}
 	g.shard = &shardRunner{g: g, workers: max(cfg.Shards, 1)}
 	if cfg.StreamMetrics {
@@ -395,12 +387,6 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 			}
 			rep.state = ReplicaActive
 		}
-	}
-	// The initial composition is the control-plane group's epoch-1
-	// membership (construction is not a lifecycle *change*; every scale-up,
-	// drain and crash repair after this travels as a ScalePlan).
-	if err := g.ctl.createGroup(g.activeIDs()); err != nil {
-		return nil, fmt.Errorf("fleet: control-plane group creation: %w", err)
 	}
 	// The reference kind may have provisioned no replica yet (a zero-count
 	// first group under autoscaling); resolve it — and the SLO override —
@@ -497,7 +483,6 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 	g.kinds[kind] = true
 	g.replicas = append(g.replicas, rep)
 	g.shard.live = append(g.shard.live, rep)
-	g.ctl.register(rep)
 	return rep, nil
 }
 
@@ -560,8 +545,8 @@ func (g *Gateway) migrationDelay(n int) time.Duration {
 	return d
 }
 
-// ReplicaInfos returns the control-plane snapshot of every replica ever
-// provisioned (retired ones included, so indices are stable).
+// ReplicaInfos returns a snapshot of every replica ever provisioned
+// (retired ones included, so indices are stable).
 func (g *Gateway) ReplicaInfos() []ReplicaInfo {
 	out := make([]ReplicaInfo, len(g.replicas))
 	for i, rep := range g.replicas {
@@ -608,23 +593,6 @@ func (g *Gateway) ProvisionedReplicas() int {
 	return n
 }
 
-// activeIDs returns the control-plane instance IDs (replica indices) of
-// the currently active replicas, index-ordered.
-func (g *Gateway) activeIDs() []kvcache.InstanceID {
-	ids := make([]kvcache.InstanceID, 0, len(g.replicas))
-	for _, rep := range g.replicas {
-		if rep.state == ReplicaActive {
-			ids = append(ids, kvcache.InstanceID(rep.index))
-		}
-	}
-	return ids
-}
-
-// ControlStats returns the control-plane manager's protocol counters —
-// configs pushed, commands, naks, cache-miss resends — the assertion
-// surface proving lifecycle changes really travel the wire.
-func (g *Gateway) ControlStats() controlplane.Stats { return g.ctl.stats() }
-
 func (g *Gateway) event(kind, cause string, rep int, format string, args ...any) {
 	g.res.Events = append(g.res.Events, ScaleEvent{
 		At:          time.Duration(g.sim.Now()),
@@ -662,22 +630,12 @@ func (g *Gateway) AddReplica(kind *ReplicaKind, warmup time.Duration) (int, erro
 	return rep.index, nil
 }
 
-// activate flips a warming replica into the routable set, by scaling the
-// control-plane group up to include it. The replica's own instance server
-// applies the ScalePlan (its handler flips the state); a new instance
-// first receives the group config through the metadata-cache push, so
-// every activation exercises the config/ack path.
+// activate flips a warming replica into the routable set.
 func (g *Gateway) activate(rep *replica) {
 	if rep.state != ReplicaWarming {
 		return
 	}
-	members := append(g.activeIDs(), kvcache.InstanceID(rep.index))
-	if err := g.ctl.scale(controlplane.ScaleUp, members); err != nil {
-		panic(fmt.Sprintf("fleet: control-plane scale-up of replica %d: %v", rep.index, err))
-	}
-	if rep.state != ReplicaActive {
-		panic(fmt.Sprintf("fleet: replica %d is %v after control-plane scale-up", rep.index, rep.state))
-	}
+	rep.state = ReplicaActive
 	g.event("active", "", rep.index, "serving")
 }
 
@@ -765,21 +723,7 @@ func (g *Gateway) DrainReplica(idx int) error {
 	if g.ActiveReplicas() <= 1 {
 		return fmt.Errorf("fleet: cannot drain the last active replica")
 	}
-	// The drain is a control-plane scale-down: the departing replica sees
-	// itself absent from the new membership and flips to draining; the
-	// group epoch advances for the survivors.
-	members := make([]kvcache.InstanceID, 0, len(g.replicas))
-	for _, id := range g.activeIDs() {
-		if int(id) != idx {
-			members = append(members, id)
-		}
-	}
-	if err := g.ctl.scale(controlplane.ScaleDown, members); err != nil {
-		return fmt.Errorf("fleet: control-plane scale-down of replica %d: %w", idx, err)
-	}
-	if rep.state != ReplicaDraining {
-		return fmt.Errorf("fleet: replica %d is %v after control-plane scale-down", idx, rep.state)
-	}
+	rep.state = ReplicaDraining
 	g.event("drain", "", idx, "%d in-flight requests, %d cached tokens", rep.outReqs, rep.radix.Used())
 
 	// Every session homed here moves its resident tree path — the

@@ -143,8 +143,9 @@ func TestChatMethodNotAllowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/chat/completions = %d, want 405", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Errorf("GET /v1/chat/completions = %d with Allow %q, want 405 with Allow POST",
+			resp.StatusCode, resp.Header.Get("Allow"))
 	}
 }
 

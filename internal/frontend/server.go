@@ -125,9 +125,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// methodNotAllowed answers 405 with the Allow header RFC 9110 requires:
+// every route allows exactly one method.
+func methodNotAllowed(w http.ResponseWriter, r *http.Request, allow, path string) {
+	w.Header().Set("Allow", allow)
+	writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s not allowed on %s", r.Method, path)
+}
+
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s not allowed on /v1/models", r.Method)
+		methodNotAllowed(w, r, http.MethodGet, "/v1/models")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -191,15 +198,24 @@ func completionReply(h header, text, finish string, usage *Usage) any {
 		Choices: []Choice{{Text: text, FinishReason: finish}}, Usage: usage}
 }
 
+// maxBodyBytes caps a generation request's body; a longer one is answered
+// 413.
+const maxBodyBytes = 8 << 20
+
 // serve is the one request path behind both generation routes: method,
 // body cap and decoding; the model, route, max_tokens, temperature and
 // context checks in that order; then a buffered or streamed generation.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s not allowed on %s", r.Method, ep.path)
+		methodNotAllowed(w, r, http.MethodPost, ep.path)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request_too_large", "request body exceeds %d bytes", tooLarge.Limit)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read_error", "reading body: %v", err)
 		return

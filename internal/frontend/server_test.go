@@ -182,8 +182,9 @@ func TestCompletionMethodNotAllowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/completions = %d, want 405", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Errorf("GET /v1/completions = %d with Allow %q, want 405 with Allow POST",
+			resp.StatusCode, resp.Header.Get("Allow"))
 	}
 }
 
@@ -313,11 +314,14 @@ func TestModelsEndpoint(t *testing.T) {
 	if list.Data[0].ID != "loongserve-tiny-lm" || list.Data[0].OwnedBy != "loongserve" {
 		t.Errorf("model info = %+v", list.Data[0])
 	}
-	if resp2, _ := http.Post(ts.URL+"/v1/models", "application/json", nil); resp2.StatusCode != http.StatusMethodNotAllowed {
-		resp2.Body.Close()
-		t.Errorf("POST /v1/models = %d, want 405", resp2.StatusCode)
-	} else {
-		resp2.Body.Close()
+	resp2, err := http.Post(ts.URL+"/v1/models", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusMethodNotAllowed || resp2.Header.Get("Allow") != http.MethodGet {
+		t.Errorf("POST /v1/models = %d with Allow %q, want 405 with Allow GET",
+			resp2.StatusCode, resp2.Header.Get("Allow"))
 	}
 }
 

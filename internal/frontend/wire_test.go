@@ -151,7 +151,7 @@ func TestWireGolden(t *testing.T) {
 }
 
 // TestBodyCap: both routes read at most 8 MiB of body, so a 9 MiB request
-// fails as truncated JSON before any of it is tokenized.
+// is answered 413 before any of it is decoded or tokenized.
 func TestBodyCap(t *testing.T) {
 	s, _ := newTestServer(t)
 	big := strings.Repeat("a", 9<<20)
@@ -162,11 +162,11 @@ func TestBodyCap(t *testing.T) {
 		t.Run(path, func(t *testing.T) {
 			rec := httptest.NewRecorder()
 			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
-			if rec.Code != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400", rec.Code)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status = %d, want 413", rec.Code)
 			}
-			if e := decodeError(t, rec.Result()); e.Code != "invalid_json" {
-				t.Errorf("error code = %q, want invalid_json", e.Code)
+			if e := decodeError(t, rec.Result()); e.Code != "request_too_large" {
+				t.Errorf("error code = %q, want request_too_large", e.Code)
 			}
 		})
 	}

@@ -12,19 +12,16 @@ type FaultKind string
 
 // Fault kinds. Crash destroys a replica's resident KV and kills its
 // in-flight work; Stall freezes a replica's arrivals for a while (the
-// straggler model request hedging defends against); CacheDrop wipes one
-// instance's control-plane metadata cache (the partial failure the
-// manager's Nak/resend path repairs); Drain scales a replica in mid-run
-// (planned churn: its sessions evacuate over the link); Degrade slows
-// every inter-replica link transfer by Factor for Window (congested or
-// flapping interconnect — drains, migrations and cold-tier fetches all
+// straggler model request hedging defends against); Drain scales a replica
+// in mid-run (planned churn: its sessions evacuate over the link); Degrade
+// slows every inter-replica link transfer by Factor for Window (congested
+// or flapping interconnect — drains, migrations and cold-tier fetches all
 // pay it).
 const (
-	FaultCrash     FaultKind = "crash"
-	FaultStall     FaultKind = "stall"
-	FaultCacheDrop FaultKind = "cachedrop"
-	FaultDrain     FaultKind = "drain"
-	FaultDegrade   FaultKind = "degrade"
+	FaultCrash   FaultKind = "crash"
+	FaultStall   FaultKind = "stall"
+	FaultDrain   FaultKind = "drain"
+	FaultDegrade FaultKind = "degrade"
 )
 
 // Fault is one scheduled fault. Slot is an abstract target selector: the
@@ -48,7 +45,7 @@ type Fault struct {
 // (a degrade cannot speed links up). GenFaults only draws valid faults.
 func (f Fault) Validate() error {
 	switch f.Kind {
-	case FaultCrash, FaultStall, FaultCacheDrop, FaultDrain, FaultDegrade:
+	case FaultCrash, FaultStall, FaultDrain, FaultDegrade:
 	default:
 		return fmt.Errorf("workload: unknown fault kind %q", f.Kind)
 	}
@@ -70,11 +67,10 @@ func (f Fault) Validate() error {
 // FaultRates parameterizes a generated fault schedule as mean events per
 // simulated minute, the operator-facing unit (CLI -faults flag).
 type FaultRates struct {
-	CrashPerMin     float64
-	StallPerMin     float64
-	CacheDropPerMin float64
-	DrainPerMin     float64
-	DegradePerMin   float64
+	CrashPerMin   float64
+	StallPerMin   float64
+	DrainPerMin   float64
+	DegradePerMin float64
 	// StallMean is the mean of the exponentially distributed stall length
 	// (default 3s).
 	StallMean time.Duration
@@ -130,7 +126,10 @@ func GenFaults(seed int64, r FaultRates, horizon time.Duration) []Fault {
 	}
 	gen(FaultCrash, r.CrashPerMin)
 	gen(FaultStall, r.StallPerMin)
-	gen(FaultCacheDrop, r.CacheDropPerMin)
+	// A since-removed fault kind (control-metadata cache drops) drew here.
+	// At rate zero it took exactly one draw; keeping that draw replays
+	// every schedule of the remaining kinds unchanged.
+	rng.Float64()
 	gen(FaultDrain, r.DrainPerMin)
 	gen(FaultDegrade, r.DegradePerMin)
 	sort.Slice(out, func(i, j int) bool {
