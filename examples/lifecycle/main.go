@@ -1,8 +1,9 @@
 // Lifecycle: replay the paper's Fig 6 — the lifecycle of batches across
-// elastic instances — and print the global manager's execution trace: batch
-// B1 prefills wide and proactively scales down, B2 arrives and does the
-// same, groups scale up as decoding progresses, and everything dissolves as
-// requests finish.
+// elastic instances — and print the global manager's elastic events as an
+// obs timeline: batch B1 prefills wide and proactively scales down, B2
+// arrives and does the same, groups scale up as decoding progresses, and
+// everything dissolves as requests finish. Each line gives the group, its
+// degree of parallelism (dop), its batch size and the tokens involved.
 package main
 
 import (
@@ -11,12 +12,14 @@ import (
 	"maps"
 	"os"
 	"slices"
+	"strings"
 	"time"
 
 	"loongserve/internal/cluster"
 	"loongserve/internal/core"
 	"loongserve/internal/costmodel"
 	"loongserve/internal/model"
+	"loongserve/internal/obs"
 	"loongserve/internal/serving"
 	"loongserve/internal/workload"
 )
@@ -29,7 +32,8 @@ func main() {
 		log.Fatal(err)
 	}
 	eng := core.New(2, core.Options{})
-	tracer := eng.AttachTracer()
+	events := &obs.Collector{}
+	eng.AttachObsSink(events, 0)
 
 	// Two waves of requests, echoing Fig 6's B1 and B2, plus a late burst
 	// of chats that piggybacks onto the decoding groups.
@@ -49,10 +53,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("served %d requests; elastic event log:\n\n", len(recs))
-	tracer.Timeline(os.Stdout)
+	obs.Timeline(os.Stdout, events.Events)
 	fmt.Println("\nevent totals:")
-	counts := tracer.Counts()
-	for _, kind := range slices.Sorted(maps.Keys(counts)) {
+	counts := obs.Counts(events.Events)
+	byName := func(a, b obs.Kind) int { return strings.Compare(a.String(), b.String()) }
+	for _, kind := range slices.SortedFunc(maps.Keys(counts), byName) {
 		fmt.Printf("  %-14s %d\n", kind, counts[kind])
 	}
 }

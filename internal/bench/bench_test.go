@@ -94,7 +94,8 @@ func TestRunTraceCompletes(t *testing.T) {
 func TestFig10QuickShapes(t *testing.T) {
 	sc := QuickScale()
 	// LV-Eval at the lowest rate: LoongServe completes, DistServe OOMs.
-	trace := sc.traceFor(dataset("LV-Eval"), sc.Fig10Rates["LV-Eval"][0])
+	ds := workload.LVEval()
+	trace := sc.traceFor(ds, sc.Fig10Rates[ds.Name()][0])
 	if _, err := RunTrace(DistServeSys(), trace); err == nil {
 		t.Fatal("DistServe should OOM on LV-Eval")
 	}

@@ -24,7 +24,7 @@ type Scale struct {
 	// Rate ladders (req/s), calibrated to this simulator's saturation
 	// points; the paper's absolute rates belong to its testbed, the curve
 	// shapes are what must match.
-	Fig10Rates map[string][]float64 // per dataset
+	Fig10Rates map[string][]float64 // per dataset, keyed by Dataset.Name
 	Fig12Rates map[string][]float64 // per zipf parameter label
 	Fig13Rates []float64            // ShareGPT ladder for the scale-up ablation
 	// Fleet experiment: session arrival rates (sessions/s) and replica
@@ -169,32 +169,18 @@ func (sc Scale) traceFor(ds workload.Dataset, rate float64) []workload.TimedRequ
 	return workload.PoissonTrace(ds, rate, n, sc.Seed)
 }
 
-func dataset(name string) workload.Dataset {
-	switch name {
-	case "ShareGPT":
-		return workload.ShareGPT()
-	case "L-Eval":
-		return workload.LEval()
-	case "LV-Eval":
-		return workload.LVEval()
-	case "Mixed":
-		return workload.Mixed()
-	}
-	panic("bench: unknown dataset " + name)
-}
-
 // fig10Systems returns the Fig 10 comparison set for one dataset.
 // DeepSpeed-MII appears only for ShareGPT (it cannot serve >32K requests,
 // as in the paper).
-func fig10Systems(ds string) []System {
+func fig10Systems(ds workload.Dataset) []System {
 	systems := []System{
 		LoongServeSys(1, core.Options{}),
 		VLLMSys(1),
 	}
-	if ds == "ShareGPT" {
+	if ds.Name() == "ShareGPT" {
 		systems = append(systems, DeepSpeedMIISys())
 	}
-	systems = append(systems, LightLLMSys(1, dataset(ds)), DistServeSys())
+	systems = append(systems, LightLLMSys(1, ds), DistServeSys())
 	return systems
 }
 
@@ -204,16 +190,16 @@ func fig10Systems(ds string) []System {
 // own arm; traces are shared read-only per rate.
 func Fig10(sc Scale) []*Table {
 	var tables []*Table
-	for _, ds := range []string{"ShareGPT", "L-Eval", "LV-Eval", "Mixed"} {
+	for _, ds := range []workload.Dataset{workload.ShareGPT(), workload.LEval(), workload.LVEval(), workload.Mixed()} {
 		t := &Table{
-			Title:  fmt.Sprintf("Figure 10 (%s): normalized latency vs request rate", ds),
+			Title:  fmt.Sprintf("Figure 10 (%s): normalized latency vs request rate", ds.Name()),
 			Header: []string{"rate(req/s)", "system", "per-token(s/t)", "input(s/t)", "output(s/t)", "SLO"},
 		}
-		rates := sc.Fig10Rates[ds]
+		rates := sc.Fig10Rates[ds.Name()]
 		systems := fig10Systems(ds)
 		traces := make([][]workload.TimedRequest, len(rates))
 		for i, rate := range rates {
-			traces[i] = sc.traceFor(dataset(ds), rate)
+			traces[i] = sc.traceFor(ds, rate)
 		}
 		rows := make([][]string, len(rates)*len(systems))
 		runArms(len(rows), sc.workers(), func(arm int) {

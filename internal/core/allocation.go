@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"loongserve/internal/kvcache"
+	"loongserve/internal/obs"
 	"loongserve/internal/serving"
 )
 
@@ -257,7 +258,7 @@ func (e *Engine) evacuate(id kvcache.InstanceID) (time.Duration, bool) {
 	e.byInst[id] = nil
 	e.Migrations++
 	e.MigratedTokens += tokens
-	e.tracer.record(e.env.Sim.Now(), TraceEvacuate, target, tokens)
+	e.emit(obs.KindEvacuate, target, tokens)
 	return mig, true
 }
 

@@ -41,6 +41,7 @@ import (
 	"loongserve/internal/cluster"
 	"loongserve/internal/costmodel"
 	"loongserve/internal/kvcache"
+	"loongserve/internal/obs"
 	"loongserve/internal/serving"
 	"loongserve/internal/simevent"
 )
@@ -110,7 +111,10 @@ type Engine struct {
 	dp           dpScratch                     // Eq 5 DP inputs and matrices
 	scheduleFn   func()                        // bound e.schedule, for After(0, ...)
 
-	tracer *Tracer // optional execution trace (Fig 6 lifecycle)
+	// sink receives the Fig 6 group lifecycle as obs events attributed to
+	// replica (AttachObsSink); nil when nothing is attached.
+	sink    obs.Sink
+	replica int
 
 	// decodeBS is the SIB's compute-bound decode batch size, clamped to at
 	// least 1 at Init; the decode scale-up and fusion checks read it on
@@ -360,6 +364,28 @@ func (e *Engine) Load() serving.LoadStats {
 	return st
 }
 
+// AttachObsSink implements serving.Traceable: the engine's elastic events
+// stream into sink as obs events attributed to replica. A nil sink
+// detaches.
+func (e *Engine) AttachObsSink(sink obs.Sink, replica int) {
+	e.sink, e.replica = sink, replica
+}
+
+// emit sends one elastic event of group g to the attached sink, carrying
+// the group's degree of parallelism (A) and batch size (B) as scalars so
+// that emitting allocates nothing. Without a sink it is one nil check.
+func (e *Engine) emit(kind obs.Kind, g *group, tokens int) {
+	if e.sink == nil {
+		return
+	}
+	batch := len(g.reqs)
+	if g.phase == phasePrefill {
+		batch = len(g.batch)
+	}
+	e.sink.Emit(obs.Event{At: e.env.Sim.Now(), Kind: kind, Replica: e.replica, Group: g.id,
+		Tokens: tokens, A: int64(len(g.instances)), B: int64(batch)})
+}
+
 // Arrive implements serving.Engine.
 func (e *Engine) Arrive(r *serving.Request) {
 	if r.Tokens()+1 > e.env.Pool.TotalCapacity() {
@@ -512,15 +538,15 @@ func (e *Engine) launchPrefill(reqs []*serving.Request, lens []int, insts []kvca
 		}
 	}
 
-	kind := TracePrefillStart
+	kind := obs.KindPrefillStart
 	if borrowed != nil {
-		kind = TracePiggyback
+		kind = obs.KindPiggyback
 	}
 	total := 0
 	for _, l := range lens {
 		total += l
 	}
-	e.tracer.record(e.env.Sim.Now(), kind, g, total)
+	e.emit(kind, g, total)
 
 	link := e.env.Cluster.GroupLink(insts)
 	d := delay + e.env.CM.PrefillIterTime(lens, len(insts), e.TP, link)
@@ -569,7 +595,7 @@ func (e *Engine) finishPrefill(g *group) {
 	}
 	if len(g.retain) < len(g.instances) {
 		e.ScaleDowns++
-		e.tracer.record(e.env.Sim.Now(), TraceScaleDown, g, len(g.retain))
+		e.emit(obs.KindScaleDown, g, len(g.retain))
 	}
 
 	if donor := g.borrowedFrom; donor != nil {
@@ -674,7 +700,7 @@ func (e *Engine) joinGroup(g *group, target *group) {
 		target.addReq(r, g.retain[i%len(g.retain)])
 	}
 	e.removeGroup(g)
-	e.tracer.record(e.env.Sim.Now(), TraceJoin, target, 0)
+	e.emit(obs.KindJoin, target, 0)
 }
 
 // finishRequest retires one completed request.
@@ -707,7 +733,7 @@ func (e *Engine) retireFinished(g *group) {
 
 // dissolve removes an empty group and frees its instances.
 func (e *Engine) dissolve(g *group) {
-	e.tracer.record(e.env.Sim.Now(), TraceDissolve, g, 0)
+	e.emit(obs.KindDissolve, g, 0)
 	for _, id := range g.instances {
 		if e.byInst[id] == g {
 			e.byInst[id] = nil

@@ -9,6 +9,7 @@ import (
 
 	"loongserve/internal/costmodel"
 	"loongserve/internal/kvcache"
+	"loongserve/internal/obs"
 	"loongserve/internal/serving"
 	"loongserve/internal/simevent"
 )
@@ -757,7 +758,7 @@ func (e *Engine) addInstance(g *group, id kvcache.InstanceID) {
 	g.instances = append(g.instances, id)
 	e.byInst[id] = g
 	e.ScaleUps = append(e.ScaleUps, e.env.Sim.Now())
-	e.tracer.record(e.env.Sim.Now(), TraceScaleUp, g, 0)
+	e.emit(obs.KindScaleUp, g, 0)
 }
 
 // wakeIfPending schedules an immediate re-run of the scheduler when
@@ -791,7 +792,7 @@ func (e *Engine) preemptYoungest(g *group) {
 	victim.Phase = serving.Pending
 	e.pending = slices.Insert(e.pending, 0, victim)
 	e.Preemptions++
-	e.tracer.record(e.env.Sim.Now(), TracePreempt, g, victim.KVNow())
+	e.emit(obs.KindPreempt, g, victim.KVNow())
 }
 
 // shrinkDecode releases group instances that neither master a request nor
@@ -814,7 +815,7 @@ func (e *Engine) shrinkDecode(g *group) {
 		e.byInst[keep[0]] = g
 	}
 	g.instances = keep
-	e.tracer.record(e.env.Sim.Now(), TraceShrink, g, 0)
+	e.emit(obs.KindShrink, g, 0)
 }
 
 // allInUse reports whether every instance of g masters one of its requests

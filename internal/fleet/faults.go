@@ -111,14 +111,12 @@ func (g *Gateway) CrashReplica(idx int) error {
 		recoverAs = append(recoverAs, id)
 	}
 
-	// The crash proper. The gated sink dies with the replica: its engine
-	// cannot be cancelled and keeps simulating, but nothing it does from
-	// here on reaches the stream or the books.
+	// The crash proper. The replica's buffer stops taking engine events:
+	// its engine cannot be cancelled and keeps simulating, but nothing it
+	// does from here on reaches the stream or the books.
 	rep.state = ReplicaFailed
 	rep.retiredAt = g.sim.Now()
-	if rep.sink != nil {
-		rep.sink.dead = true
-	}
+	rep.buf.dead = true
 	rep.outTokens, rep.outReqs = 0, 0
 	g.res.Faults.Crashes++
 	g.event("crash", "", idx, "%d in-flight requests, %d cached KV tokens destroyed", inFlight, kvLost)

@@ -91,10 +91,6 @@ type replica struct {
 	// stalledUntil defers engine arrivals while a stall fault is active —
 	// the straggler model request hedging is measured against.
 	stalledUntil simevent.Time
-	// sink is the engine's gated obs sink: crashing the replica flips it
-	// dead so the still-simulating engine's ghost events never reach the
-	// stream. Nil when observability is off or the engine is not Traceable.
-	sink *gatedSink
 	// buf collects this replica's completions and obs events while its
 	// engine runs ahead of the gateway, for ordered replay (shard.go).
 	buf *shardBuf
@@ -185,20 +181,6 @@ type inflight struct {
 	delivered bool
 }
 
-// gatedSink forwards engine events until the replica dies. All access is
-// on the simulation goroutine.
-type gatedSink struct {
-	sink obs.Sink
-	dead bool
-}
-
-// Emit implements obs.Sink.
-func (s *gatedSink) Emit(e obs.Event) {
-	if !s.dead {
-		s.sink.Emit(e)
-	}
-}
-
 // Gateway is an elastic multi-replica front end on one discrete-event
 // clock: it routes requests through a Policy over the currently active
 // replicas, provisions new replicas (AddReplica) with a warm-up delay, and
@@ -269,13 +251,13 @@ type Gateway struct {
 	flFree        []*inflight
 	sloCache      map[[2]int]time.Duration
 
-	// OnComplete, when set, is invoked after the gateway's own accounting
-	// for every finished request — the hook closed-loop session drivers use
-	// to schedule the next turn. The runner bounds its windows by the
-	// built-in closed-loop feed's think times only: an event another hook
-	// schedules that hands work to an engine sooner than the next pending
-	// gateway event trips the arrival guard.
-	OnComplete func(e workload.Entry, rec metrics.Record)
+	// onComplete, when set, is invoked after the gateway's own accounting
+	// for every finished request. Only the closed-loop session feed sets
+	// it (FeedSessions), to schedule the next turn: the runner bounds its
+	// windows by that feed's think times, so any other hook that hands
+	// work to an engine sooner than the next pending gateway event would
+	// trip the arrival guard.
+	onComplete func(e workload.Entry, rec metrics.Record)
 
 	// Observability (obs.go). obsSink/sampler mirror Config.Obs/Sampler;
 	// policyLabel caches the policy name so route events never format;
@@ -454,13 +436,13 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 		Complete: func(r *serving.Request) { rep.buf.complete(rs.Now(), r) },
 	}
 	if g.obsSink != nil {
-		// Engines that can mirror their elastic events pick up the fleet's
-		// sink with this replica's attribution, before Init so nothing is
-		// missed. The gate lets a crash silence the engine's remaining
-		// simulated events without an engine-side cancel API.
+		// Engines that can emit their elastic events do so into the
+		// replica's buffer with this replica's attribution, before Init so
+		// nothing is missed. A crash marks the buffer dead, which silences
+		// the engine's remaining simulated events without an engine-side
+		// cancel API.
 		if tr, ok := rep.engine.(serving.Traceable); ok {
-			rep.sink = &gatedSink{sink: rep.buf}
-			tr.AttachObsSink(rep.sink, rep.index)
+			tr.AttachObsSink(rep.buf, rep.index)
 		}
 	}
 	if err := rep.engine.Init(rep.env); err != nil {
@@ -1001,8 +983,8 @@ func (g *Gateway) complete(rep *replica, r *serving.Request) {
 	}
 	g.completed++
 	g.maybeRetire(rep)
-	if g.OnComplete != nil {
-		g.OnComplete(fl.entry, rec)
+	if g.onComplete != nil {
+		g.onComplete(fl.entry, rec)
 	}
 }
 

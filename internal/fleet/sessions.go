@@ -89,8 +89,9 @@ type SessionFeed struct {
 }
 
 // FeedSessions schedules a session workload onto a gateway and, in
-// closed-loop mode, takes over its OnComplete hook. Call before running
-// the simulator.
+// closed-loop mode, installs the gateway's completion hook, which only this
+// feed sets: the runner's window lookahead is this feed's think times.
+// Call before running the simulator.
 func FeedSessions(g *Gateway, scripts []workload.SessionScript, closed bool) *SessionFeed {
 	f := &SessionFeed{
 		feedBase: feedBase{g: g, total: workload.NumRequests(scripts)},
@@ -107,7 +108,7 @@ func FeedSessions(g *Gateway, scripts []workload.SessionScript, closed bool) *Se
 		g.sim.Stage(start, func() { f.emit(s, 0) })
 	}
 	if closed {
-		g.OnComplete = f.onComplete
+		g.onComplete = f.onComplete
 		// Request IDs are dense (1..total), so completion marks index by ID
 		// and the heap never outgrows one entry per request.
 		f.thinks = thinkHeap{items: make([]thinkItem, 0, f.total), done: make([]bool, f.total+1)}

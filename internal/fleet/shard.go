@@ -76,17 +76,22 @@ type shardEntry struct {
 }
 
 // shardBuf collects one replica's engine output during the parallel phase.
-// It implements obs.Sink (as the inner sink of the replica's gatedSink, so
-// crash gating keeps working unchanged) and receives completions via the
-// replica's Env.Complete. Only the replica's worker touches it between
-// barriers; only the coordinator touches it at the barrier.
+// It is the obs.Sink the replica's engine emits into, and receives
+// completions via the replica's Env.Complete. Only the replica's worker
+// touches it between barriers; only the coordinator touches it at the
+// barrier.
 type shardBuf struct {
 	entries []shardEntry
+	// dead is set when the replica crashes (Gateway.CrashReplica): Emit
+	// drops the events the still-simulating engine goes on emitting.
+	dead bool
 }
 
 // Emit implements obs.Sink.
 func (b *shardBuf) Emit(e obs.Event) {
-	b.entries = append(b.entries, shardEntry{at: e.At, ev: e})
+	if !b.dead {
+		b.entries = append(b.entries, shardEntry{at: e.At, ev: e})
+	}
 }
 
 func (b *shardBuf) complete(at simevent.Time, r *serving.Request) {

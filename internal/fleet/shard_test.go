@@ -156,9 +156,11 @@ func loongKind(fuse bool) *ReplicaKind {
 
 // TestDecodeFusionIdentity: a fleet run as its kind builds its engines,
 // fused, is byte-identical to the same fleet built unfused — records,
-// stats, obs stream — while the simulator fires strictly fewer events.
-// Checked inline and on workers, open loop and in a closed loop with
-// crashes, stalls, hedging and migrating routing.
+// stats, obs stream — while the simulator fires strictly fewer events, and
+// both streams pass the invariant audit (no crashed core replica's engine
+// event may reach the stream). Checked inline and on workers, open loop
+// and in a closed loop with crashes, stalls, hedging and migrating
+// routing.
 func TestDecodeFusionIdentity(t *testing.T) {
 	cfg := workload.DefaultSessionConfig()
 	cfg.Sessions = 20
@@ -188,6 +190,11 @@ func TestDecodeFusionIdentity(t *testing.T) {
 			label := fmt.Sprintf("%s shards=%d", c.name, shards)
 			plain, pev := shardRun(t, scripts, c.mk(loongKind(false)), shards, c.closed, c.faults)
 			fused, fev := shardRun(t, scripts, c.mk(loongKind(true)), shards, c.closed, c.faults)
+			for _, events := range [][]obs.Event{pev, fev} {
+				if vs := analyze.Audit(events); len(vs) != 0 {
+					t.Fatalf("%s: audit found %d violations, first: %s", label, len(vs), vs[0])
+				}
+			}
 			if fused.SimEvents >= plain.SimEvents {
 				t.Fatalf("%s: fusion fired %d events, plain %d — no event reduction",
 					label, fused.SimEvents, plain.SimEvents)

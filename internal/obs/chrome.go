@@ -343,7 +343,7 @@ func (cw *chromeWriter) event(e Event) {
 			{"req", float64(e.Request)}, {"tokens", float64(e.Tokens)},
 			{"link_ns", float64(e.A)}, {"recompute_ns", float64(e.B)},
 		})
-	default: // engine-bridged kinds
+	default: // engine kinds
 		pid := chromePIDReplicaBase + int64(e.Replica)
 		cw.instant(pid, chromeTIDEngine, at, e.Kind.String(), argList{
 			{"group", float64(e.Group)}, {"tokens", float64(e.Tokens)},

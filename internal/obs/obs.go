@@ -1,7 +1,9 @@
 // Package obs is the fleet-wide observability layer: a single event stream
 // spanning gateway → fleet → engine, plus a periodic telemetry sampler,
 // with exporters to Chrome trace-event JSON (Perfetto-loadable), JSONL and
-// a textual timeline.
+// a textual timeline. The LoongServe engine (internal/core) emits its
+// elastic-scheduling events into an attached Sink directly, whether it
+// runs alone or as a fleet replica, and keeps no event log of its own.
 //
 // The design constraint is the hot path: emitting one event must cost one
 // interface call with a by-value, fixed-size Event — no allocation, no
@@ -22,15 +24,15 @@ import (
 )
 
 // Kind discriminates observability events. Gateway kinds cover the
-// request lifecycle and replica lifecycle; engine kinds mirror the elastic
-// scheduling events of core.Tracer with replica attribution.
+// request lifecycle and replica lifecycle; engine kinds are the elastic
+// scheduling events of the LoongServe engine, with replica attribution.
 type Kind uint8
 
 // Event kinds. The request-lifecycle chain for a routed request is
 // Enqueue → Route → CacheLookup → (Migrate)* → Finish; replica lifecycle
 // is Provision → Activate → (Drain → Retire), with Crash the abnormal
-// exit; Autoscale marks controller decisions; the engine kinds are
-// bridged from core.TraceKind. The fault-tolerance kinds (Crash, Recover,
+// exit; Autoscale marks controller decisions; the engine kinds are the
+// paper's Fig 6 group lifecycle. The fault-tolerance kinds (Crash, Recover,
 // HedgeLaunch, HedgeWin, HedgeLose) annotate the chain: a crashed
 // request's Recover precedes its recovery re-enqueue, and a hedged
 // request resolves with exactly one of HedgeWin/HedgeLose per launch.
@@ -68,10 +70,11 @@ const (
 	// Tokens = outstanding requests at decision time, A = active replicas,
 	// B = warming replicas.
 	KindAutoscale
-	// Engine elastic-scheduling kinds, bridged from core.Tracer with
-	// replica attribution: Group = parallel group id, Tokens as the engine
-	// recorded it, A = degree of parallelism (instances in the group),
-	// B = group batch size.
+	// Engine elastic-scheduling kinds, emitted by the LoongServe engine
+	// with replica attribution: Group = parallel group id, Tokens as the
+	// engine counted it (batch input tokens, retained instances, moved or
+	// preempted KV; 0 when none), A = degree of parallelism (instances in
+	// the group), B = group batch size.
 	KindPrefillStart
 	KindScaleDown
 	KindScaleUp
@@ -81,9 +84,10 @@ const (
 	KindPreempt
 	KindDissolve
 	KindPiggyback
-	// KindEngineEvent is the fallback for engine trace kinds without a
-	// dedicated mapping (future TraceKind values bridge here rather than
-	// being dropped).
+	// KindEngineEvent is emitted by nothing. It keeps its number because
+	// perfbench's output digest folds numeric kinds, so renumbering the
+	// kinds after it would move the pinned fleet-elastic and fleet-stream
+	// digests.
 	KindEngineEvent
 	// Fault-tolerance kinds (appended after the engine range so
 	// EngineKind's contiguous check stays valid).
@@ -189,7 +193,7 @@ func KindByName(name string) (Kind, bool) {
 	return 0, false
 }
 
-// EngineKind reports whether k is an engine-bridged elastic event.
+// EngineKind reports whether k is one of the engine's elastic events.
 func (k Kind) EngineKind() bool { return k >= KindPrefillStart && k <= KindEngineEvent }
 
 // Event is one observability event. It is a fixed-size value type: emitting

@@ -85,8 +85,9 @@ func TestTee(t *testing.T) {
 	}
 }
 
-// TestTimeline renders every event kind without panicking, one line per
-// event, with replica attribution and kind names present.
+// TestTimeline renders one event of every kind, one line per event, with
+// replica attribution and kind names present; only engine kinds take the
+// group/dop/batch layout.
 func TestTimeline(t *testing.T) {
 	events := []Event{
 		{At: 1e9, Kind: KindEnqueue, Replica: -1, Session: 7, Request: 1, Tokens: 100, A: 20},
@@ -98,11 +99,20 @@ func TestTimeline(t *testing.T) {
 		{At: 7e9, Kind: KindProvision, Replica: 3, Label: "gpu-large"},
 		{At: 8e9, Kind: KindPrefillStart, Replica: 2, Group: 1, Tokens: 100, A: 4, B: 2},
 	}
+	for k := Kind(0); k < numKinds; k++ {
+		events = append(events, Event{At: 9e9, Kind: k, Replica: 1, Group: -1, Session: 7, Request: 1, Tokens: 3, A: 4, B: 5, Label: "x"})
+	}
 	var sb strings.Builder
 	Timeline(&sb, events)
 	out := sb.String()
-	if got := strings.Count(out, "\n"); got != len(events) {
-		t.Fatalf("timeline has %d lines, want %d:\n%s", got, len(events), out)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != len(events) {
+		t.Fatalf("timeline has %d lines, want %d:\n%s", len(lines), len(events), out)
+	}
+	for i, e := range events {
+		if engine := strings.Contains(lines[i], " dop="); engine != e.Kind.EngineKind() {
+			t.Errorf("%v rendered as %q: engine layout %v, want %v", e.Kind, lines[i], engine, e.Kind.EngineKind())
+		}
 	}
 	for _, want := range []string{"enqueue", "route", "cache-lookup", "migrate", "finish", "autoscale", "provision", "prefill-start", "r2", "fleet", "affinity", "gpu-large"} {
 		if !strings.Contains(out, want) {

@@ -6,11 +6,12 @@ import (
 	"time"
 )
 
-// Timeline renders the event stream as a human-readable per-event log —
-// the fleet-wide analogue of core.Tracer.Timeline, covering routing,
-// caching, migrations, replica lifecycle and the bridged engine events in
-// one chronological view. Events are assumed to already be in emission
-// order (which is chronological: everything fires on one simulator clock).
+// Timeline renders the event stream as a human-readable per-event log,
+// covering routing, caching, migrations, replica lifecycle, faults,
+// hedging and the engines' elastic events (the paper's Fig 6 group
+// lifecycle) in one chronological view. Events are assumed to already be
+// in emission order (which is chronological: everything fires on one
+// simulator clock).
 func Timeline(w io.Writer, events []Event) {
 	for _, e := range events {
 		where := "fleet"
@@ -62,7 +63,18 @@ func detail(e Event) string {
 	case KindColdFetch:
 		return fmt.Sprintf("req=%d tokens=%d link=%v recompute=%v", e.Request, e.Tokens,
 			time.Duration(e.A).Round(time.Microsecond), time.Duration(e.B).Round(time.Microsecond))
-	default: // engine-bridged kinds
+	case KindCrash:
+		return fmt.Sprintf("kind=%s inflight=%d kv_lost=%d", e.Label, e.Tokens, e.A)
+	case KindRecover:
+		return fmt.Sprintf("req=%d session=%d from=r%d salvaged=%d", e.Request, e.Session, e.A, e.Tokens)
+	case KindHedgeLaunch:
+		return fmt.Sprintf("req=%d session=%d in=%d primary=r%d elapsed=%v",
+			e.Request, e.Session, e.Tokens, e.A, time.Duration(e.B).Round(time.Microsecond))
+	case KindHedgeWin:
+		return fmt.Sprintf("req=%d session=%d loser=r%d", e.Request, e.Session, e.A)
+	case KindHedgeLose:
+		return fmt.Sprintf("req=%d session=%d burned=%d winner=r%d", e.Request, e.Session, e.Tokens, e.A)
+	default: // engine kinds; every other kind has its case above
 		return fmt.Sprintf("group=%d dop=%d batch=%d tokens=%d", e.Group, e.A, e.B, e.Tokens)
 	}
 }

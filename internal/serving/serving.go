@@ -148,13 +148,14 @@ type CapabilityReporter interface {
 	Capability() Capability
 }
 
-// Traceable is implemented by engines that can mirror their internal
-// elastic-scheduling events into an observability sink with replica
-// attribution. The fleet gateway attaches its configured sink to every
-// replica engine that implements it, so engine-level events (prefill
-// scale-down, decode scale-up, preemption, ...) land in the same stream as
-// the gateway's routing and migration events. Attach before Init; a nil
-// sink detaches.
+// Traceable is implemented by engines that emit their elastic-scheduling
+// events (prefill scale-down, decode scale-up, preemption, ...) as obs
+// events with replica attribution; the LoongServe engine emits the paper's
+// Fig 6 group lifecycle. A standalone run attaches a collector directly.
+// The fleet gateway attaches each replica's own buffer, which replays into
+// the run's sink, so engine-level events land in the same stream as the
+// gateway's routing and migration events. Attach before Init; a nil sink
+// detaches.
 type Traceable interface {
 	AttachObsSink(sink obs.Sink, replica int)
 }
