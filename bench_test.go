@@ -152,15 +152,6 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationControlPlane(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.AblationControlPlane()
-		if i == 0 {
-			emit(b, t)
-		}
-	}
-}
-
 // BenchmarkAblationQIBatching runs the full LoongServe engine with the
 // quadrangle-inequality Eq 5 solver (§5.3's O((n+m)²) note) — identical
 // schedules to the naive DP, measured here for scheduler overhead.

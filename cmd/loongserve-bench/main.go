@@ -136,7 +136,6 @@ func main() {
 		bench.AblationProactiveVsReactive().Fprint(out)
 		bench.AblationDPBatching(scale).Fprint(out)
 		bench.AblationPartitioning().Fprint(out)
-		bench.AblationControlPlane().Fprint(out)
 		any = true
 	}
 	if strings.EqualFold(*exp, "bigfleet") {

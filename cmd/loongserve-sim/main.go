@@ -36,6 +36,10 @@ func main() {
 	saveTrace := flag.String("save-trace", "", "write the generated trace to this file")
 	flag.Parse()
 
+	if *nodes < 1 {
+		fmt.Fprintln(os.Stderr, "loongserve-sim: -nodes must be >= 1")
+		os.Exit(2)
+	}
 	dataset, err := workload.DatasetByName(*ds)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -90,22 +94,26 @@ func main() {
 }
 
 func pickSystem(name string, nodes int, ds workload.Dataset) (bench.System, error) {
+	var sys bench.System
 	switch strings.ToLower(name) {
 	case "loongserve":
-		return bench.LoongServeSys(nodes, core.Options{}), nil
+		sys = bench.LoongServeSys(nodes, core.Options{})
 	case "vllm":
-		return bench.VLLMSys(nodes), nil
+		sys = bench.VLLMSys(nodes)
 	case "splitfuse", "lightllm":
-		return bench.LightLLMSys(nodes, ds), nil
+		sys = bench.LightLLMSys(nodes, ds)
 	case "distserve":
-		if nodes != 1 {
-			return bench.System{}, fmt.Errorf("distserve supports one node")
-		}
-		return bench.DistServeSys(), nil
+		sys = bench.DistServeSys()
 	case "statichybrid":
-		return bench.StaticHybridSys(), nil
+		sys = bench.StaticHybridSys()
 	case "replicated":
-		return bench.ReplicatedSys(), nil
+		sys = bench.ReplicatedSys()
+	default:
+		return bench.System{}, fmt.Errorf("unknown system %q", name)
 	}
-	return bench.System{}, fmt.Errorf("unknown system %q", name)
+	// DistServe and the two ablations are built for one node.
+	if sys.Nodes != nodes {
+		return bench.System{}, fmt.Errorf("%s supports one node", strings.ToLower(name))
+	}
+	return sys, nil
 }

@@ -102,6 +102,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loongserve-trace: -replicas must be >= 1")
 		os.Exit(2)
 	}
+	if *nodes < 1 {
+		fmt.Fprintln(os.Stderr, "loongserve-trace: -nodes must be >= 1")
+		os.Exit(2)
+	}
+	// The fleet-mode names are resolved in either mode, so a misspelt one
+	// is rejected before anything runs.
+	spec, err := bench.FleetSpec(*engine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	p, err := fleet.ByName(*policy, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	dataset, err := workload.DatasetByName(*ds)
 	if err != nil {
@@ -138,16 +154,6 @@ func main() {
 		// gateway, every replica's engine events bridged into one stream.
 		// -analyze rides on this path even single-replica, because the
 		// attribution phases hang off the gateway lifecycle events.
-		spec, err := bench.FleetSpec(*engine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		p, err := fleet.ByName(*policy, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		sampler = &obs.Sampler{Interval: *sampleEvery}
 		res, err := fleet.Run(trace, fleet.Config{
 			Groups:  []fleet.ReplicaGroup{{Kind: fleet.NewKind(*engine, spec), Count: *replicas}},

@@ -14,9 +14,7 @@
 //     calibrated roofline cost model, on which the full LoongServe serving
 //     system (internal/core) and every baseline of the paper's evaluation
 //     (internal/baselines) run under identical conditions.
-//   - The §6 serving plumbing: the global-manager↔instance control
-//     protocol with compact serialization and ESP-metadata caching
-//     (internal/controlplane), and an OpenAI-style HTTP front end with a
+//   - The §6 serving front end: an OpenAI-style HTTP server with a
 //     byte-level BPE tokenizer and iteration-level continuous batching
 //     over the functional runtime (internal/frontend, internal/token).
 //   - A fleet layer (internal/fleet) that scales past one elastic

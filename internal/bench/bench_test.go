@@ -303,29 +303,3 @@ func TestAutoscaleExperimentParallelDeterminism(t *testing.T) {
 		t.Fatal("serial and parallel autoscale tables differ")
 	}
 }
-
-func TestControlPlaneTableShape(t *testing.T) {
-	tbl := AblationControlPlane()
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if len(row) != len(tbl.Header) {
-			t.Fatalf("row %v does not match header %v", row, tbl.Header)
-		}
-	}
-	// The 500K scale-down plan row must stay tiny (RLE claim).
-	var got500k string
-	for _, row := range tbl.Rows {
-		if row[1] == "500000 tokens" {
-			got500k = row[2]
-		}
-	}
-	if got500k == "" {
-		t.Fatal("missing 500K row")
-	}
-	var n int
-	if _, err := fmt.Sscan(got500k, &n); err != nil || n > 64 {
-		t.Errorf("500K-token scale-down plan encodes to %q bytes, want <= 64", got500k)
-	}
-}

@@ -39,9 +39,7 @@
 // surviving cache still covers; StallReplica freezes one replica's intake
 // (the straggler pathology); DegradeLinks slows every inter-replica
 // transfer for a window. The gateway changes replica lifecycle state
-// itself; the paper's §6 control protocol (internal/controlplane) carries
-// one engine's per-iteration commands and is not on the fleet's path.
-// Config.Hedge arms request hedging (hedge.go): a request still
+// itself. Config.Hedge arms request hedging (hedge.go): a request still
 // waiting for its first token past a learned TTFT quantile is duplicated
 // onto a second replica, the first finisher wins, and the loser's tokens
 // are charged honestly to Result.Hedge. Config.Faults carries a seeded
@@ -141,8 +139,6 @@ type Config struct {
 	StreamMetrics bool
 	// SLOScale is the latency budget multiplier (0 = the paper's 25).
 	SLOScale float64
-	// MaxEvents bounds the simulation as a divergence backstop.
-	MaxEvents uint64
 
 	// Shards is the number of worker goroutines the runner (shard.go)
 	// partitions replicas over, round-robin: every replica engine advances

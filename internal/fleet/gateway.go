@@ -311,9 +311,6 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 	if cfg.SLOScale == 0 {
 		cfg.SLOScale = serving.DefaultRunConfig().SLOScale
 	}
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = 200_000_000
-	}
 	if cfg.Cache != "" && cfg.Cache != CacheRadix {
 		return nil, fmt.Errorf("fleet: unknown cache %q (the radix cache, %q, is the only one)", cfg.Cache, CacheRadix)
 	}
@@ -341,8 +338,6 @@ func NewGateway(cfg Config, sim *simevent.Sim) (*Gateway, error) {
 			return nil, fmt.Errorf("fleet: Config.Faults[%d]: %w", i, err)
 		}
 	}
-	sim.MaxEvents = cfg.MaxEvents
-
 	g := &Gateway{
 		sim:          sim,
 		cfg:          cfg,
@@ -425,7 +420,6 @@ func (g *Gateway) newReplica(kind *ReplicaKind) (*replica, error) {
 	// present, and reports completions (and, below, obs events) into the
 	// replica's buffer for the runner to replay (shard.go).
 	rs := simevent.New()
-	rs.MaxEvents = g.cfg.MaxEvents
 	rs.AdvanceTo(g.sim.Now())
 	rep.buf = &shardBuf{}
 	rep.env = &serving.Env{

@@ -238,6 +238,46 @@ func TestArrivalGuardCatchesEngineAhead(t *testing.T) {
 	deliver(2, g.replicas[0])
 }
 
+// TestMaxEventsBackstop: the divergence backstop holds on both kinds of
+// heap the runner drives. An event that reschedules itself forever, on the
+// gateway's simulator or on one replica's (run inline or on a worker),
+// panics with "exceeded MaxEvents" instead of hanging the run.
+func TestMaxEventsBackstop(t *testing.T) {
+	const limit = 1000
+	for _, tc := range []struct {
+		heap   string
+		shards int
+	}{{"gateway", 1}, {"replica", 1}, {"replica", 2}} {
+		t.Run(fmt.Sprintf("%s/shards=%d", tc.heap, tc.shards), func(t *testing.T) {
+			g, err := NewGateway(Config{Groups: toyFleet(2), Shards: tc.shards}, simevent.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := g.sim
+			if tc.heap == "replica" {
+				sim = g.replicas[1].env.Sim
+			}
+			sim.MaxEvents = limit
+			// The loop ends well past the bound, so a missing check fails
+			// the test instead of hanging it.
+			ticks := 0
+			var tick func()
+			tick = func() {
+				if ticks++; ticks < 4*limit {
+					sim.After(time.Microsecond, tick)
+				}
+			}
+			sim.After(0, tick)
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "exceeded MaxEvents") {
+					t.Fatalf("recovered %v after %d ticks, want the MaxEvents panic", p, ticks)
+				}
+			}()
+			g.Run()
+		})
+	}
+}
+
 // TestStreamFeedMatchesEagerFeed: the lazy stream feed replays the same
 // workload to the same records and trace as the eager all-at-once feed,
 // inline and on workers — lazy sampling changes memory shape, not behavior.

@@ -192,8 +192,6 @@ func (e *ErrOOM) Error() string {
 // RunConfig controls a driver run.
 type RunConfig struct {
 	SLOScale float64 // latency budget = SLOScale x unloaded latency; 25 in the paper
-	// MaxEvents bounds the simulation as a divergence backstop (0 = default).
-	MaxEvents uint64
 }
 
 // DefaultRunConfig returns the paper's settings.
@@ -238,10 +236,6 @@ func Run(eng Engine, c *cluster.Cluster, cm *costmodel.CostModel, trace []worklo
 // RunWithStats is Run, additionally reporting simulator statistics.
 func RunWithStats(eng Engine, c *cluster.Cluster, cm *costmodel.CostModel, trace []workload.TimedRequest, cfg RunConfig) (recs []metrics.Record, stats RunStats, err error) {
 	sim := simevent.New()
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = 200_000_000
-	}
-	sim.MaxEvents = cfg.MaxEvents
 
 	totalGPUs := 0
 	for _, inst := range c.Instances {

@@ -109,13 +109,18 @@ type Sim struct {
 	stageDirty bool
 
 	// MaxEvents bounds the run loop as a safety net against runaway
-	// simulations; zero means no bound.
+	// simulations; zero means no bound. New sets it to defaultMaxEvents.
 	MaxEvents uint64
 }
 
-// New returns an empty simulator positioned at time zero.
+// defaultMaxEvents is every new simulator's MaxEvents, the divergence
+// backstop of every simulated run.
+const defaultMaxEvents = 200_000_000
+
+// New returns an empty simulator positioned at time zero, bounded by
+// defaultMaxEvents.
 func New() *Sim {
-	return &Sim{}
+	return &Sim{MaxEvents: defaultMaxEvents}
 }
 
 // Now returns the current simulated time.

@@ -197,6 +197,9 @@ func TestRunUntilAdvancesClockWithEmptyQueue(t *testing.T) {
 
 func TestMaxEventsPanics(t *testing.T) {
 	s := New()
+	if s.MaxEvents != defaultMaxEvents {
+		t.Fatalf("New().MaxEvents = %d, want %d", s.MaxEvents, defaultMaxEvents)
+	}
 	s.MaxEvents = 10
 	var reschedule func()
 	reschedule = func() { s.After(1, reschedule) }
