@@ -1,28 +1,14 @@
-// Package controlplane implements the communication layer between the
-// LoongServe global manager and its elastic instances (§6 of the paper).
+// Package controlplane defines the per-iteration messages that the
+// LoongServe global manager sends its elastic instances (§6 of the paper):
+// group membership cached per (group, epoch), prefill commands carrying the
+// token-granularity retention plan of the proactive scale-down, decode
+// commands with their multi-master assignment, and elastic scaling plans,
+// together with their structural checks.
 //
-// The paper's implementation uses Ray RPC from the Python global manager to
-// instance rank 0, which re-broadcasts over NCCL to the remaining tensor
-// parallel ranks; because ESP introduces extra per-iteration RPC parameters
-// (group membership, token-granularity KV placement plans, master
-// assignments), the message layout is "carefully designed to reduce extra
-// serialization overhead" and instances "cache active ESP metadata".
-//
-// This package reproduces that control path with stdlib primitives:
-//
-//   - a compact varint/delta binary codec for every per-iteration message
-//     (codec.go), with run-length encoding for token retention plans;
-//   - an explicit ESP-metadata cache protocol: group membership is sent once
-//     per epoch and later commands carry only a (group, epoch) reference,
-//     with a NAK/resend path for cache misses (instance.go, manager.go);
-//   - two interchangeable transports (transport.go): an in-line conn that
-//     calls the instance server on the sender's stack, and framed TCP, so
-//     the same protocol bytes drive in-process runs and real sockets.
-//
-// The protocol commands the instances of one engine's ESP groups. It is
-// driven by examples/controlplane and measured by the control-plane table
-// of loongserve-bench -exp ablations; the fleet gateway, whose replicas
-// are whole engines, changes their lifecycle state without it.
+// Only this schema remains. The codec, metadata-cache protocol, transports
+// and instance-side KV mirror that carried it are gone, and nothing imports
+// the package; ROADMAP item 9 records its removal. DESIGN.md keeps the
+// codec's measured message sizes.
 package controlplane
 
 import (
@@ -244,7 +230,8 @@ func (*Ack) Type() MsgType { return MsgAck }
 // Type implements Message.
 func (*Nak) Type() MsgType { return MsgNak }
 
-// Validate checks structural invariants shared by the codec and handlers.
+// Validate checks the membership is non-empty, TP is positive and no
+// instance is listed twice.
 func (c *GroupConfig) Validate() error {
 	if len(c.Instances) == 0 {
 		return fmt.Errorf("controlplane: group %v has no instances", c.Group)
