@@ -30,10 +30,10 @@
 // the ladder with {1, N} when N > 1), verifying every sharded arm
 // byte-identical to the serial reference — obs stream digest, metrics,
 // makespan, audit verdict — so the ladder can only change wall-clock
-// time. The ladder's LoongServe replicas fuse decode iterations, their
-// engine's default; the quick scale additionally runs a fusion-off arm to
-// prove fusion changes event counts and nothing else. It is not part of
-// -exp all.
+// time. The ladder's LoongServe and continuous-batching replicas both fuse
+// decode iterations, their engines' default; the quick scale additionally
+// runs an arm with both kinds' fusion off to prove fusion changes event
+// counts and nothing else. It is not part of -exp all.
 //
 // Simulator performance is measured by the benchmark of record
 // (BENCHMARK.json, run by perfbench/run.sh), not by this command.

@@ -95,9 +95,10 @@
 // open- or closed-loop, static, faulty or autoscaled — so sharding buys
 // wall-clock time on multi-core hosts, never different results. Every
 // replica runs its engine's own decode-iteration fusion default: the
-// LoongServe core collapses provably identical decode iterations of a
-// stable group into one simulator event, which changes only the simulator
-// event count — records, traces, event streams and audits are exact.
+// LoongServe core and the continuous-batching (vllm, contbatch) engine
+// both collapse provably identical decode iterations into one simulator
+// event, which changes only the simulator event count — records, traces,
+// event streams and audits are exact.
 //
 // Usage:
 //

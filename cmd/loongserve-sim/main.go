@@ -7,8 +7,11 @@
 //	loongserve-sim -system vllm -dataset sharegpt -rate 100 -n 1000 -v
 //
 // Traces are replayable: -save-trace writes the generated trace as JSON
-// lines; -trace replays a previously saved file (ignoring -dataset, -rate,
-// -n and -seed), so different systems can be compared on identical input.
+// lines; -trace replays a previously saved file (ignoring -rate, -n and
+// -seed), so different systems can be compared on identical input. Under
+// -trace the summary header names the file, its request count and the
+// span its arrivals cover; -dataset then shapes no request and only picks
+// SplitFuse's chunk size, which the header says for that system.
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"loongserve/internal/bench"
 	"loongserve/internal/core"
@@ -32,7 +36,7 @@ func main() {
 	nodes := flag.Int("nodes", 1, "8-GPU nodes")
 	seed := flag.Int64("seed", 42, "trace seed")
 	verbose := flag.Bool("v", false, "print per-request records")
-	tracePath := flag.String("trace", "", "replay a saved trace file instead of sampling")
+	tracePath := flag.String("trace", "", "replay a saved trace file instead of sampling (-dataset then only picks SplitFuse's chunk size)")
 	saveTrace := flag.String("save-trace", "", "write the generated trace to this file")
 	flag.Parse()
 
@@ -88,9 +92,28 @@ func main() {
 		}
 	}
 	s := metrics.Summarize(recs)
-	fmt.Printf("system=%s dataset=%s rate=%.3g req/s nodes=%d\n", sys.Name, dataset.Name(), *rate, *nodes)
+	header := fmt.Sprintf("dataset=%s rate=%.3g req/s", dataset.Name(), *rate)
+	if *tracePath != "" {
+		header = fmt.Sprintf("trace=%s requests=%d span=%v", *tracePath, len(trace), arrivalSpan(trace).Round(time.Millisecond))
+		if name := strings.ToLower(*system); name == "splitfuse" || name == "lightllm" {
+			header += fmt.Sprintf(" chunk-from-dataset=%s", dataset.Name())
+		}
+	}
+	fmt.Printf("system=%s %s nodes=%d\n", sys.Name, header, *nodes)
 	fmt.Println(s.String())
 	fmt.Printf("goodput=%.3f req/s (SLO-met over the arrival window)\n", metrics.Goodput(recs))
+}
+
+// arrivalSpan returns the time between a trace's first and last arrival.
+func arrivalSpan(trace []workload.TimedRequest) time.Duration {
+	if len(trace) == 0 {
+		return 0
+	}
+	first, last := trace[0].Arrival, trace[0].Arrival
+	for _, r := range trace[1:] {
+		first, last = min(first, r.Arrival), max(last, r.Arrival)
+	}
+	return last - first
 }
 
 func pickSystem(name string, nodes int, ds workload.Dataset) (bench.System, error) {

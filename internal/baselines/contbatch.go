@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"loongserve/internal/cluster"
+	"loongserve/internal/costmodel"
 	"loongserve/internal/fleet"
 	"loongserve/internal/kvcache"
 	"loongserve/internal/serving"
@@ -40,6 +41,11 @@ type ContBatch struct {
 	// MaxPrefillTokens caps tokens batched into one prefill iteration
 	// beyond the first request.
 	MaxPrefillTokens int
+	// Unfused turns decode-iteration fusion (fuse.go) off, so every decode
+	// iteration fires its own simulator event: the reference the fusion
+	// tests compare against. Set it before Init. Outputs are identical
+	// either way; only the simulator event count differs.
+	Unfused bool
 
 	env  *serving.Env
 	link cluster.Link
@@ -60,6 +66,19 @@ type ContBatch struct {
 	prefillBatch []*serving.Request
 	prefillLens  []int
 
+	// sharedHeap marks a Router's sub-engine, which shares its simulator
+	// heap with its siblings and so never fuses (fuse.go, condition 4).
+	sharedHeap bool
+	// The live fused decode window (fuse.go), when fuseK > 0: fuseK
+	// iterations from a launch with fuseKV resident KV, fuseDone of them
+	// materialized, the next ending at fuseNext, each costed by fuseStep.
+	fuseK    int
+	fuseDone int
+	fuseNext simevent.Time
+	fuseKV   int
+	fuseStep costmodel.DecodeStep
+	fusion   fusionStats
+
 	// Preemptions counts recompute evictions (instrumentation).
 	Preemptions int
 }
@@ -71,8 +90,10 @@ func (e *ContBatch) Capability() serving.Capability {
 	return serving.Capability{MaxSeqTokens: e.capacity()}
 }
 
-// Load implements serving.LoadReporter.
+// Load implements serving.LoadReporter. A fused decode window materializes
+// its elapsed iterations first, so readers see the exact unfused state.
 func (e *ContBatch) Load() serving.LoadStats {
+	e.syncFused()
 	st := serving.LoadStats{Queued: len(e.waiting), Running: len(e.running)}
 	for _, r := range e.running {
 		st.KVTokens += r.KVNow()
@@ -158,6 +179,9 @@ func (e *ContBatch) capacity() int {
 func (e *ContBatch) Arrive(r *serving.Request) {
 	if r.Tokens()+1 > e.capacity() {
 		panic(&serving.ErrOOM{System: e.Label, Req: r.ID, Tokens: r.Tokens() + 1, Limit: e.capacity()})
+	}
+	if e.fuseK > 0 && len(e.waiting) == 0 {
+		e.fissionFused() // the arrival becomes a head the next boundary may admit
 	}
 	e.waiting = append(e.waiting, r)
 	e.step()
@@ -277,26 +301,30 @@ func (e *ContBatch) runDecode() {
 		e.step()
 		return
 	}
-	batch := append(e.decodeBatch[:0], e.running...)
-	e.decodeBatch = batch
-	bs := len(batch)
-	sumKV := 0
-	for _, r := range batch {
-		sumKV += r.KVNow()
-	}
+	e.decodeBatch = append(e.decodeBatch[:0], e.running...)
+	sumKV := sumKVNow(e.decodeBatch)
 	e.busy = true
-	d := e.env.CM.DecodeIterTime(bs, sumKV, e.SP, e.TP, e.Masters, e.link)
+	d := e.env.CM.DecodeIterTime(len(e.decodeBatch), sumKV, e.SP, e.TP, e.Masters, e.link)
+	if e.launchFused(d, sumKV) {
+		return
+	}
 	e.env.Sim.ScheduleAfter(e.decodeEv, d)
 }
 
-// decodeDone completes the in-flight decode iteration.
+// decodeDone completes the in-flight decode iteration, or the last one of
+// a fused window after materializing the rest.
 func (e *ContBatch) decodeDone() {
-	for _, r := range e.decodeBatch {
-		r.Generated++
-		if err := e.alloc(r, 1); err != nil {
-			// Guaranteed by the pre-check; a failure means accounting
-			// corruption.
-			panic(fmt.Sprintf("%s: decode alloc failed: %v", e.Label, err))
+	if e.fuseK > 0 {
+		e.applyFused(e.fuseK)
+		e.fuseK = 0
+	} else {
+		for _, r := range e.decodeBatch {
+			r.Generated++
+			if err := e.alloc(r, 1); err != nil {
+				// Guaranteed by the pre-check; a failure means accounting
+				// corruption.
+				panic(fmt.Sprintf("%s: decode alloc failed: %v", e.Label, err))
+			}
 		}
 	}
 	e.busy = false

@@ -65,6 +65,9 @@ func (r *Router) Init(env *serving.Env) error {
 		r.Policy = fleet.NewLeastLoaded()
 	}
 	for _, s := range r.Subs {
+		if cb, ok := s.(*ContBatch); ok {
+			cb.sharedHeap = true // siblings share env.Sim: no fusion (fuse.go)
+		}
 		if err := s.Init(env); err != nil {
 			return err
 		}

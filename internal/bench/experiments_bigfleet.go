@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"loongserve/internal/baselines"
 	"loongserve/internal/core"
 	"loongserve/internal/fleet"
 	"loongserve/internal/obs"
@@ -22,10 +23,10 @@ import (
 // metrics summary, same simulated makespan, same audit verdict — so the
 // only thing the ladder is allowed to change is wall-clock time. The
 // ladder runs every engine as its kind builds it, so the LoongServe
-// replicas fuse decode iterations. A quick variant additionally runs one
-// fusion-off arm, whose LoongServe kind builds its engines with fusion
-// off, to show decode-iteration fusion changes event counts and nothing
-// else.
+// replicas and the continuous-batching ones both fuse decode iterations.
+// A quick variant additionally runs one fusion-off arm, whose kinds both
+// build their engines with fusion off, to show decode-iteration fusion
+// changes event counts and nothing else.
 //
 // Wall-clock speedup is hardware-honest: each arm records GOMAXPROCS, and
 // on a single-core host the ladder degenerates to overhead measurement —
@@ -100,24 +101,29 @@ func BigFleetWorkload(sc Scale) workload.SessionConfig {
 // BigFleetComposition builds the 64-replica heterogeneous fleet: a block
 // of 8-GPU LoongServe replicas for the long-document tail plus a large
 // population of single-GPU continuous-batching replicas for chat. With
-// fused false the LoongServe kind builds its engines with decode-iteration
-// fusion off: the unfused reference.
+// fused false both kinds build their engines with decode-iteration fusion
+// off: the unfused reference.
 func BigFleetComposition(sc Scale, fused bool) []fleet.ReplicaGroup {
 	loong, err := FleetKind("loong")
 	if err != nil {
 		panic(err) // unreachable: the name is a constant
 	}
-	if !fused {
-		build := loong.Spec.NewEngine
-		loong.Spec.NewEngine = func() serving.Engine {
-			e := build().(*core.Engine)
-			e.SetDecodeFusion(false)
-			return e
-		}
-	}
 	cheap, err := FleetKind("contbatch")
 	if err != nil {
 		panic(err) // unreachable: the name is a constant
+	}
+	if !fused {
+		buildLoong, buildCheap := loong.Spec.NewEngine, cheap.Spec.NewEngine
+		loong.Spec.NewEngine = func() serving.Engine {
+			e := buildLoong().(*core.Engine)
+			e.SetDecodeFusion(false)
+			return e
+		}
+		cheap.Spec.NewEngine = func() serving.Engine {
+			e := buildCheap().(*baselines.ContBatch)
+			e.Unfused = true
+			return e
+		}
 	}
 	if err := loong.Resolve(); err != nil {
 		panic(err)

@@ -148,11 +148,13 @@ type Config struct {
 	// or autoscaled). Negative counts are rejected.
 	Shards int
 	// FuseDecode selects nothing. Every replica runs its engine as the
-	// kind's Spec builds it, decode-iteration fusion default included (the
-	// LoongServe core fuses; the baselines have no fusion). Fusion is
-	// observationally exact, so no setting of it changes a record, trace,
-	// obs stream or audit (see core/fuse.go for the proof); a kind whose
-	// NewEngine calls SetDecodeFusion(false) is the unfused reference.
+	// kind's Spec builds it, decode-iteration fusion default included:
+	// the LoongServe core and ContBatch both fuse (core/fuse.go and
+	// baselines/fuse.go hold the proofs). Fusion is observationally exact,
+	// so no setting of it changes a record, trace, obs stream or audit. A
+	// kind whose NewEngine turns its engine's fusion off — the core's
+	// SetDecodeFusion(false), ContBatch's Unfused — is the unfused
+	// reference.
 	//
 	// Deprecated: the field selects nothing; leave it unset.
 	FuseDecode bool

@@ -249,13 +249,28 @@ func TestDrainMigratesLiveSessions(t *testing.T) {
 				return out
 			}
 
-			// Drain replica `victim` at a random time inside the arrival
-			// window, while requests are in flight and more are arriving.
-			victim := rng.Intn(3)
+			// Drain a replica at a random time inside the arrival window,
+			// while requests are in flight and more are arriving. The
+			// victim is the replica holding the most session-private
+			// tokens then (lowest index on ties), so every seed drains
+			// resident sessions.
 			drainAt := simevent.FromSeconds(1 + rng.Float64()*3)
+			victim := -1
 			var preDrain map[int64]int  // sessionID -> tokens resident on victim
 			var soleCopy map[int64]bool // victim held the only copy
 			sim.At(simevent.Time(drainAt), func() {
+				held := make([]int, len(g.replicas))
+				for _, s := range scripts {
+					for i, c := range privateLocations(s) {
+						held[i] += c
+					}
+				}
+				victim = 0
+				for i, c := range held {
+					if c > held[victim] {
+						victim = i
+					}
+				}
 				preDrain = make(map[int64]int)
 				soleCopy = make(map[int64]bool)
 				for _, s := range scripts {
@@ -342,7 +357,7 @@ func TestDrainMigratesLiveSessions(t *testing.T) {
 				}
 			}
 			if len(preDrain) == 0 {
-				t.Skip("victim held no sessions at drain time (unlucky draw)")
+				t.Fatal("no replica held a session at drain time")
 			}
 			t.Logf("victim held %d sessions, %d verified as exact sole-copy migrations", len(preDrain), strong)
 			if res.Migrations.Count == 0 || res.Migrations.Tokens == 0 {

@@ -7,10 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"loongserve/internal/cluster"
-	"loongserve/internal/core"
 	"loongserve/internal/kvcache"
-	"loongserve/internal/model"
 	"loongserve/internal/obs"
 	"loongserve/internal/obs/analyze"
 	"loongserve/internal/serving"
@@ -131,78 +128,6 @@ func TestShardedMatchesSerial(t *testing.T) {
 				requireIdentical(t, c.name, serial, sharded, sev, shev)
 			}
 		})
-	}
-}
-
-// loongKind builds a replica kind of real ESP engines, the only engines
-// that fuse. With fuse false its NewEngine calls SetDecodeFusion(false),
-// the unfused reference the fusion identity tests compare against.
-func loongKind(fuse bool) *ReplicaKind {
-	m := model.LWM1MText()
-	hw := cluster.A800()
-	return NewKind("loong", Spec{
-		NewEngine: func() serving.Engine {
-			e := core.New(2, core.Options{})
-			if !fuse {
-				e.SetDecodeFusion(false)
-			}
-			return e
-		},
-		NewCluster: func() (*cluster.Cluster, error) {
-			return cluster.New(m, hw, 1, 4, 2)
-		},
-	})
-}
-
-// TestDecodeFusionIdentity: a fleet run as its kind builds its engines,
-// fused, is byte-identical to the same fleet built unfused — records,
-// stats, obs stream — while the simulator fires strictly fewer events, and
-// both streams pass the invariant audit (no crashed core replica's engine
-// event may reach the stream). Checked inline and on workers, open loop
-// and in a closed loop with crashes, stalls, hedging and migrating
-// routing.
-func TestDecodeFusionIdentity(t *testing.T) {
-	cfg := workload.DefaultSessionConfig()
-	cfg.Sessions = 20
-	cfg.SessionRate = 1
-	cfg.ThinkMean = 2
-	scripts := workload.SessionScripts(cfg, 41)
-
-	cases := []struct {
-		name   string
-		mk     func(kind *ReplicaKind) Config
-		closed bool
-		faults []workload.Fault
-	}{
-		{"open-loop", func(kind *ReplicaKind) Config {
-			return Config{Groups: []ReplicaGroup{{Kind: kind, Count: 2}}, Policy: NewLeastLoaded()}
-		}, false, nil},
-		{"closed-loop-faults-hedged-migrating", func(kind *ReplicaKind) Config {
-			return Config{
-				Groups: []ReplicaGroup{{Kind: kind, Count: 4}},
-				Policy: NewMigratingAffinity(),
-				Hedge:  HedgeConfig{Quantile: 0.9, MinSamples: 10, MinInput: 1},
-			}
-		}, true, chaosFaults()},
-	}
-	for _, c := range cases {
-		for _, shards := range []int{1, 2} {
-			label := fmt.Sprintf("%s shards=%d", c.name, shards)
-			plain, pev := shardRun(t, scripts, c.mk(loongKind(false)), shards, c.closed, c.faults)
-			fused, fev := shardRun(t, scripts, c.mk(loongKind(true)), shards, c.closed, c.faults)
-			for _, events := range [][]obs.Event{pev, fev} {
-				if vs := analyze.Audit(events); len(vs) != 0 {
-					t.Fatalf("%s: audit found %d violations, first: %s", label, len(vs), vs[0])
-				}
-			}
-			if fused.SimEvents >= plain.SimEvents {
-				t.Fatalf("%s: fusion fired %d events, plain %d — no event reduction",
-					label, fused.SimEvents, plain.SimEvents)
-			}
-			// SimEvents legitimately differ; compare everything else.
-			fused.SimEvents = plain.SimEvents
-			requireIdentical(t, label, plain, fused, pev, fev)
-		}
 	}
 }
 

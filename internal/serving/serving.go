@@ -162,14 +162,17 @@ type Traceable interface {
 
 // DecodeFuser is implemented by engines that can collapse provably
 // identical consecutive decode iterations into one simulator event
-// (decode-iteration fusion). Fusion must be observationally exact: request
-// records, load reports and emitted trace events are identical with it on
-// or off — only the simulator event count drops. An engine chooses its own
-// default (the LoongServe core fuses), and the fleet runs every replica at
-// that default.
+// (decode-iteration fusion) and switch it with a method. Fusion must be
+// observationally exact: request records, load reports and emitted trace
+// events are identical with it on or off — only the simulator event count
+// drops. An engine chooses its own default (the LoongServe core and
+// baselines.ContBatch both fuse), and the fleet runs every replica at that
+// default. Only the core implements this interface; ContBatch's switch is
+// its Unfused field.
 //
 // Deprecated: no caller sets fusion through this interface; build the
-// unfused reference by calling the engine's own SetDecodeFusion(false).
+// unfused reference with the engine's own switch, the core's
+// SetDecodeFusion(false) or ContBatch's Unfused.
 type DecodeFuser interface {
 	SetDecodeFusion(on bool)
 }
